@@ -8,8 +8,7 @@ each fixed point, and settles edge existence with an exact Groebner engine.
 """
 
 from .arrows import (ArrowMap, arrow_map_exists, dominates, dual_condition,
-                     enumerate_arrow_maps, is_arrow_map, is_system_of_arrows,
-                     partial_order_leq)
+                     enumerate_arrow_maps, is_arrow_map, is_system_of_arrows)
 from .assembly import (EdgeCache, PipelineDepth, TGraph, build_tgraph,
                        candidate_gradings, count_table, graph_to_dot,
                        graph_to_json, table_to_csv)
@@ -41,7 +40,6 @@ __all__ = [
     "extremal_ideals", "format_ideal", "format_monomial", "graph_to_dot",
     "graph_to_json", "hilbert_function", "induced_arrow_map", "initial_ideal",
     "is_arrow_map", "is_system_of_arrows", "is_trivial", "minimal_box",
-    "parse_ideal", "parse_monomial", "partial_order_leq",
-    "quotient_dimension", "reduce_monomial", "significant_arrows",
-    "table_to_csv", "tangent_weight_count",
+    "parse_ideal", "parse_monomial", "quotient_dimension", "reduce_monomial",
+    "significant_arrows", "table_to_csv", "tangent_weight_count",
 ]

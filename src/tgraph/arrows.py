@@ -60,11 +60,6 @@ def dominates(M, N, g, side=TermSide.X_SMALL):
     return True
 
 
-def partial_order_leq(M, N, g, side=TermSide.X_SMALL):
-    """True when N <= M, i.e. M dominates N class by class."""
-    return dominates(M, N, g, side)
-
-
 @dataclass(frozen=True)
 class ArrowMap:
     """A witness map, stored on the active region (identity elsewhere)."""

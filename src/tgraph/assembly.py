@@ -2,11 +2,13 @@
 
 Vertices are the monomial ideals of colength d in partition order.  For every
 unordered pair and every coprime grading under which the two ideals share a
-Hilbert function, a record is produced by a filter chain of necessary
-conditions (dominance order, arrow map, arrow map on the box quotients) with
-the exact equation solver as the final stage.  At full depth the solver runs
-on every order-comparable pair so its verdicts stay independent of the
-combinatorial filters and can be checked against them.
+Hilbert function, one record is produced.  Below full depth it comes from
+the chain of necessary conditions in ``filters_passed`` (dominance order,
+arrow map, arrow map on the box quotients).  At full depth it comes from
+``_exact_records``, the one place the exact equation solver runs, with the
+edge cache and an optional process pool; the solver sees every
+order-comparable pair, so its verdicts stay independent of the combinatorial
+filters and can be checked against them.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from math import comb, gcd
 from .arrows import arrow_map_exists, dual_condition
 from .edges import EdgeRecord, EdgeStatus, decide_edge, oriented_pair
 from .groebner import DEFAULT_BUDGET
-from .monomial import (Grading, MonomialIdeal2, enumerate_ideals,
-                       format_ideal, hilbert_function, parse_ideal)
+from .monomial import (Grading, enumerate_ideals, format_ideal,
+                       hilbert_function, parse_ideal)
 
 SCHEMA_VERSION = "1"
 
@@ -37,8 +39,9 @@ class PipelineDepth(Enum):
     FULL = "full"
 
 
-_DEPTH_RANK = {PipelineDepth.ORDER_ONLY: 0, PipelineDepth.ARROWMAP: 1,
-               PipelineDepth.DUAL: 2, PipelineDepth.FULL: 3}
+# How many conditions of the chain each depth asks for.
+_CONDITIONS = {depth: min(rank, 2) + 1
+               for rank, depth in enumerate(PipelineDepth)}
 
 
 @lru_cache(maxsize=None)
@@ -68,48 +71,63 @@ def candidate_gradings(M, N, bound=None):
     return [g for g in coprime_gradings(bound) if _hf(M, g) == _hf(N, g)]
 
 
-def pair_grading_conditions(M, N, g):
-    """Evaluate the chain of necessary conditions for one pair and grading."""
+def filters_passed(M, N, g, depth):
+    """How many necessary conditions hold for one pair and grading, 0 to 3.
+
+    The conditions are dominance order, an arrow map, and an arrow map on
+    the box quotients, in that order.  The chain stops at the first failure
+    or once it has checked every condition ``depth`` asks for (all three at
+    ``DUAL`` and ``FULL``).
+    """
+    wanted = _CONDITIONS[depth]
     oriented = oriented_pair(M, N, g)
-    out = {"order": oriented is not None, "arrow": False, "dual": False}
     if oriented is None:
-        return out
+        return 0
     big, small = oriented
-    witness = arrow_map_exists(big, small, g)
-    out["arrow"] = witness is not None
-    if witness is not None:
-        dual_witness, _ = dual_condition(big, small, g)
-        out["dual"] = dual_witness is not None
-    return out
+    if wanted == 1 or arrow_map_exists(big, small, g) is None:
+        return 1
+    if wanted == 2 or dual_condition(big, small, g)[0] is None:
+        return 2
+    return 3
 
 
-def evaluate_pair_grading(M, N, g, depth, budget=DEFAULT_BUDGET,
-                          with_dimension=False, cache=None):
-    """One record for (pair, grading) at the requested pipeline depth."""
-    if depth is PipelineDepth.FULL:
-        if cache is not None:
-            hit = cache.get(M, N, g, budget, with_dimension)
-            if hit is not None:
-                return hit
-        record = decide_edge(M, N, g, budget=budget,
-                             with_dimension=with_dimension)
+def _decide(job):
+    M, N, g, budget, with_dimension = job
+    return decide_edge(M, N, g, budget=budget, with_dimension=with_dimension)
+
+
+def _full_job(job):
+    """Process-pool entry point; the serial path calls ``_decide`` itself."""
+    return _decide(job)
+
+
+def _solve(todo, threads):
+    """Exact records for the jobs, in order, yielded as they are decided."""
+    if threads > 1 and todo:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(_full_job, todo, chunksize=8)
+    else:
+        yield from map(_decide, todo)
+
+
+def _exact_records(jobs, budget=DEFAULT_BUDGET, with_dimension=False,
+                   cache=None, threads=1):
+    """Exact records for a list of (M, N, grading) jobs, in the same order.
+
+    Cached records are read back; the rest go to the solver, on ``threads``
+    worker processes when that is more than one, and each new record is
+    written to the cache as it arrives.
+    """
+    records = [None if cache is None
+               else cache.get(M, N, g, budget, with_dimension)
+               for M, N, g in jobs]
+    misses = [k for k, rec in enumerate(records) if rec is None]
+    todo = [(*jobs[k], budget, with_dimension) for k in misses]
+    for k, record in zip(misses, _solve(todo, threads), strict=True):
         if cache is not None:
             cache.put(record, budget, with_dimension)
-        return record
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
-        return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE)
-    if depth is PipelineDepth.ORDER_ONLY:
-        return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN)
-    big, small = oriented
-    if arrow_map_exists(big, small, g) is None:
-        return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE)
-    if depth is PipelineDepth.ARROWMAP:
-        return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN)
-    dual_witness, _ = dual_condition(big, small, g)
-    if dual_witness is None:
-        return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE)
-    return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN)
+        records[k] = record
+    return records
 
 
 @dataclass
@@ -148,36 +166,29 @@ def pair_grading_jobs(vertices, bound=None):
     return jobs
 
 
-def _full_job(args):
-    m_gens, n_gens, alpha, beta, budget, with_dimension = args
-    record = decide_edge(MonomialIdeal2(m_gens), MonomialIdeal2(n_gens),
-                         Grading(alpha, beta), budget=budget,
-                         with_dimension=with_dimension)
-    return record.to_json()
-
-
 def build_tgraph(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET,
                  with_dimension=False, cache=None, threads=1):
-    """Vertices, per-(pair, grading) records, and the confirmed simple edges."""
+    """Vertices, per-(pair, grading) records, and the confirmed simple edges.
+
+    Below full depth a record is UNKNOWN when every condition the depth asks
+    for holds and NO_EDGE otherwise; ``cache`` and ``threads`` apply to the
+    exact records of a full build.
+    """
     vertices = enumerate_ideals(d)
-    jobs = pair_grading_jobs(vertices, bound=d)
-    records = []
-    if (depth is PipelineDepth.FULL and threads > 1):
-        todo = []
-        for (i, j), g in jobs:
-            todo.append((vertices[i - 1].gens, vertices[j - 1].gens,
-                         g.alpha, g.beta, budget, with_dimension))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for data in pool.map(_full_job, todo, chunksize=8):
-                records.append(EdgeRecord.from_json(data))
+    keys = pair_grading_jobs(vertices, bound=d)
+    jobs = [(vertices[i - 1], vertices[j - 1], g) for (i, j), g in keys]
+    if depth is PipelineDepth.FULL:
+        records = _exact_records(jobs, budget, with_dimension, cache, threads)
     else:
-        for (i, j), g in jobs:
-            records.append(evaluate_pair_grading(
-                vertices[i - 1], vertices[j - 1], g, depth, budget=budget,
-                with_dimension=with_dimension, cache=cache))
-    simple = {key[0] for key, rec in zip(jobs, records)
+        wanted = _CONDITIONS[depth]
+        records = [EdgeRecord((M, N), g,
+                              EdgeStatus.UNKNOWN
+                              if filters_passed(M, N, g, depth) == wanted
+                              else EdgeStatus.NO_EDGE)
+                   for M, N, g in jobs]
+    simple = {key[0] for key, rec in zip(keys, records)
               if rec.status is EdgeStatus.EDGE}
-    return TGraph(d, depth, vertices, records, jobs, simple)
+    return TGraph(d, depth, vertices, records, keys, simple)
 
 
 @dataclass
@@ -201,8 +212,7 @@ TABLE_HEADER = ["d", "ideals", "pairs", "pairs_ordered", "pairs_arrowmap",
                 "pairs_dual_arrowmap", "edges"]
 
 
-def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None,
-              threads=1):
+def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None):
     """One summary row: unordered-pair counts for each necessary condition.
 
     A pair is counted for a condition when some grading (and orientation)
@@ -210,68 +220,51 @@ def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None,
     for a confirmed nonempty edge scheme under some grading.
     """
     vertices = enumerate_ideals(d)
-    jobs = pair_grading_jobs(vertices, bound=d)
     by_pair = {}
-    for (pair, g) in jobs:
+    for pair, g in pair_grading_jobs(vertices, bound=d):
         by_pair.setdefault(pair, []).append(g)
 
-    ordered = arrow = dual = edges = unknown = 0
-    rank = _DEPTH_RANK[depth]
-    edge_jobs = []
+    wanted = _CONDITIONS[depth]
+    full = depth is PipelineDepth.FULL
+    ordered = arrow = dual = 0
+    edge_pairs = []
     for pair in sorted(by_pair):
         M, N = vertices[pair[0] - 1], vertices[pair[1] - 1]
-        found_order = found_arrow = found_dual = False
+        passed = 0
         for g in by_pair[pair]:
-            oriented = oriented_pair(M, N, g)
-            if oriented is None:
-                continue
-            found_order = True
-            if rank < 1:
+            passed = max(passed, filters_passed(M, N, g, depth))
+            if passed == wanted:
                 break
-            big, small = oriented
-            if not found_arrow or not found_dual:
-                witness = arrow_map_exists(big, small, g)
-                if witness is None:
-                    continue
-                found_arrow = True
-                if rank < 2:
-                    break
-                if dual_condition(big, small, g)[0] is not None:
-                    found_dual = True
-                    break
-        ordered += found_order
-        arrow += found_arrow
-        dual += found_dual
-        if rank >= 3 and found_order:
-            edge_jobs.append(pair)
+        ordered += passed >= 1
+        arrow += passed >= 2
+        dual += passed >= 3
+        if full and passed:
+            edge_pairs.append(pair)
 
-    if rank >= 3:
-        for pair in edge_jobs:
-            M, N = vertices[pair[0] - 1], vertices[pair[1] - 1]
-            saw_unknown = False
-            for g in by_pair[pair]:
-                if oriented_pair(M, N, g) is None:
-                    continue
-                record = evaluate_pair_grading(M, N, g, PipelineDepth.FULL,
-                                               budget=budget, cache=cache)
-                if record.status is EdgeStatus.EDGE:
-                    edges += 1
-                    saw_unknown = False
-                    break
-                if record.status is EdgeStatus.UNKNOWN:
-                    saw_unknown = True
-            if saw_unknown:
-                unknown += 1
+    edges = unknown = 0
+    for pair in edge_pairs:
+        M, N = vertices[pair[0] - 1], vertices[pair[1] - 1]
+        saw_unknown = False
+        for g in by_pair[pair]:
+            if oriented_pair(M, N, g) is None:
+                continue
+            [record] = _exact_records([(M, N, g)], budget, cache=cache)
+            if record.status is EdgeStatus.EDGE:
+                edges += 1
+                break
+            saw_unknown |= record.status is EdgeStatus.UNKNOWN
+        else:
+            unknown += saw_unknown
 
     return CountRow(d, len(vertices), comb(len(vertices), 2), ordered,
-                    arrow, dual, edges if rank >= 3 else None, unknown)
+                    arrow, dual, edges if full else None, unknown)
 
 
 def count_table(d_min, d_max, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET,
-                cache=None, threads=1):
+                cache=None):
     if not (1 <= d_min <= d_max):
         raise ValueError("need 1 <= d_min <= d_max")
-    return [count_row(d, depth, budget=budget, cache=cache, threads=threads)
+    return [count_row(d, depth, budget=budget, cache=cache)
             for d in range(d_min, d_max + 1)]
 
 

@@ -25,12 +25,7 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_DEPTHS = {
-    "order": PipelineDepth.ORDER_ONLY,
-    "arrowmap": PipelineDepth.ARROWMAP,
-    "dual": PipelineDepth.DUAL,
-    "full": PipelineDepth.FULL,
-}
+_DEPTHS = sorted(depth.value for depth in PipelineDepth)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +59,6 @@ def build_parser():
                              "(or set TGRAPH_CACHE_DIR)")
     parser.add_argument("--threads", type=int, default=1,
                         help="parallel workers for full graph builds")
-    parser.add_argument("--seed", type=int, default=20240811,
-                        help="seed for any sampled diagnostics")
     parser.add_argument("--output", default=None,
                         help="write the main result to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,14 +95,14 @@ def build_parser():
 
     p = sub.add_parser("tgraph", help="build the graph for colength d")
     p.add_argument("d", type=int)
-    p.add_argument("--depth", choices=sorted(_DEPTHS), default="full")
+    p.add_argument("--depth", choices=_DEPTHS, default="full")
     p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
     p.add_argument("--dimension", action="store_true")
 
     p = sub.add_parser("table", help="summary counts for a colength range")
     p.add_argument("dmin", type=int)
     p.add_argument("dmax", type=int)
-    p.add_argument("--depth", choices=sorted(_DEPTHS), default="full")
+    p.add_argument("--depth", choices=_DEPTHS, default="full")
 
     sub.add_parser("verify-fixtures", help="replay the packaged golden runs")
     return parser
@@ -270,9 +263,9 @@ def cmd_edge(args):
 def cmd_tgraph(args):
     if args.char:
         raise ValueError("graph builds are exact; drop --char")
-    graph = build_tgraph(args.d, _DEPTHS[args.depth], budget=args.budget,
-                         with_dimension=args.dimension, cache=_cache(args),
-                         threads=args.threads)
+    graph = build_tgraph(args.d, PipelineDepth(args.depth),
+                         budget=args.budget, with_dimension=args.dimension,
+                         cache=_cache(args), threads=args.threads)
     if args.format == "json":
         _emit(args, graph_to_json(graph))
     elif args.format == "dot":
@@ -285,9 +278,8 @@ def cmd_tgraph(args):
 def cmd_table(args):
     if args.char:
         raise ValueError("tables are exact; drop --char")
-    rows = count_table(args.dmin, args.dmax, _DEPTHS[args.depth],
-                       budget=args.budget, cache=_cache(args),
-                       threads=args.threads)
+    rows = count_table(args.dmin, args.dmax, PipelineDepth(args.depth),
+                       budget=args.budget, cache=_cache(args))
     unknown = sum(row.unknown for row in rows)
     if args.json:
         payload = {
@@ -333,6 +325,8 @@ def main(argv=None):
         parser.error("--char must be 0 or a prime")
     if args.budget < 1:
         parser.error("--budget must be at least 1")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

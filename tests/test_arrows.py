@@ -5,7 +5,7 @@ import pytest
 from tgraph.arrows import (ArrowMap, active_classes, arrow_map_exists,
                            build_arrow_map, dominates, dual_condition,
                            enumerate_arrow_maps, is_arrow_map,
-                           is_system_of_arrows, partial_order_leq)
+                           is_system_of_arrows)
 from tgraph.monomial import (Grading, TermSide, colon_box, enumerate_ideals,
                              hilbert_function, parse_ideal, parse_monomial)
 
@@ -25,7 +25,6 @@ def test_partial_order_small_pair():
     assert dominates(N, M, G11, TermSide.X_SMALL)
     assert not dominates(M, N, G11, TermSide.X_SMALL)
     assert dominates(M, N, G11, TermSide.Y_SMALL)
-    assert partial_order_leq(N, M, G11)
     assert dominates(M, M, G11) and dominates(N, N, G11)
 
 

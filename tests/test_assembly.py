@@ -2,13 +2,14 @@ import json
 
 import pytest
 
+from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              candidate_gradings, coprime_gradings, count_row,
-                             count_table, graph_from_json, graph_to_csv,
-                             graph_to_dot, graph_to_json,
-                             pair_grading_conditions, table_to_csv)
+                             count_table, filters_passed, graph_from_json,
+                             graph_to_csv, graph_to_dot, graph_to_json,
+                             table_to_csv)
 from tgraph.cells import significant_arrows
-from tgraph.edges import EdgeStatus
+from tgraph.edges import EdgeStatus, oriented_pair
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
 from oracles import sample_two_sided_edges
@@ -96,16 +97,29 @@ def test_vertices_do_not_depend_on_depth():
 
 
 def test_necessity_chain_on_conditions():
+    # every depth runs the same chain, cut after the conditions it asks for
     for d in (4, 5):
         vertices = enumerate_ideals(d)
         for i, M in enumerate(vertices):
             for N in vertices[i + 1:]:
                 for g in candidate_gradings(M, N):
-                    cond = pair_grading_conditions(M, N, g)
-                    if cond["dual"]:
-                        assert cond["arrow"]
-                    if cond["arrow"]:
-                        assert cond["order"]
+                    passed = filters_passed(M, N, g, PipelineDepth.DUAL)
+                    assert filters_passed(
+                        M, N, g, PipelineDepth.FULL) == passed
+                    assert filters_passed(
+                        M, N, g, PipelineDepth.ARROWMAP) == min(passed, 2)
+                    assert filters_passed(
+                        M, N, g, PipelineDepth.ORDER_ONLY) == min(passed, 1)
+                    oriented = oriented_pair(M, N, g)
+                    assert (passed >= 1) == (oriented is not None)
+                    if oriented is None:
+                        continue
+                    big, small = oriented
+                    arrow = arrow_map_exists(big, small, g) is not None
+                    assert (passed >= 2) == arrow
+                    if arrow:
+                        dual = dual_condition(big, small, g)[0] is not None
+                        assert (passed == 3) == dual
 
 
 def test_count_rows_published_range():
@@ -170,6 +184,16 @@ def test_cache_round_trip(tmp_path):
     row2 = count_row(4, PipelineDepth.FULL, cache=cache)
     assert row1 == row2
     assert list(tmp_path.iterdir()) == files
+
+
+def test_threaded_build_fills_the_cache(tmp_path):
+    cache = EdgeCache(str(tmp_path))
+    par = build_tgraph(4, PipelineDepth.FULL, with_dimension=True,
+                       cache=cache, threads=2)
+    assert len(list(tmp_path.iterdir())) == len(par.records)
+    warm = build_tgraph(4, PipelineDepth.FULL, with_dimension=True,
+                        cache=cache)
+    assert graph_to_json(warm) == graph_to_json(par)
 
 
 def test_threaded_build_matches_sequential():

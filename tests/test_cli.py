@@ -92,6 +92,18 @@ def test_char_flag_validation():
     assert info.value.code == 3
 
 
+def test_threads_flag_validation(monkeypatch):
+    import tgraph.assembly
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(tgraph.assembly, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "0", "tgraph", "4"])
+    assert info.value.code == 3
+
+
 def test_tgraph_formats(tmp_path, capsys):
     code, out, _ = run(capsys, "tgraph", "4", "--format", "dot")
     assert code == 0 and out.count(" -- ") == 8
