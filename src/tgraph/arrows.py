@@ -2,26 +2,25 @@
 
 An arrow map from M to N is a degree-preserving bijection of their monomial
 sets that never moves a monomial up, and whose shift distances can only
-shrink along multiplication, on both the source and the target side.  Maps
-are stored on the active region only: the finitely many degree classes where
-the two monomial sets differ.  Outside it any valid map is the identity,
+shrink along multiplication, on both the source and the target side.
+
+Everything here lives on one object, a pair's active region:
+``active_classes`` lists the finitely many degree classes where the two
+monomial sets differ.  It is also the Hilbert-function guard, since the two
+Hilbert functions agree exactly when every active class has the same size on
+both sides; every public entry computes it once and passes it down.  Maps are
+stored on the active region only.  Outside it any valid map is the identity,
 because an order-decreasing bijection of a finite chain onto itself is the
 identity; distance bounds propagating from there are zero, which the checker
-and the search both encode.
+and the search both encode.  The y-smaller side is handled as the mirror image
+of the x-smaller one under exchanging x and y.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .monomial import (Grading, MonomialIdeal2, TermSide, colon_box,
-                       format_monomial, hilbert_function, minimal_box,
-                       parse_monomial, side_key)
-
-
-def _require_equal_hf(M, N, g):
-    if hilbert_function(M, g) != hilbert_function(N, g):
-        raise ValueError(
-            f"{M} and {N} have different Hilbert functions for {g}")
+                       format_monomial, minimal_box, parse_monomial, side_key)
 
 
 def active_classes(M, N, g):
@@ -29,35 +28,45 @@ def active_classes(M, N, g):
 
     Yields (weight, members of M sorted descending, members of N likewise),
     with descending taken in the x-smaller sense (largest y-exponent first).
+    The classes differ exactly where the standard monomials differ, so only
+    those weights are visited.  Raises ValueError when the two ideals have
+    different Hilbert functions, i.e. when some class differs in size.
     """
-    support = sorted({g.weight(s) for s in M.standard_monomials()}
-                     | {g.weight(s) for s in N.standard_monomials()})
+    std_m = set(M.standard_monomials())
+    std_n = set(N.standard_monomials())
     out = []
-    for w in support:
-        in_m = []
-        in_n = []
-        for m in g.monomials_of_weight(w):
-            if M.contains(m):
-                in_m.append(m)
-            if N.contains(m):
-                in_n.append(m)
-        if in_m != in_n:
-            out.append((w, tuple(reversed(in_m)), tuple(reversed(in_n))))
+    for w in sorted({g.weight(s) for s in std_m ^ std_n}):
+        chain = g.monomials_of_weight(w)[::-1]
+        in_m = tuple(m for m in chain if m not in std_m)
+        in_n = tuple(m for m in chain if m not in std_n)
+        if len(in_m) != len(in_n):
+            raise ValueError(
+                f"{M} and {N} have different Hilbert functions for {g}")
+        out.append((w, in_m, in_n))
     return out
+
+
+def _mirror(assignment):
+    return {(m[1], m[0]): (v[1], v[0]) for m, v in assignment.items()}
+
+
+def _x_small(M, N, g, side, assignment):
+    """The pair, grading and assignment as the x-smaller side sees them."""
+    if side is TermSide.Y_SMALL:
+        return M.swap(), N.swap(), g.swap(), _mirror(assignment)
+    return M, N, g, assignment
+
+
+def _dominates(classes):
+    """Each class of M, largest first, lies above N's member for member."""
+    return all(a[1] >= b[1] for _, mons_m, mons_n in classes
+               for a, b in zip(mons_m, mons_n))
 
 
 def dominates(M, N, g, side=TermSide.X_SMALL):
     """Whether M is greater than or equal to N in the dominance order."""
-    _require_equal_hf(M, N, g)
-    if side is TermSide.Y_SMALL:
-        return dominates(M.swap(), N.swap(), g.swap(), TermSide.X_SMALL)
-    for _, mons_m, mons_n in active_classes(M, N, g):
-        if len(mons_m) != len(mons_n):
-            return False
-        for a, b in zip(mons_m, mons_n):
-            if a[1] < b[1]:
-                return False
-    return True
+    M, N, g, _ = _x_small(M, N, g, side, {})
+    return _dominates(active_classes(M, N, g))
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,6 @@ class ArrowMap:
 
     def as_dict(self):
         return dict(self.pairs)
-
-    def apply(self, m):
-        return self.as_dict().get(m, m)
 
     def moved_pairs(self):
         return tuple((m, v) for m, v in self.pairs if m != v)
@@ -125,80 +131,60 @@ def _divisor_bound(m, ideal, dist):
     return bound
 
 
-def is_arrow_map(M, N, g, side, assignment):
-    """Literal check of the three conditions on the active region."""
-    _require_equal_hf(M, N, g)
-    if side is TermSide.Y_SMALL:
-        swapped = {(m[1], m[0]): (v[1], v[0]) for m, v in assignment.items()}
-        return is_arrow_map(M.swap(), N.swap(), g.swap(), TermSide.X_SMALL,
-                            swapped)
+def _distances(classes, g, assignment):
+    """Shift distances of a decreasing bijection on the active region.
+
+    Returns (by source monomial, by target monomial), or None when the
+    assignment does not map each class of M one-to-one onto the class of N
+    without moving a monomial up.
+    """
     dist_m = {}
     dist_n = {}
-    for w, mons_m, mons_n in active_classes(M, N, g):
-        if len(mons_m) != len(mons_n):
-            return False
-        images = []
+    for _, mons_m, mons_n in classes:
         for m in mons_m:
             v = assignment.get(m, m)
-            if v not in mons_n:
-                return False
+            if v not in mons_n or v in dist_n:
+                return None
             if side_key(v, TermSide.X_SMALL) > side_key(m, TermSide.X_SMALL):
-                return False
-            images.append(v)
+                return None
             dist_m[m] = dist_n[v] = g.distance(m, v)
-        if len(set(images)) != len(images):
-            return False
-    for m, d in list(dist_m.items()):
-        bound = _divisor_bound(m, M, dist_m)
-        if bound is not None and d > bound:
-            return False
-    for v, d in list(dist_n.items()):
-        bound = _divisor_bound(v, N, dist_n)
+    return dist_m, dist_n
+
+
+def _bounded(ideal, dist):
+    """Whether no distance exceeds the bound inherited from its divisors."""
+    for m, d in dist.items():
+        bound = _divisor_bound(m, ideal, dist)
         if bound is not None and d > bound:
             return False
     return True
+
+
+def _is_arrow_map(M, N, g, classes, assignment):
+    dist = _distances(classes, g, assignment)
+    return dist is not None and _bounded(M, dist[0]) and _bounded(N, dist[1])
+
+
+def is_arrow_map(M, N, g, side, assignment):
+    """Literal check of the three conditions on the active region."""
+    M, N, g, assignment = _x_small(M, N, g, side, assignment)
+    return _is_arrow_map(M, N, g, active_classes(M, N, g), assignment)
 
 
 def is_system_of_arrows(M, N, g, side, assignment):
     """Weaker check: the bijective-decreasing and target-side conditions only."""
-    _require_equal_hf(M, N, g)
-    if side is TermSide.Y_SMALL:
-        swapped = {(m[1], m[0]): (v[1], v[0]) for m, v in assignment.items()}
-        return is_system_of_arrows(M.swap(), N.swap(), g.swap(),
-                                   TermSide.X_SMALL, swapped)
-    dist_n = {}
-    for w, mons_m, mons_n in active_classes(M, N, g):
-        if len(mons_m) != len(mons_n):
-            return False
-        images = []
-        for m in mons_m:
-            v = assignment.get(m, m)
-            if v not in mons_n:
-                return False
-            if side_key(v, TermSide.X_SMALL) > side_key(m, TermSide.X_SMALL):
-                return False
-            images.append(v)
-            dist_n[v] = g.distance(m, v)
-        if len(set(images)) != len(images):
-            return False
-    for v, d in list(dist_n.items()):
-        bound = _divisor_bound(v, N, dist_n)
-        if bound is not None and d > bound:
-            return False
-    return True
+    M, N, g, assignment = _x_small(M, N, g, side, assignment)
+    dist = _distances(active_classes(M, N, g), g, assignment)
+    return dist is not None and _bounded(N, dist[1])
 
 
-def _search(M, N, g, limit):
+def _search(M, N, g, classes, limit):
     """Backtracking enumeration of arrow maps, x-smaller side.
 
     Classes are processed by increasing weight; the shift bounds flow from
     divisors already assigned, so the per-class constraints are exactly the
     three defining conditions.
     """
-    classes = active_classes(M, N, g)
-    for _, mons_m, mons_n in classes:
-        if len(mons_m) != len(mons_n):
-            return
     dist_m = {}
     dist_n = {}
     chosen = []
@@ -250,20 +236,17 @@ def _search(M, N, g, limit):
 
 def find_arrow_maps(M, N, g, side=TermSide.X_SMALL, limit=1):
     """Up to `limit` arrow maps from M onto N (None for all), validated."""
-    _require_equal_hf(M, N, g)
-    if side is TermSide.Y_SMALL:
-        out = []
-        for f in find_arrow_maps(M.swap(), N.swap(), g.swap(),
-                                 TermSide.X_SMALL, limit):
-            assign = {(m[1], m[0]): (v[1], v[0]) for m, v in f.pairs}
-            out.append(build_arrow_map(M, N, g, side, assign))
-        return out
-    if not dominates(M, N, g, TermSide.X_SMALL):
+    xM, xN, xg, _ = _x_small(M, N, g, side, {})
+    classes = active_classes(xM, xN, xg)
+    if not _dominates(classes):
         return []
     maps = []
-    for assignment in _search(M, N, g, limit):
-        assert is_arrow_map(M, N, g, TermSide.X_SMALL, assignment)
-        maps.append(build_arrow_map(M, N, g, TermSide.X_SMALL, assignment))
+    for assignment in _search(xM, xN, xg, classes, limit):
+        assert _is_arrow_map(xM, xN, xg, classes, assignment)
+        # A search result assigns every monomial of the active region.
+        if side is TermSide.Y_SMALL:
+            assignment = _mirror(assignment)
+        maps.append(ArrowMap(M, N, g, side, tuple(sorted(assignment.items()))))
     return maps
 
 
@@ -292,7 +275,7 @@ def dual_condition(M, N, g, side=TermSide.X_SMALL, box=None):
     The default box uses the least pure powers lying in both ideals; a caller
     may pass a larger one to probe dependence on that choice.
     """
-    _require_equal_hf(M, N, g)
+    active_classes(M, N, g)  # the Hilbert-function guard on the pair itself
     if box is None:
         box = minimal_box(M, N)
     qm = colon_box(box, M)

@@ -356,7 +356,9 @@ class EdgeCache:
     def put(self, record, budget, with_dimension):
         M, N = record.pair
         path = self._path(M, N, record.grading, budget, with_dimension)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # A temp name of its own per writer: two writers of one record must
+        # not truncate or rename each other's half-written file.
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        with open(tmp, "x", encoding="utf-8") as fh:
             json.dump(record.to_json(), fh, sort_keys=True)
         os.replace(tmp, path)

@@ -201,18 +201,13 @@ def quotient_dimension(gb, nvars=None):
         if gb.is_trivial():
             raise ValueError("the unit ideal has no quotient dimension")
         leads = gb.leads()
-        if not leads:
-            if nvars is None:
-                raise ValueError("need nvars for the zero ideal")
-            return nvars
-        nvars = len(leads[0])
     else:
         leads = list(gb)
-        if not leads:
-            if nvars is None:
-                raise ValueError("need nvars for the zero ideal")
-            return nvars
-        nvars = len(leads[0])
+    if not leads:
+        if nvars is None:
+            raise ValueError("need nvars for the zero ideal")
+        return nvars
+    nvars = len(leads[0])
     supports = []
     for e in leads:
         s = frozenset(i for i, x in enumerate(e) if x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrows import build_arrow_map, is_arrow_map
+from .arrows import active_classes, build_arrow_map, is_arrow_map
 from .monomial import MonomialIdeal2, TermSide, side_key
 from .poly import ArrowVar
 
@@ -164,8 +164,6 @@ def induced_arrow_map(gens, g, colength_bound):
     M = initial_ideal(gens, g, colength_bound, TermSide.X_SMALL)
     N = initial_ideal(gens, g, colength_bound, TermSide.Y_SMALL)
     assignment = {}
-    from .arrows import active_classes
-
     for w, mons_m, mons_n in active_classes(M, N, g):
         columns = _desc(g.monomials_of_weight(w), TermSide.X_SMALL)
         piv = rref(_slice_rows(gens, g, w), columns)

@@ -26,9 +26,6 @@ class TermSide(Enum):
     X_SMALL = "x_small"
     Y_SMALL = "y_small"
 
-    def flip(self):
-        return TermSide.Y_SMALL if self is TermSide.X_SMALL else TermSide.X_SMALL
-
 
 def side_key(m, side):
     """Sort key: larger key means larger monomial within its degree class."""
@@ -160,10 +157,6 @@ class MonomialIdeal2:
             return True
         return a >= self._thr[b]
 
-    def row_threshold(self, b):
-        """Least x-exponent of the ideal in row b."""
-        return self._thr[b] if b < self.be else 0
-
     def standard_monomials(self):
         """All monomials outside the ideal; their count is the colength."""
         return tuple(
@@ -183,17 +176,6 @@ class MonomialIdeal2:
         """The image under exchanging x and y."""
         return MonomialIdeal2(tuple(sorted(((b, a) for a, b in self.gens),
                                            key=lambda m: m[1])))
-
-    def socle_weight(self, g):
-        """Largest weight carrying a standard monomial (-1 for the unit ideal)."""
-        best = -1
-        for b in range(self.be):
-            best = max(best, g.alpha * (self._thr[b] - 1) + g.beta * b)
-        return best
-
-    def monomials_of_weight(self, w, g):
-        """Members of the ideal in one degree class, by increasing y-exponent."""
-        return [m for m in g.monomials_of_weight(w) if self.contains(m)]
 
     def __str__(self):
         return format_ideal(self)
@@ -217,14 +199,8 @@ class HilbertFunction:
                 return c
         return 0
 
-    def support(self):
-        return tuple(w for w, _ in self.values)
-
     def total(self):
         return sum(c for _, c in self.values)
-
-    def as_dict(self):
-        return dict(self.values)
 
 
 def hilbert_function(M, g):

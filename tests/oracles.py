@@ -61,11 +61,22 @@ def brute_arrow_check(M, N, g, assignment, pad=3):
     return True
 
 
+def brute_active_classes(M, N, g):
+    """Differing degree classes, by walking every class of the support."""
+    support = sorted({g.weight(s) for s in M.standard_monomials()}
+                     | {g.weight(s) for s in N.standard_monomials()})
+    out = []
+    for w in support:
+        in_m = [m for m in g.monomials_of_weight(w) if M.contains(m)]
+        in_n = [m for m in g.monomials_of_weight(w) if N.contains(m)]
+        if in_m != in_n:
+            out.append((w, tuple(reversed(in_m)), tuple(reversed(in_n))))
+    return out
+
+
 def brute_dominates(M, N, g):
     """Dominance via exhaustive per-class matchings."""
-    from tgraph.arrows import active_classes
-
-    for _, mm, nn in active_classes(M, N, g):
+    for _, mm, nn in brute_active_classes(M, N, g):
         if len(mm) != len(nn):
             return False
         if not any(

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from tgraph.arrows import (ArrowMap, active_classes, arrow_map_exists,
 from tgraph.monomial import (Grading, TermSide, colon_box, enumerate_ideals,
                              hilbert_function, parse_ideal, parse_monomial)
 
-from oracles import brute_arrow_check, brute_dominates
+from oracles import brute_active_classes, brute_arrow_check, brute_dominates
 
 G11 = Grading(1, 1)
 
@@ -28,9 +29,37 @@ def test_partial_order_small_pair():
     assert dominates(M, M, G11) and dominates(N, N, G11)
 
 
-def test_partial_order_requires_equal_hilbert_functions():
+@pytest.mark.parametrize("side", list(TermSide), ids=lambda s: s.value)
+@pytest.mark.parametrize("call", [
+    lambda M, N, g, side: dominates(M, N, g, side),
+    lambda M, N, g, side: is_arrow_map(M, N, g, side, {}),
+    lambda M, N, g, side: is_system_of_arrows(M, N, g, side, {}),
+    lambda M, N, g, side: arrow_map_exists(M, N, g, side),
+    lambda M, N, g, side: enumerate_arrow_maps(M, N, g, side),
+    lambda M, N, g, side: dual_condition(M, N, g, side),
+    lambda M, N, g, side: build_arrow_map(M, N, g, side, {}),
+], ids=["dominates", "is_arrow_map", "is_system_of_arrows",
+        "arrow_map_exists", "enumerate_arrow_maps", "dual_condition",
+        "build_arrow_map"])
+def test_partial_order_requires_equal_hilbert_functions(call, side):
     with pytest.raises(ValueError):
-        dominates(parse_ideal("<x^2, y^2>"), parse_ideal("<x^4, y>"), G11)
+        call(parse_ideal("<x^2, y^2>"), parse_ideal("<x^4, y>"), G11, side)
+
+
+def test_active_classes_match_the_walk_over_every_class():
+    for d in range(1, 8):
+        pool = enumerate_ideals(d)
+        gradings = [Grading(a, b) for a in range(1, d + 1)
+                    for b in range(1, d + 1) if gcd(a, b) == 1]
+        for M in pool:
+            for N in pool:
+                for g in gradings:
+                    if hilbert_function(M, g) == hilbert_function(N, g):
+                        assert (active_classes(M, N, g)
+                                == brute_active_classes(M, N, g))
+                    else:
+                        with pytest.raises(ValueError):
+                            active_classes(M, N, g)
 
 
 def test_order_is_antisymmetric_and_transitive():

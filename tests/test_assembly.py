@@ -10,6 +10,7 @@ from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              table_to_csv)
 from tgraph.cells import significant_arrows
 from tgraph.edges import EdgeStatus, oriented_pair
+from tgraph.groebner import DEFAULT_BUDGET
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
 from oracles import sample_two_sided_edges
@@ -184,6 +185,30 @@ def test_cache_round_trip(tmp_path):
     row2 = count_row(4, PipelineDepth.FULL, cache=cache)
     assert row1 == row2
     assert list(tmp_path.iterdir()) == files
+
+
+def test_cache_writers_of_one_record_do_not_collide(tmp_path, monkeypatch):
+    cache = EdgeCache(str(tmp_path))
+    record = build_tgraph(2, PipelineDepth.FULL).records[0]
+    real_dump = json.dump
+    entered = []
+
+    def dump_with_a_second_writer(obj, fh, **kwargs):
+        # The second writer of the same record runs to completion while the
+        # first is between opening its temp file and renaming it.
+        if not entered:
+            entered.append(True)
+            cache.put(record, DEFAULT_BUDGET, False)
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_with_a_second_writer)
+    cache.put(record, DEFAULT_BUDGET, False)
+    monkeypatch.undo()
+    assert entered
+    files = list(tmp_path.iterdir())
+    assert len(files) == 1 and files[0].suffix == ".json"
+    M, N = record.pair
+    assert cache.get(M, N, record.grading, DEFAULT_BUDGET, False) == record
 
 
 def test_threaded_build_fills_the_cache(tmp_path):

@@ -43,6 +43,9 @@ def test_zero_ideal_dimension():
     assert quotient_dimension(gb, nvars=3) == 3
     with pytest.raises(ValueError):
         quotient_dimension(buchberger([ring(2).one()]))
+    assert quotient_dimension([], nvars=2) == 2
+    with pytest.raises(ValueError):
+        quotient_dimension([])
 
 
 def test_determinism():
