@@ -69,6 +69,19 @@ def dominates(M, N, g, side=TermSide.X_SMALL):
     return _dominates(active_classes(M, N, g))
 
 
+def oriented_pair(M, N, g):
+    """Order the pair with the dominating ideal first, or None if incomparable.
+
+    Both directions are read off one list of the pair's active classes.
+    """
+    classes = active_classes(M, N, g)
+    if _dominates(classes):
+        return M, N
+    if _dominates([(w, in_n, in_m) for w, in_m, in_n in classes]):
+        return N, M
+    return None
+
+
 @dataclass(frozen=True)
 class ArrowMap:
     """A witness map, stored on the active region (identity elsewhere)."""
@@ -78,9 +91,6 @@ class ArrowMap:
     grading: Grading
     side: TermSide
     pairs: tuple  # ((m, f(m)), ...) covering the active classes, sorted
-
-    def as_dict(self):
-        return dict(self.pairs)
 
     def moved_pairs(self):
         return tuple((m, v) for m, v in self.pairs if m != v)
@@ -109,14 +119,16 @@ class ArrowMap:
         return build_arrow_map(M, N, g, side, assign)
 
 
+def _completed(classes, assignment):
+    """The assignment on every monomial of the active region, sorted."""
+    return tuple(sorted((m, assignment.get(m, m))
+                        for _, mons_m, _ in classes for m in mons_m))
+
+
 def build_arrow_map(M, N, g, side, assignment):
     """Complete a partial assignment with identities on the active region."""
-    full = []
-    for w, mons_m, mons_n in active_classes(M, N, g):
-        for m in mons_m:
-            v = assignment.get(m, m)
-            full.append((m, v))
-    return ArrowMap(M, N, g, side, tuple(sorted(full)))
+    return ArrowMap(M, N, g, side,
+                    _completed(active_classes(M, N, g), assignment))
 
 
 def _divisor_bound(m, ideal, dist):

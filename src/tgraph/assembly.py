@@ -23,8 +23,8 @@ from enum import Enum
 from functools import lru_cache
 from math import comb, gcd
 
-from .arrows import arrow_map_exists, dual_condition
-from .edges import EdgeRecord, EdgeStatus, decide_edge, oriented_pair
+from .arrows import arrow_map_exists, dual_condition, oriented_pair
+from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        hilbert_function, parse_ideal)
@@ -347,11 +347,21 @@ class EdgeCache:
         return os.path.join(self.directory, f"{digest}.json")
 
     def get(self, M, N, g, budget, with_dimension):
+        """The stored record, or None when it is missing or unusable.
+
+        A record that cannot be read or parsed, or that belongs to another
+        pair or grading, is a miss: the caller recomputes and rewrites it.
+        """
         path = self._path(M, N, g, budget, with_dimension)
-        if not os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = EdgeRecord.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return EdgeRecord.from_json(json.load(fh))
+        if set(record.pair) != {M, N} or record.grading != g:
+            return None
+        return record
 
     def put(self, record, budget, with_dimension):
         M, N = record.pair

@@ -11,11 +11,12 @@ import json
 import sys
 
 from . import __version__
-from .arrows import arrow_map_exists, dual_condition, enumerate_arrow_maps
+from .arrows import (arrow_map_exists, dual_condition, enumerate_arrow_maps,
+                     oriented_pair)
 from .assembly import (SCHEMA_VERSION, EdgeCache, PipelineDepth, build_tgraph,
                        count_table, graph_to_csv, graph_to_dot, graph_to_json,
                        table_to_csv)
-from .edges import EdgeStatus, decide_edge, oriented_pair
+from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        format_monomial, parse_ideal)

@@ -12,11 +12,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .arrows import dominates
+from .arrows import oriented_pair
 from .cells import edge_ideal
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, buchberger,
                        quotient_dimension)
-from .monomial import Grading, TermSide, format_ideal, parse_ideal
+from .monomial import Grading, format_ideal, parse_ideal
 from .poly import Ring
 
 
@@ -61,15 +61,6 @@ class EdgeRecord:
             time_ms=data.get("groebner", {}).get("time_ms", 0.0),
             characteristic=data.get("characteristic", 0),
         )
-
-
-def oriented_pair(M, N, g):
-    """Order the pair with the dominating ideal first, or None if incomparable."""
-    if dominates(M, N, g, TermSide.X_SMALL):
-        return M, N
-    if dominates(N, M, g, TermSide.X_SMALL):
-        return N, M
-    return None
 
 
 def _char_ring(ring, char):

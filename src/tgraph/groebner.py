@@ -8,6 +8,8 @@ fully interreduced monic result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 from .poly import Poly
 
@@ -32,42 +34,71 @@ class GroebnerBasis:
 
 
 def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
+
+
+def _descending(key):
+    """A grevlex key negated, so that a min-heap pops the largest term first."""
+    return tuple(map(neg, key))
 
 
 def normal_form(f, basis, stats=None):
-    """Full remainder of f on division by basis (monic leads assumed)."""
+    """Full remainder of f on division by basis (monic leads assumed).
+
+    The largest pending term is reduced first.  Pending terms sit in a heap
+    on their negated grevlex key, computed once, when the term enters the
+    work dict.  A term that cancels keeps its entry and a zero coefficient,
+    and is skipped when popped; if it is created again, that entry still
+    stands, because a reduction only creates terms smaller than the one
+    popped.  The key is injective, so the heap yields terms in the grevlex
+    order that taking the maximum of the work dict at every step would: the
+    remainder and the count of reduction steps are those of that loop.
+    Reducers whose lead has a larger degree than the term are passed over
+    before the divisibility test.
+    """
     if not basis:
         return f
     ring = f.ring
     key = ring.key
-    leads = [g.lead()[0] for g in basis]
-    rem = {}
+    coeff = ring.coeff
+    reducers = []
+    for g in basis:
+        lead = g.lead()[0]
+        reducers.append((lead, sum(lead), g))
     work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
+    heap = [(_descending(key(e)), e) for e in work]
+    heapify(heap)
+    rem = {}
+    steps = 0
+    while heap:
+        order, e = heappop(heap)
         c = work.pop(e)
-        for lead, g in zip(leads, basis):
-            if _divides(lead, e):
-                if stats is not None:
-                    stats["reduction_steps"] = stats.get("reduction_steps", 0) + 1
-                shift = tuple(a - b for a, b in zip(e, lead))
+        if not c:
+            continue
+        degree = -order[0]
+        for lead, lead_degree, g in reducers:
+            if lead_degree <= degree and _divides(lead, e):
+                steps += 1
+                shift = tuple(map(sub, e, lead))
                 for e2, c2 in g.terms.items():
                     if e2 == lead:
                         continue
-                    e3 = tuple(a + b for a, b in zip(e2, shift))
-                    c3 = ring.coeff(work.get(e3, 0) - c * c2)
-                    if c3:
-                        work[e3] = c3
+                    e3 = tuple(map(add, e2, shift))
+                    old = work.get(e3)
+                    if old is None:
+                        work[e3] = coeff(-c * c2)
+                        heappush(heap, (_descending(key(e3)), e3))
                     else:
-                        work.pop(e3, None)
+                        work[e3] = coeff(old - c * c2)
                 break
         else:
             rem[e] = c
+    if steps and stats is not None:
+        stats["reduction_steps"] = stats.get("reduction_steps", 0) + steps
     return Poly(ring, rem)
 
 
@@ -80,8 +111,12 @@ def _spoly(f, g):
     return f.mul_term(mf, 1) - g.mul_term(mg, 1)
 
 
-def _update_pairs(basis_leads, pairs, t, ring):
-    """Gebauer-Moeller pair update when generator index t is appended."""
+def _update_pairs(basis_leads, pairs, queue, t, ring):
+    """Gebauer-Moeller pair update when generator index t is appended.
+
+    Returns the surviving pairs.  Each new pair (i, t) is also pushed onto
+    the selection heap ``queue`` as (grevlex key of its lcm, i, t).
+    """
     lm_t = basis_leads[t]
     lcm = _lcm
     divides = _divides
@@ -98,17 +133,19 @@ def _update_pairs(basis_leads, pairs, t, ring):
     for i in range(t):
         by_lcm.setdefault(lcm(basis_leads[i], lm_t), []).append(i)
     minimal = []
-    for L in sorted(by_lcm, key=ring.key):
-        if all(not divides(L2, L) for L2 in minimal):
-            minimal.append(L)
-    for L in minimal:
+    for k, L in sorted((ring.key(L), L) for L in by_lcm):
+        if all(not divides(L2, L) for _, L2 in minimal):
+            minimal.append((k, L))
+    for k, L in minimal:
         coprime = any(
             lcm(basis_leads[i], lm_t)
             == tuple(a + b for a, b in zip(basis_leads[i], lm_t))
             for i in by_lcm[L]
         )
         if not coprime:
-            kept.add((min(by_lcm[L]), t))
+            i = min(by_lcm[L])
+            kept.add((i, t))
+            heappush(queue, (k, i, t))
     return kept
 
 
@@ -116,7 +153,9 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     """Reduced Groebner basis of the given generators, deterministically.
 
     Raises BudgetExceeded when more than `budget` S-pair reductions would be
-    needed.  The zero ideal yields an empty basis.
+    needed.  The zero ideal yields an empty basis.  The next S-pair is the
+    one whose lcm is grevlex-least, ties going to the smaller index pair; a
+    heap holds every pair ever formed and skips those the updates dropped.
     """
     gens = [g for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
@@ -128,16 +167,19 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     basis = []
     leads = []
     pairs = set()
+    queue = []
     for g in ordered:
         r = normal_form(g, basis, stats).monic()
         if not r:
             continue
         basis.append(r)
         leads.append(r.lead()[0])
-        pairs = _update_pairs(leads, pairs, len(basis) - 1, ring)
+        pairs = _update_pairs(leads, pairs, queue, len(basis) - 1, ring)
 
-    while pairs:
-        i, j = min(pairs, key=lambda p: (ring.key(_lcm(leads[p[0]], leads[p[1]])), p))
+    while queue:
+        _, i, j = heappop(queue)
+        if (i, j) not in pairs:
+            continue
         pairs.discard((i, j))
         stats["s_pairs"] += 1
         if stats["s_pairs"] > budget:
@@ -148,7 +190,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
         r = r.monic()
         basis.append(r)
         leads.append(r.lead()[0])
-        pairs = _update_pairs(leads, pairs, len(basis) - 1, ring)
+        pairs = _update_pairs(leads, pairs, queue, len(basis) - 1, ring)
 
     # Minimalize: drop generators whose lead is a multiple of another lead.
     minimal = []

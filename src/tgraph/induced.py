@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrows import active_classes, build_arrow_map, is_arrow_map
+from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
 from .monomial import MonomialIdeal2, TermSide, side_key
 from .poly import ArrowVar
 
@@ -163,8 +163,9 @@ def induced_arrow_map(gens, g, colength_bound):
     """
     M = initial_ideal(gens, g, colength_bound, TermSide.X_SMALL)
     N = initial_ideal(gens, g, colength_bound, TermSide.Y_SMALL)
+    classes = active_classes(M, N, g)
     assignment = {}
-    for w, mons_m, mons_n in active_classes(M, N, g):
+    for w, mons_m, mons_n in classes:
         columns = _desc(g.monomials_of_weight(w), TermSide.X_SMALL)
         piv = rref(_slice_rows(gens, g, w), columns)
         assert set(piv) == set(mons_m)
@@ -189,6 +190,7 @@ def induced_arrow_map(gens, g, colength_bound):
                     else:
                         vec.pop(c2, None)
             assignment[m] = max(vec, key=lambda c: colpos[c])
-    witness = build_arrow_map(M, N, g, TermSide.X_SMALL, assignment)
-    assert is_arrow_map(M, N, g, TermSide.X_SMALL, witness.as_dict())
+    assert _is_arrow_map(M, N, g, classes, assignment)
+    witness = ArrowMap(M, N, g, TermSide.X_SMALL,
+                       _completed(classes, assignment))
     return M, N, witness

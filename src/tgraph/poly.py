@@ -3,12 +3,15 @@
 Coefficients are Python ints or Fractions in characteristic 0, or ints reduced
 mod p when the ring carries a prime characteristic.  Exponent vectors are
 tuples indexed by the ring's fixed variable list; the monomial order is graded
-reverse lexicographic over that list.
+reverse lexicographic over that list, with ``Ring.key`` its one definition.
+A polynomial's terms are never mutated after construction, so each polynomial
+computes its lead term once and keeps it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 
 
 @dataclass(frozen=True, order=True)
@@ -46,8 +49,11 @@ class Ring:
         return len(self.vars)
 
     def key(self, exps):
-        """Grevlex sort key; larger key means larger monomial."""
-        return (sum(exps),) + tuple(-e for e in reversed(exps))
+        """Grevlex sort key; larger key means larger monomial.
+
+        The key determines the exponents, so distinct monomials never tie.
+        """
+        return (sum(exps), *map(neg, reversed(exps)))
 
     def coeff(self, c):
         if self.char:
@@ -99,13 +105,19 @@ class Ring:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial bound to a Ring."""
+    """Immutable sparse polynomial bound to a Ring.
 
-    __slots__ = ("ring", "terms")
+    Nothing mutates ``terms`` after construction: every operation builds a
+    new dict.  That is what lets ``lead`` be computed once, on first use, and
+    kept in a slot.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._lead = None
 
     def is_zero(self):
         return not self.terms
@@ -142,7 +154,7 @@ class Poly:
             out = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     c = out.get(e, 0) + c1 * c2
                     c = ring.coeff(c)
                     if c:
@@ -173,7 +185,7 @@ class Poly:
         for e, c0 in self.terms.items():
             cc = ring.coeff(c0 * c)
             if cc:
-                out[tuple(a + b for a, b in zip(e, exps))] = cc
+                out[tuple(map(add, e, exps))] = cc
         return Poly(ring, out)
 
     def divide_term(self, exps, c):
@@ -195,12 +207,13 @@ class Poly:
         return Poly(ring, out)
 
     def lead(self):
-        """(exponents, coefficient) of the grevlex-largest term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no lead term")
-        key = self.ring.key
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
+        """(exponents, coefficient) of the grevlex-largest term; cached."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no lead term")
+            e = max(self.terms, key=self.ring.key)
+            self._lead = e, self.terms[e]
+        return self._lead
 
     def monic(self):
         if not self.terms:

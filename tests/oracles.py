@@ -87,6 +87,49 @@ def brute_dominates(M, N, g):
     return True
 
 
+def grevlex_key(exps):
+    """Grevlex sort key written out afresh: degree, then the reversed
+    exponents negated, so the smaller last exponent wins a tie."""
+    return (sum(exps), [-e for e in reversed(exps)])
+
+
+def brute_normal_form(f, basis):
+    """The plain division loop: each step scans the work dict with ``max``.
+
+    Reducer leads are found by scanning their terms too.  Returns the
+    remainder, the number of reduction steps, and how many times a term
+    that had cancelled out of the work dict entered it again.
+    """
+    ring = f.ring
+    leads = [max(g.terms, key=grevlex_key) for g in basis]
+    work = dict(f.terms)
+    rem = {}
+    steps = recreated = 0
+    cancelled = set()
+    while work:
+        e = max(work, key=grevlex_key)
+        c = work.pop(e)
+        for lead, g in zip(leads, basis):
+            if all(a <= b for a, b in zip(lead, e)):
+                steps += 1
+                shift = [a - b for a, b in zip(e, lead)]
+                for e2, c2 in g.terms.items():
+                    if e2 == lead:
+                        continue
+                    e3 = tuple(a + b for a, b in zip(e2, shift))
+                    c3 = ring.coeff(work.get(e3, 0) - c * c2)
+                    if c3:
+                        recreated += e3 in cancelled and e3 not in work
+                        work[e3] = c3
+                    elif e3 in work:
+                        del work[e3]
+                        cancelled.add(e3)
+                break
+        else:
+            rem[e] = c
+    return ring.poly(rem), steps, recreated
+
+
 def hook_tangent_weights(M):
     """Tangent weight vectors at a partition ideal, from arm/leg statistics.
 

@@ -134,6 +134,31 @@ def test_cache_warm_run_is_byte_identical(tmp_path, capsys):
     assert sorted(p.name for p in cache.iterdir()) == files
 
 
+def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "table", "3", "4", "--depth", "full"]
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    first, second, third = sorted(cache.iterdir())[:3]
+    intact = first.read_text(encoding="utf-8")
+    first.write_text(intact[:len(intact) // 2], encoding="utf-8")
+    # A readable record stored under another pair's name is stale.
+    second.write_text(third.read_text(encoding="utf-8"), encoding="utf-8")
+    code, rerun, _ = run(capsys, *args)
+    assert code == 0
+    assert rerun == clean
+
+    # Both records were rewritten; only their timings may differ.
+    def untimed(text):
+        data = json.loads(text)
+        del data["groebner"]["time_ms"]
+        return data
+
+    assert untimed(first.read_text(encoding="utf-8")) == untimed(intact)
+    assert (json.loads(second.read_text(encoding="utf-8"))["pair"]
+            != json.loads(third.read_text(encoding="utf-8"))["pair"])
+
+
 def test_verify_fixtures(capsys):
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == 0

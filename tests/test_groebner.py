@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from tgraph.arrows import oriented_pair
+from tgraph.assembly import PipelineDepth, build_tgraph
+from tgraph.cells import edge_ideal
 from tgraph.groebner import (BudgetExceeded, buchberger, is_trivial,
                              normal_form, quotient_dimension)
 from tgraph.poly import ArrowVar, Ring
 
-from oracles import membership_certificate
+from oracles import brute_normal_form, membership_certificate
 
 V = [ArrowVar(0, i, 1) for i in range(1, 5)]
 
@@ -61,6 +64,63 @@ def test_budget_exhaustion_reports_unknown():
     with pytest.raises(BudgetExceeded):
         buchberger(small_quartic_system(r), budget=1)
     assert is_trivial(small_quartic_system(r), budget=1) is None
+
+
+def random_poly(r, rng, terms, degree):
+    return r.poly({tuple(rng.randint(0, degree) for _ in r.vars):
+                   rng.choice((-2, -1, 1, 2, 3)) for _ in range(terms)})
+
+
+def test_normal_form_handles_a_term_that_cancels_and_returns():
+    r = ring(3)
+    x, y, z = (r.var(v) for v in r.vars)
+    f = x * x * x + y * y * y + z * z * z
+    basis = [x * x * x + z * z * z, y * y * y - z * z * z]
+    stats = {}
+    # x^3 cancels z^3 out of the work dict; y^3 brings it back.
+    assert normal_form(f, basis, stats) == z * z * z
+    assert stats == {"reduction_steps": 2}
+    assert brute_normal_form(f, basis) == (z * z * z, 2, 1)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_normal_form_matches_the_division_loop(char):
+    rng = random.Random(20261018 + char)
+    r = ring(3, char=char)
+    recreated = 0
+    for trial in range(120):
+        gens = [random_poly(r, rng, 3, 2) for _ in range(rng.randint(1, 4))]
+        if trial % 4 == 0:
+            basis = buchberger(gens).generators
+        else:
+            basis = [g.monic() for g in gens if g]
+        f = random_poly(r, rng, 8, 4)
+        stats = {}
+        remainder = normal_form(f, basis, stats)
+        want, steps, again = brute_normal_form(f, basis)
+        assert remainder == want
+        assert stats.get("reduction_steps", 0) == steps
+        recreated += again
+    assert recreated > 0
+
+
+# Recorded before reduction and pair selection were moved onto heaps: any
+# change in the order of S-pairs or of reduction steps moves these sums.
+@pytest.mark.parametrize("d, s_pairs, basis_size, reduction_steps",
+                         [(7, 143, 123, 140), (8, 605, 335, 1773)])
+def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
+                                                 reduction_steps):
+    graph = build_tgraph(d, PipelineDepth.FULL, with_dimension=True)
+    assert sum(rec.s_pairs for rec in graph.records) == s_pairs
+    stats = []
+    for rec in graph.records:
+        oriented = oriented_pair(*rec.pair, rec.grading)
+        if oriented is not None:
+            ideal = edge_ideal(*oriented, rec.grading)
+            stats.append(buchberger(ideal.nonzero_generators()).stats)
+    assert sum(st["s_pairs"] for st in stats) == s_pairs
+    assert sum(st["basis_size"] for st in stats) == basis_size
+    assert sum(st["reduction_steps"] for st in stats) == reduction_steps
 
 
 def test_reduced_basis_properties():

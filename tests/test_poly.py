@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tgraph.poly import ArrowVar, Poly, Ring, arrow_ring
+
+from oracles import grevlex_key
 
 A = ArrowVar(0, 1, 1)
 B = ArrowVar(0, 2, 1)
@@ -51,6 +54,30 @@ def test_lead_and_monic_grevlex():
     assert exps == (2, 0, 0) and coeff == 2
     assert p.monic().lead()[1] == 1
     assert p.monic().terms[(0, 0, 0)] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_cached_lead_is_the_largest_term_after_every_operation(char):
+    rng = random.Random(11 + char)
+    r = Ring((A, B, C), char=char)
+
+    def random_poly():
+        return r.poly({(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
+                       rng.randint(-3, 3) for _ in range(5)})
+
+    for _ in range(60):
+        p, q = random_poly(), random_poly()
+        if not p or not q:
+            continue
+        lead_exps, lead_coeff = p.lead()  # fills the cache before deriving
+        q.lead()
+        results = [p + q, p - q, p * q, p.scale(3), p.scale(Fraction(1, 2)),
+                   p.mul_term((1, 0, 2), -2), p.monic(),
+                   p - r.poly({lead_exps: lead_coeff})]
+        for s in results:
+            if s:
+                e = max(s.terms, key=grevlex_key)
+                assert s.lead() == (e, s.terms[e])
 
 
 def test_str_canonical():
