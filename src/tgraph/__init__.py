@@ -10,12 +10,10 @@ each fixed point, and settles edge existence with an exact Groebner engine.
 from .arrows import (ArrowMap, arrow_map_exists, dominates, dual_condition,
                      enumerate_arrow_maps, is_arrow_map, is_system_of_arrows)
 from .assembly import (EdgeCache, PipelineDepth, TGraph, build_tgraph,
-                       candidate_gradings, count_table, graph_to_dot,
-                       graph_to_json, table_to_csv)
+                       count_table, graph_to_dot, graph_to_json, table_to_csv)
 from .cells import (CellBasis, EdgeIdeal, cell_generators_f, cell_generators_g,
-                    edge_ideal, extremal_ideals, reduce_monomial,
-                    significant_arrows, tangent_weight_count)
-from .edges import EdgeRecord, EdgeStatus, decide_edge, edge_dimension
+                    edge_ideal, reduce_monomial, significant_arrows)
+from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import (BudgetExceeded, GroebnerBasis, buchberger, is_trivial,
                        quotient_dimension)
 from .induced import induced_arrow_map, initial_ideal
@@ -24,7 +22,6 @@ from .monomial import (Grading, HilbertFunction, MonomialIdeal2, TermSide,
                        format_monomial, hilbert_function, minimal_box,
                        parse_ideal, parse_monomial)
 from .poly import ArrowVar, Poly, Ring, arrow_ring
-from .strolls import StrollOverflow, edge_ideal_hikes
 
 __version__ = "0.1.0"
 
@@ -32,14 +29,13 @@ __all__ = [
     "ArrowMap", "ArrowVar", "BudgetExceeded", "CellBasis", "EdgeCache",
     "EdgeIdeal", "EdgeRecord", "EdgeStatus", "Grading", "GroebnerBasis",
     "HilbertFunction", "MonomialIdeal2", "PipelineDepth", "Poly", "Ring",
-    "StrollOverflow", "TGraph", "TermSide", "arrow_map_exists", "arrow_ring",
-    "buchberger", "build_tgraph", "candidate_gradings", "cell_generators_f",
-    "cell_generators_g", "colon_box", "count_table", "decide_edge",
-    "dominates", "dual_condition", "edge_dimension", "edge_ideal",
-    "edge_ideal_hikes", "enumerate_arrow_maps", "enumerate_ideals",
-    "extremal_ideals", "format_ideal", "format_monomial", "graph_to_dot",
-    "graph_to_json", "hilbert_function", "induced_arrow_map", "initial_ideal",
-    "is_arrow_map", "is_system_of_arrows", "is_trivial", "minimal_box",
-    "parse_ideal", "parse_monomial", "quotient_dimension", "reduce_monomial",
-    "significant_arrows", "table_to_csv", "tangent_weight_count",
+    "TGraph", "TermSide", "arrow_map_exists", "arrow_ring", "buchberger",
+    "build_tgraph", "cell_generators_f", "cell_generators_g", "colon_box",
+    "count_table", "decide_edge", "dominates", "dual_condition", "edge_ideal",
+    "enumerate_arrow_maps", "enumerate_ideals", "format_ideal",
+    "format_monomial", "graph_to_dot", "graph_to_json", "hilbert_function",
+    "induced_arrow_map", "initial_ideal", "is_arrow_map", "is_system_of_arrows",
+    "is_trivial", "minimal_box", "parse_ideal", "parse_monomial",
+    "quotient_dimension", "reduce_monomial", "significant_arrows",
+    "table_to_csv",
 ]

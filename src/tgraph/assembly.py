@@ -58,19 +58,6 @@ def _hf(M, g):
     return hilbert_function(M, g)
 
 
-def candidate_gradings(M, N, bound=None):
-    """Gradings under which the pair shares a Hilbert function.
-
-    Weights range over [1, d]; an edge for any grading forces a tangent
-    direction whose shift fits inside the staircases, so nothing outside
-    that box can carry one.
-    """
-    if M.colength != N.colength:
-        raise ValueError("candidate gradings need ideals of equal colength")
-    bound = bound or M.colength
-    return [g for g in coprime_gradings(bound) if _hf(M, g) == _hf(N, g)]
-
-
 def filters_passed(M, N, g, depth):
     """How many necessary conditions hold for one pair and grading, 0 to 3.
 
@@ -138,9 +125,6 @@ class TGraph:
     records: list  # EdgeRecord per (pair, grading), keyed below
     keys: list  # ((i, j), Grading) parallel to records, 1-based indices
     simple_edges: set = field(default_factory=set)
-
-    def vertex_index(self, M):
-        return self.vertices.index(M) + 1
 
     def edge_gradings(self, i, j):
         out = []

@@ -75,7 +75,6 @@ class CellBasis:
     ring: Ring
     leads: tuple
     elements: tuple  # tuple of dict(Mono -> Poly)
-    reduced: bool
 
     def element(self, i):
         return self.elements[i]
@@ -106,7 +105,7 @@ def cell_generators_f(M, g, side=TermSide.X_SMALL, ring=None, var_side=0):
             for elem in basis.elements
         )
         leads = tuple((b, a) for a, b in basis.leads)
-        return CellBasis(M, g, side, basis.ring, leads, elements, reduced=False)
+        return CellBasis(M, g, side, basis.ring, leads, elements)
 
     arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
     if ring is None:
@@ -138,7 +137,7 @@ def cell_generators_f(M, g, side=TermSide.X_SMALL, ring=None, var_side=0):
                     else:
                         slot.pop(e2, None)
         elements.append({m: Poly(ring, t) for m, t in acc.items() if t})
-    return CellBasis(M, g, side, ring, gens, tuple(elements), reduced=False)
+    return CellBasis(M, g, side, ring, gens, tuple(elements))
 
 
 def _tail_reduce(elem, lead, basis):
@@ -173,28 +172,17 @@ def _tail_reduce(elem, lead, basis):
     return {m: Poly(ring, t) for m, t in work.items()}
 
 
-def cell_generators_g(M, g, side=TermSide.X_SMALL, ring=None, var_side=0,
-                      f_basis=None):
-    """Reduced cell basis: tails are supported on standard monomials of M."""
-    basis = f_basis or cell_generators_f(M, g, side, ring=ring,
-                                         var_side=var_side)
-    if side is TermSide.Y_SMALL:
-        swapped = cell_generators_g(M.swap(), g.swap(), TermSide.X_SMALL,
-                                    ring=basis.ring, var_side=var_side)
-        elements = tuple(
-            {(b, a): poly for (a, b), poly in elem.items()}
-            for elem in swapped.elements
-        )
-        leads = tuple((b, a) for a, b in swapped.leads)
-        return CellBasis(M, g, side, swapped.ring, leads, elements, reduced=True)
+def cell_generators_g(M, g, ring=None, var_side=0):
+    """Reduced x-smaller cell basis: tails are standard monomials of M."""
+    basis = cell_generators_f(M, g, ring=ring, var_side=var_side)
     reduced = []
     for i, elem in enumerate(basis.elements):
         lead = M.gens[i]
         red = _tail_reduce(elem, lead, basis)
         assert all(m == lead or not M.contains(m) for m in red)
         reduced.append(red)
-    return CellBasis(M, g, side, basis.ring, basis.leads, tuple(reduced),
-                     reduced=True)
+    return CellBasis(M, g, TermSide.X_SMALL, basis.ring, basis.leads,
+                     tuple(reduced))
 
 
 def reduce_monomial(m, gbasis):
@@ -211,11 +199,6 @@ def reduce_monomial(m, gbasis):
     nf = _tail_reduce({m: gbasis.ring.one()}, None, gbasis)
     assert all(not M.contains(s) for s in nf)
     return nf
-
-
-def normal_form_element(elem, gbasis):
-    """Tail-reduce an arbitrary homogeneous element against the basis."""
-    return _tail_reduce(elem, None, gbasis)
 
 
 @dataclass(frozen=True)
@@ -252,7 +235,7 @@ def edge_ideal(M, N, g):
     m_arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
     n_arrows = significant_arrows(N, g, TermSide.Y_SMALL).positive
     ring = arrow_ring(m_arrows, n_arrows)
-    gb = cell_generators_g(M, g, TermSide.X_SMALL, ring=ring, var_side=0)
+    gb = cell_generators_g(M, g, ring=ring)
     nf_basis = cell_generators_f(N, g, TermSide.Y_SMALL, ring=ring, var_side=1)
 
     std_by_weight = {}
@@ -262,7 +245,7 @@ def edge_ideal(M, N, g):
     generators = []
     for i, n in enumerate(nf_basis.leads):
         w = g.weight(n)
-        nf = normal_form_element(nf_basis.element(i), gb)
+        nf = _tail_reduce(nf_basis.element(i), None, gb)
         targets = sorted(std_by_weight.get(w, ()),
                          key=lambda s: side_key(s, TermSide.X_SMALL),
                          reverse=True)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a confirmed positive verdict, 1 for a negative
 verdict (no map, no edge, a failed fixture), 2 for an undecided verdict
-(budget exhausted), 3 and up for usage or input errors.
+(budget exhausted), 3 and up for usage, input or file-system errors.
 """
 from __future__ import annotations
 
@@ -123,6 +123,16 @@ def _parse_pair(args):
     return M, N, Grading(args.alpha, args.beta)
 
 
+def _oriented_pair(args, incomparable):
+    """(big, small, grading), or None after writing `incomparable`."""
+    M, N, g = _parse_pair(args)
+    oriented = oriented_pair(M, N, g)
+    if oriented is None:
+        _emit(args, incomparable + "\n")
+        return None
+    return (*oriented, g)
+
+
 def _cache(args):
     import os
 
@@ -152,12 +162,10 @@ def cmd_ideals(args):
 
 
 def cmd_arrowmap(args):
-    M, N, g = _parse_pair(args)
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
-        _emit(args, "no arrow map: the pair is not comparable\n")
+    pair = _oriented_pair(args, "no arrow map: the pair is not comparable")
+    if pair is None:
         return EXIT_NEGATIVE
-    big, small = oriented
+    big, small, g = pair
     if args.enumerate_all:
         maps = enumerate_arrow_maps(big, small, g, limit=args.limit)
     else:
@@ -184,12 +192,11 @@ def cmd_arrowmap(args):
 
 
 def cmd_dual(args):
-    M, N, g = _parse_pair(args)
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
-        _emit(args, "no dual arrow map: the pair is not comparable\n")
+    pair = _oriented_pair(args,
+                          "no dual arrow map: the pair is not comparable")
+    if pair is None:
         return EXIT_NEGATIVE
-    big, small = oriented
+    big, small, g = pair
     box = None
     if args.r1 is not None or args.r2 is not None:
         if args.r1 is None or args.r2 is None:
@@ -227,12 +234,10 @@ def _edge_ideal_payload(ideal):
 def cmd_edge_ideal(args):
     from .cells import edge_ideal
 
-    M, N, g = _parse_pair(args)
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
-        _emit(args, "the pair is not comparable for this grading\n")
+    pair = _oriented_pair(args, "the pair is not comparable for this grading")
+    if pair is None:
         return EXIT_NEGATIVE
-    big, small = oriented
+    big, small, g = pair
     ideal = edge_ideal(big, small, g)
     if args.json:
         _emit(args, json.dumps(_edge_ideal_payload(ideal), indent=2,
@@ -328,9 +333,11 @@ def main(argv=None):
         parser.error("--budget must be at least 1")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if getattr(args, "limit", None) is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"tgraph: {exc}\n")
         return EXIT_ERROR
 

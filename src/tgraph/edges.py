@@ -111,23 +111,3 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
                       generator_count=len(gens),
                       s_pairs=gb.stats["s_pairs"], time_ms=elapsed,
                       characteristic=char)
-
-
-def edge_dimension(record_or_pair, g=None, budget=DEFAULT_BUDGET):
-    """Dimension of a confirmed edge; recomputes when given a bare record."""
-    if isinstance(record_or_pair, EdgeRecord):
-        record = record_or_pair
-        if record.status is not EdgeStatus.EDGE:
-            raise ValueError("dimension is defined for confirmed edges only")
-        if record.dimension is not None:
-            return record.dimension
-        M, N = record.pair
-        fresh = decide_edge(M, N, record.grading, budget=budget,
-                            with_dimension=True,
-                            char=record.characteristic)
-        return fresh.dimension
-    M, N = record_or_pair
-    fresh = decide_edge(M, N, g, budget=budget, with_dimension=True)
-    if fresh.status is not EdgeStatus.EDGE:
-        raise ValueError("dimension is defined for confirmed edges only")
-    return fresh.dimension

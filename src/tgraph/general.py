@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .groebner import DEFAULT_BUDGET, is_trivial
+from .groebner import DEFAULT_BUDGET, buchberger, quotient_dimension
 from .poly import ArrowVar, Ring
 
 
@@ -44,6 +44,16 @@ def _monomials_of_degree(nvars, weights, t):
 
 def _divides(u, v):
     return all(a <= b for a, b in zip(u, v))
+
+
+def _format_monomial(m):
+    parts = []
+    for i, e in enumerate(m):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -84,16 +94,7 @@ class NMonomialIdeal:
         return NMonomialIdeal(self.nvars, gens, weights)
 
     def __str__(self):
-        def fmt(m):
-            parts = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    parts.append(f"x{i}")
-                elif e > 1:
-                    parts.append(f"x{i}^{e}")
-            return "*".join(parts) if parts else "1"
-
-        return "<" + ", ".join(fmt(g) for g in self.gens) + ">"
+        return "<" + ", ".join(map(_format_monomial, self.gens)) + ">"
 
 
 def degree_classes(nvars, weights, c, t):
@@ -158,12 +159,12 @@ def class_dominates(M, N, c, degrees):
     return True
 
 
-def _family(ideal, c, degrees, ring, var_side, opposite):
-    """Generic-coefficient deformations of the generators, one per generator.
+def _tails(ideal, c, degrees, var_side, opposite):
+    """Where the generic coefficients of each generator sit.
 
     A generator m picks up one variable per standard monomial strictly after
     it on its chain (strictly before it when `opposite`).  Returns a list of
-    dicts: exponent tuple -> Poly coefficient.
+    (m, ((variable, monomial), ...)).
     """
     members = []
     for t in degrees:
@@ -177,14 +178,16 @@ def _family(ideal, c, degrees, ring, var_side, opposite):
             tail = chain[k - 1::-1] if k else ()
         else:
             tail = chain[k + 1:]
-        row = {gen: ring.one()}
-        for step, u in enumerate(tail, start=1):
-            if ideal.contains(u):
-                continue
-            var = ring.var(ArrowVar(var_side, gi, step))
-            row[u] = var
-        out.append(row)
+        out.append((gen, tuple((ArrowVar(var_side, gi, step), u)
+                               for step, u in enumerate(tail, start=1)
+                               if not ideal.contains(u))))
     return out
+
+
+def _family(tails, ring):
+    """Generic-coefficient deformations: dicts exponent tuple -> Poly."""
+    return [{gen: ring.one(), **{u: ring.var(v) for v, u in tail}}
+            for gen, tail in tails]
 
 
 def _reduce_against(poly_row, M, families_by_gen):
@@ -219,13 +222,12 @@ def _reduce_against(poly_row, M, families_by_gen):
     return work
 
 
-def edge_scheme_general(M, N, c, window_degrees, spair_degrees=None):
+def edge_scheme_general(M, N, c, window_degrees):
     """Constraint ideal for "initial ideal M, opposite initial ideal N".
 
-    `window_degrees` must cover the generators of both ideals;
-    `spair_degrees` (defaulting to every window degree above the generators)
-    bounds which syzygy degrees are imposed.  Raises when the window misses a
-    needed lcm degree, rather than guessing.
+    `window_degrees` must cover the generators of both ideals, and every
+    syzygy degree up to its largest one is imposed.  Raises when the window
+    misses a needed lcm degree, rather than guessing.
     """
     if M == N:
         raise ValueError("the two ideals must differ")
@@ -238,13 +240,13 @@ def edge_scheme_general(M, N, c, window_degrees, spair_degrees=None):
     if not class_dominates(M, N, c, window_degrees):
         raise ValueError("first ideal must dominate the second on the window")
 
-    mvars = []
-    nvars_list = []
-    _family(M, c, window_degrees, _VarCollector(0, mvars), 0, False)
-    _family(N, c, window_degrees, _VarCollector(1, nvars_list), 1, True)
-    ring = Ring(tuple(sorted(set(mvars))) + tuple(sorted(set(nvars_list))))
-    fam_m = _family(M, c, window_degrees, ring, 0, False)
-    fam_n = _family(N, c, window_degrees, ring, 1, True)
+    tails_m = _tails(M, c, window_degrees, 0, False)
+    tails_n = _tails(N, c, window_degrees, 1, True)
+    # Sorted, the M-side variables (side 0) come before the N-side ones.
+    ring = Ring(sorted(v for tails in (tails_m, tails_n)
+                       for _, tail in tails for v, _ in tail))
+    fam_m = _family(tails_m, ring)
+    fam_n = _family(tails_n, ring)
     by_gen = {gen: row for gen, row in zip(M.gens, fam_m)}
 
     equations = []
@@ -256,16 +258,13 @@ def edge_scheme_general(M, N, c, window_degrees, spair_degrees=None):
             if poly:
                 equations.append(poly)
 
-    gen_degrees = {M.degree(g) for g in M.gens}
-    if spair_degrees is None:
-        spair_degrees = [t for t in window_degrees if t > min(gen_degrees)]
     max_window = max(window_degrees)
     for (g1, r1), (g2, r2) in combinations(zip(M.gens, fam_m), 2):
         lcm = tuple(max(a, b) for a, b in zip(g1, g2))
         t = M.degree(lcm)
         if t > max_window:
             continue
-        if t not in spair_degrees:
+        if t not in window_degrees:
             raise ValueError(
                 f"syzygy degree {t} falls outside the declared window")
         s1 = tuple(a - b for a, b in zip(lcm, g1))
@@ -289,21 +288,6 @@ def edge_scheme_general(M, N, c, window_degrees, spair_degrees=None):
         emit(_reduce_against(dict(row), M, by_gen))
 
     return ring, equations
-
-
-class _VarCollector:
-    """Stand-in ring that records which variables a family would use."""
-
-    def __init__(self, side, sink):
-        self.side = side
-        self.sink = sink
-
-    def one(self):
-        return 1
-
-    def var(self, v):
-        self.sink.append(v)
-        return 1
 
 
 TWO_POINTS_WINDOW = (0, 1, 2, 3)
@@ -331,15 +315,7 @@ def saturation_label(M):
         covered = [g for g in M.gens if g[i] >= 1]
         if len(covered) == 3:
             extra = next(g for g in M.gens if g[i] == 0)
-            parts = [f"x{i}"]
-            factors = []
-            for k, e in enumerate(extra):
-                if e == 1:
-                    factors.append(f"x{k}")
-                elif e > 1:
-                    factors.append(f"x{k}^{e}")
-            parts.append("*".join(factors))
-            return "<" + ", ".join(parts) + ">"
+            return f"<x{i}, {_format_monomial(extra)}>"
     raise ValueError("not a two-points fixed ideal")
 
 
@@ -362,10 +338,11 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
 
     Returns (vertices, edges, dims) where edges maps a vertex index pair to
     the list of directions carrying a nonempty edge scheme and dims holds the
-    corresponding quotient dimensions.
+    corresponding quotient dimensions.  One Groebner basis per scheme and
+    window gives both the verdict and the dimension.  Raises BudgetExceeded
+    when the budget runs out, and RuntimeError when `verify_window` finds a
+    verdict that changes one degree higher.
     """
-    from .groebner import buchberger, quotient_dimension
-
     vertices = fixed_points_two_points_p2()
     degrees = TWO_POINTS_WINDOW
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
@@ -382,18 +359,16 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
                                                     degrees)
                 except ValueError:
                     continue
+                gb = buchberger(eqs, budget=budget)
                 if verify_window:
-                    ring4, eqs4 = edge_scheme_general(
+                    _, eqs4 = edge_scheme_general(
                         big, small, direction, tuple(degrees) + (4,))
-                    verdict4 = is_trivial(eqs4, budget=budget)
-                else:
-                    verdict4 = None
-                verdict = is_trivial(eqs, budget=budget)
-                if verify_window and verdict4 is not None:
-                    assert verdict == verdict4
-                assert verdict is not None, "budget exhausted on a window run"
-                if verdict is False:
-                    gb = buchberger(eqs, budget=budget)
+                    gb4 = buchberger(eqs4, budget=budget)
+                    if gb4.is_trivial() != gb.is_trivial():
+                        raise RuntimeError(
+                            f"{big} over {small} along {direction}: the "
+                            "verdict changes one degree above the window")
+                if not gb.is_trivial():
                     dim = quotient_dimension(gb, nvars=ring.nvars)
                     key = (i + 1, j + 1)
                     edges.setdefault(key, []).append(direction)

@@ -23,7 +23,6 @@ class BudgetExceeded(RuntimeError):
 @dataclass
 class GroebnerBasis:
     generators: list
-    reduced: bool
     stats: dict = field(default_factory=dict)
 
     def leads(self):
@@ -160,7 +159,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     gens = [g for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
     if not gens:
-        return GroebnerBasis([], reduced=True, stats=stats)
+        return GroebnerBasis([], stats=stats)
     ring = gens[0].ring
     ordered = sorted(gens, key=lambda g: ring.key(g.lead()[0]))
 
@@ -203,7 +202,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
         reduced.append(normal_form(g, others, stats).monic())
     reduced.sort(key=lambda g: ring.key(g.lead()[0]))
     stats["basis_size"] = len(reduced)
-    return GroebnerBasis(reduced, reduced=True, stats=stats)
+    return GroebnerBasis(reduced, stats=stats)
 
 
 def is_trivial(gens, budget=DEFAULT_BUDGET):

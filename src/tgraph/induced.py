@@ -84,12 +84,12 @@ def specialize(basis, values):
     return out
 
 
-def cell_point(M, g, values, side=TermSide.X_SMALL):
+def cell_point(M, g, values):
     """Rows of the ideal at a point of the cell of M (values per arrow)."""
     from .cells import cell_generators_f, significant_arrows
 
-    arrows = significant_arrows(M, g, side).positive
-    basis = cell_generators_f(M, g, side)
+    arrows = significant_arrows(M, g).positive
+    basis = cell_generators_f(M, g)
     assignment = {}
     for (i, l) in arrows:
         var = ArrowVar(0, i, l)

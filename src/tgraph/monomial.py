@@ -77,20 +77,6 @@ class Grading:
         return Grading(self.beta, self.alpha)
 
 
-def compare(m, m2, side):
-    """Three-way term-order comparison; -1 means m is smaller.
-
-    Lexicographic with the side's preferred variable smallest; restricted to
-    one degree class this is the chain order, where only the comparison of
-    the two axis directions matters.
-    """
-    if side is TermSide.X_SMALL:
-        k, k2 = (m[1], m[0]), (m2[1], m2[0])
-    else:
-        k, k2 = m, m2
-    return (k > k2) - (k < k2)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal2:
     """Finite-colength monomial ideal in k[x,y], by sorted minimal generators.
@@ -192,12 +178,6 @@ class HilbertFunction:
     """Weight-indexed dimensions of the quotient, finite support, hashable."""
 
     values: tuple  # sorted ((weight, count), ...) with count > 0
-
-    def get(self, w):
-        for ww, c in self.values:
-            if ww == w:
-                return c
-        return 0
 
     def total(self):
         return sum(c for _, c in self.values)

@@ -119,9 +119,6 @@ class Poly:
         self.terms = terms
         self._lead = None
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -186,24 +183,6 @@ class Poly:
             cc = ring.coeff(c0 * c)
             if cc:
                 out[tuple(map(add, e, exps))] = cc
-        return Poly(ring, out)
-
-    def divide_term(self, exps, c):
-        """Exact division by a single term; rejects non-divisible input."""
-        ring = self.ring
-        out = {}
-        for e, c0 in self.terms.items():
-            q = tuple(a - b for a, b in zip(e, exps))
-            if any(x < 0 for x in q):
-                raise ValueError("term does not divide every monomial")
-            if ring.char:
-                cc = ring.coeff(c0 * ring.inv(c))
-            else:
-                cc = Fraction(c0, 1) / Fraction(c)
-                if cc.denominator == 1:
-                    cc = cc.numerator
-            if cc:
-                out[q] = cc
         return Poly(ring, out)
 
     def lead(self):

@@ -1,12 +1,10 @@
 import json
 
-import pytest
-
 from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
-                             candidate_gradings, coprime_gradings, count_row,
-                             count_table, filters_passed, graph_from_json,
-                             graph_to_csv, graph_to_dot, graph_to_json,
+                             coprime_gradings, count_row, count_table,
+                             filters_passed, graph_from_json, graph_to_csv,
+                             graph_to_dot, graph_to_json, pair_grading_jobs,
                              table_to_csv)
 from tgraph.cells import significant_arrows
 from tgraph.edges import EdgeStatus, oriented_pair
@@ -25,15 +23,15 @@ FOUR_POINT_GRADINGS = {(1, 2): (1, 3), (1, 3): (1, 2), (1, 5): (1, 1),
 
 
 def test_candidate_gradings_examples():
+    # a job is a pair of vertex indices (from 1) and a grading, up to the
+    # colength, under which the two share a Hilbert function
     M = parse_ideal("<x^4, y>")
     N = parse_ideal("<x, y^4>")
-    gs = candidate_gradings(M, N)
-    assert gs == [G11]
-    incompatible = candidate_gradings(parse_ideal("<x^4, y>"),
-                                      parse_ideal("<x^2, x*y, y^3>"))
-    assert incompatible == []
-    with pytest.raises(ValueError):
-        candidate_gradings(parse_ideal("<x, y>"), parse_ideal("<x^2, y>"))
+    assert pair_grading_jobs([M, N]) == [((1, 2), G11)]
+    assert pair_grading_jobs([parse_ideal("<x^4, y>"),
+                              parse_ideal("<x^2, x*y, y^3>")]) == []
+    assert pair_grading_jobs([parse_ideal("<x, y>"),
+                              parse_ideal("<x^2, y>")]) == []
 
 
 def test_candidate_census_totals():
@@ -101,26 +99,24 @@ def test_necessity_chain_on_conditions():
     # every depth runs the same chain, cut after the conditions it asks for
     for d in (4, 5):
         vertices = enumerate_ideals(d)
-        for i, M in enumerate(vertices):
-            for N in vertices[i + 1:]:
-                for g in candidate_gradings(M, N):
-                    passed = filters_passed(M, N, g, PipelineDepth.DUAL)
-                    assert filters_passed(
-                        M, N, g, PipelineDepth.FULL) == passed
-                    assert filters_passed(
-                        M, N, g, PipelineDepth.ARROWMAP) == min(passed, 2)
-                    assert filters_passed(
-                        M, N, g, PipelineDepth.ORDER_ONLY) == min(passed, 1)
-                    oriented = oriented_pair(M, N, g)
-                    assert (passed >= 1) == (oriented is not None)
-                    if oriented is None:
-                        continue
-                    big, small = oriented
-                    arrow = arrow_map_exists(big, small, g) is not None
-                    assert (passed >= 2) == arrow
-                    if arrow:
-                        dual = dual_condition(big, small, g)[0] is not None
-                        assert (passed == 3) == dual
+        for (i, j), g in pair_grading_jobs(vertices):
+            M, N = vertices[i - 1], vertices[j - 1]
+            passed = filters_passed(M, N, g, PipelineDepth.DUAL)
+            assert filters_passed(M, N, g, PipelineDepth.FULL) == passed
+            assert filters_passed(
+                M, N, g, PipelineDepth.ARROWMAP) == min(passed, 2)
+            assert filters_passed(
+                M, N, g, PipelineDepth.ORDER_ONLY) == min(passed, 1)
+            oriented = oriented_pair(M, N, g)
+            assert (passed >= 1) == (oriented is not None)
+            if oriented is None:
+                continue
+            big, small = oriented
+            arrow = arrow_map_exists(big, small, g) is not None
+            assert (passed >= 2) == arrow
+            if arrow:
+                dual = dual_condition(big, small, g)[0] is not None
+                assert (passed == 3) == dual
 
 
 def test_count_rows_published_range():

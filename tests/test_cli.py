@@ -104,6 +104,32 @@ def test_threads_flag_validation(monkeypatch):
     assert info.value.code == 3
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_flag_validation(capsys, limit):
+    with pytest.raises(SystemExit) as info:
+        main(["arrowmap", "<y^5, x^2>", "<y^2, x^5>", "--alpha", "1",
+              "--beta", "1", "--enumerate", "--limit", limit])
+    assert info.value.code == 3
+    assert "--limit must be at least 1" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    target = tmp_path / "missing" / "ideals.txt"
+    code, out, err = run(capsys, "--output", str(target), "ideals", "3")
+    assert code == 3
+    assert out == "" and err.startswith("tgraph: ")
+    assert not target.exists()
+
+
+def test_cache_dir_that_is_a_file_exits_three(tmp_path, capsys):
+    path = tmp_path / "cache"
+    path.write_text("not a directory", encoding="utf-8")
+    code, out, err = run(capsys, "--cache-dir", str(path), "table", "3", "3")
+    assert code == 3
+    assert out == "" and err.startswith("tgraph: ")
+    assert path.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_tgraph_formats(tmp_path, capsys):
     code, out, _ = run(capsys, "tgraph", "4", "--format", "dot")
     assert code == 0 and out.count(" -- ") == 8

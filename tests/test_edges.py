@@ -1,6 +1,6 @@
 import pytest
 
-from tgraph.edges import EdgeRecord, EdgeStatus, decide_edge, edge_dimension
+from tgraph.edges import EdgeRecord, EdgeStatus, decide_edge
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
 G11 = Grading(1, 1)
@@ -47,18 +47,22 @@ def test_unequal_hilbert_functions_rejected():
 
 
 def test_dimensions_for_four_points():
-    two_four = edge_dimension((parse_ideal("<x^3, x*y, y^2>"),
-                               parse_ideal("<x^2, x*y, y^3>")), G11)
-    assert two_four == 2
-    one_two = edge_dimension((parse_ideal("<x^4, y>"),
-                              parse_ideal("<x^3, x*y, y^2>")), Grading(1, 3))
-    assert one_two == 1
+    two_four = decide_edge(parse_ideal("<x^3, x*y, y^2>"),
+                           parse_ideal("<x^2, x*y, y^3>"), G11,
+                           with_dimension=True)
+    assert two_four.status is EdgeStatus.EDGE and two_four.dimension == 2
+    one_two = decide_edge(parse_ideal("<x^4, y>"),
+                          parse_ideal("<x^3, x*y, y^2>"), Grading(1, 3),
+                          with_dimension=True)
+    assert one_two.status is EdgeStatus.EDGE and one_two.dimension == 1
 
 
 def test_dimension_requires_an_edge():
-    with pytest.raises(ValueError):
-        edge_dimension((parse_ideal("<x^5, x^3*y^2, y^4>"),
-                        parse_ideal("<x^4, x^3*y^3, x*y^4, y^5>")), G11)
+    record = decide_edge(parse_ideal("<x^5, x^3*y^2, y^4>"),
+                         parse_ideal("<x^4, x^3*y^3, x*y^4, y^5>"), G11,
+                         with_dimension=True)
+    assert record.status is EdgeStatus.NO_EDGE
+    assert record.dimension is None
 
 
 def test_zero_equation_edge_has_full_dimension():

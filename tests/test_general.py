@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
@@ -70,9 +71,37 @@ def test_triangle_edge_has_two_parameters():
     c = (0, 1, -1)
     big, small = (M, N) if class_dominates(M, N, c, TWO_POINTS_WINDOW) else (N, M)
     ring, eqs = edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
+    assert [v.label() for v in ring.vars] == ["c0^1", "c0^2", "ct0^1", "ct0^2"]
+    assert [str(e) for e in eqs] == ["c0^1*ct0^2 + ct0^1", "c0^2*ct0^2 + 1"]
     assert is_trivial(eqs) is False
     gb = buchberger(eqs)
     assert quotient_dimension(gb, nvars=ring.nvars) == 2
+
+
+def test_two_points_graph_equations_are_pinned():
+    # every scheme the verified-window run keeps, on the window and one
+    # degree higher, folded into one digest
+    vertices = fixed_points_two_points_p2()
+    directions = candidate_refinements(3, (1, 1, 1), (1, 2))
+    lines = []
+    for i, j in combinations(range(len(vertices)), 2):
+        for c in directions:
+            for big, small in ((vertices[i], vertices[j]),
+                               (vertices[j], vertices[i])):
+                try:
+                    edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
+                except ValueError:
+                    continue
+                for window in (TWO_POINTS_WINDOW, TWO_POINTS_WINDOW + (4,)):
+                    ring, eqs = edge_scheme_general(big, small, c, window)
+                    lines.append(repr((i, j, c, window,
+                                       [v.label() for v in ring.vars],
+                                       [str(e) for e in eqs])))
+                break
+    assert len(lines) == 36
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "29af4a869f0c967962203fe4e5de7ad78ac5ad321a0b10887aac9b96ce7971c5")
 
 
 def test_rejects_equal_ideals_and_bad_directions():

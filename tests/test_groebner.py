@@ -139,7 +139,7 @@ def test_reduced_basis_properties():
             lcm = tuple(max(x, y) for x, y in zip(ei, ej))
             s = (gi.mul_term(tuple(x - y for x, y in zip(lcm, ei)), 1)
                  - gj.mul_term(tuple(x - y for x, y in zip(lcm, ej)), 1))
-            assert normal_form(s, gb.generators).is_zero()
+            assert not normal_form(s, gb.generators)
 
 
 def test_membership_matches_certificate_oracle():
@@ -164,7 +164,7 @@ def test_membership_matches_certificate_oracle():
             continue
         # known members must carry a verified certificate
         member = gens[0] * vars3[0] + gens[-1].scale(3)
-        assert normal_form(member, gb.generators).is_zero()
+        assert not normal_form(member, gb.generators)
         cap = max(p.total_degree() for p in gens) + 3
         assert membership_certificate(member, gens, cap) is not None
         # a nonmember by normal form must have no certificate at the cap

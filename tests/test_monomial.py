@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tgraph.monomial import (Grading, MonomialIdeal2, TermSide, colon_box,
-                             compare, enumerate_ideals, format_ideal,
-                             format_monomial, hilbert_function, minimal_box,
-                             parse_ideal, parse_monomial, partitions)
+                             enumerate_ideals, format_ideal, format_monomial,
+                             hilbert_function, minimal_box, parse_ideal,
+                             parse_monomial, partitions, side_key)
 
 from oracles import partition_count
 
@@ -29,9 +29,13 @@ def test_distance_examples():
 
 
 def test_compare_examples():
-    assert compare((8, 0), (5, 1), TermSide.X_SMALL) == -1
-    assert compare((5, 1), (5, 1), TermSide.X_SMALL) == 0
-    assert compare((4, 0), (0, 2), TermSide.Y_SMALL) == 1
+    # both pairs share a degree class: weight 8 for (1, 3), 4 for (1, 2)
+    assert Grading(1, 3).weight((8, 0)) == Grading(1, 3).weight((5, 1))
+    assert (side_key((8, 0), TermSide.X_SMALL)
+            < side_key((5, 1), TermSide.X_SMALL))
+    assert G12.weight((4, 0)) == G12.weight((0, 2))
+    assert (side_key((4, 0), TermSide.Y_SMALL)
+            > side_key((0, 2), TermSide.Y_SMALL))
 
 
 def test_grading_validation():
@@ -89,7 +93,8 @@ def test_hilbert_function_examples():
     h1 = hilbert_function(parse_ideal("<y^5, x^2>"), G11)
     h2 = hilbert_function(parse_ideal("<y^2, x^5>"), G11)
     assert h1 == h2
-    assert [h1.get(w) for w in range(7)] == [1, 2, 2, 2, 2, 1, 0]
+    assert [dict(h1.values).get(w, 0) for w in range(7)] == [
+        1, 2, 2, 2, 2, 1, 0]
     assert hilbert_function(parse_ideal("<x, y>"), G11).values == ((0, 1),)
     g14 = Grading(1, 4)
     assert (hilbert_function(parse_ideal("<x^8, y>"), g14)
@@ -165,13 +170,11 @@ def test_compare_total_order_within_class(d, data):
     mons = g.monomials_of_weight(w)
     for m in mons:
         for m2 in mons:
-            cx = compare(m, m2, TermSide.X_SMALL)
-            cy = compare(m, m2, TermSide.Y_SMALL)
-            assert cx == -cy
-            if m == m2:
-                assert cx == 0
-            else:
-                assert cx != 0
+            kx = side_key(m, TermSide.X_SMALL), side_key(m2, TermSide.X_SMALL)
+            ky = side_key(m, TermSide.Y_SMALL), side_key(m2, TermSide.Y_SMALL)
+            # the two sides order each class in opposite directions
+            assert (kx[0] < kx[1]) == (ky[0] > ky[1])
+            assert (kx[0] == kx[1]) == (ky[0] == ky[1]) == (m == m2)
 
 
 def test_minimal_box():

@@ -19,7 +19,7 @@ def ring():
 def test_add_negate_cancels():
     r = ring()
     p = r.var(A) * r.var(B) + r.constant(3)
-    assert (p + (-p)).is_zero()
+    assert not p + (-p)
     assert p - p == r.zero()
 
 
@@ -32,18 +32,9 @@ def test_difference_of_squares():
 def test_scale_and_mul_term():
     r = ring()
     p = r.var(A) + r.constant(2)
-    assert p.scale(0).is_zero()
+    assert not p.scale(0)
     q = p.mul_term((0, 1, 0), 3)
     assert q == r.poly({(1, 1, 0): 3, (0, 1, 0): 6})
-
-
-def test_divide_term_exact_and_rejecting():
-    r = ring()
-    p = r.poly({(2, 1, 0): 4, (1, 1, 0): 2})
-    q = p.divide_term((1, 1, 0), 2)
-    assert q == r.poly({(1, 0, 0): 2, (0, 0, 0): 1})
-    with pytest.raises(ValueError):
-        p.divide_term((0, 0, 1), 1)
 
 
 def test_lead_and_monic_grevlex():
