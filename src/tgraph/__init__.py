@@ -17,10 +17,10 @@ from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import (BudgetExceeded, GroebnerBasis, buchberger, is_trivial,
                        quotient_dimension)
 from .induced import induced_arrow_map, initial_ideal
-from .monomial import (Grading, HilbertFunction, MonomialIdeal2, TermSide,
-                       colon_box, enumerate_ideals, format_ideal,
-                       format_monomial, hilbert_function, minimal_box,
-                       parse_ideal, parse_monomial)
+from .monomial import (Grading, HilbertFunction, MonomialIdeal2, colon_box,
+                       enumerate_ideals, format_ideal, format_monomial,
+                       hilbert_function, minimal_box, parse_ideal,
+                       parse_monomial)
 from .poly import ArrowVar, Poly, Ring, arrow_ring
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "ArrowMap", "ArrowVar", "BudgetExceeded", "CellBasis", "EdgeCache",
     "EdgeIdeal", "EdgeRecord", "EdgeStatus", "Grading", "GroebnerBasis",
     "HilbertFunction", "MonomialIdeal2", "PipelineDepth", "Poly", "Ring",
-    "TGraph", "TermSide", "arrow_map_exists", "arrow_ring", "buchberger",
+    "TGraph", "arrow_map_exists", "arrow_ring", "buchberger",
     "build_tgraph", "cell_generators_f", "cell_generators_g", "colon_box",
     "count_table", "decide_edge", "dominates", "dual_condition", "edge_ideal",
     "enumerate_arrow_maps", "enumerate_ideals", "format_ideal",

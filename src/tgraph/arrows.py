@@ -12,15 +12,19 @@ both sides; every public entry computes it once and passes it down.  Maps are
 stored on the active region only.  Outside it any valid map is the identity,
 because an order-decreasing bijection of a finite chain onto itself is the
 identity; distance bounds propagating from there are zero, which the checker
-and the search both encode.  The y-smaller side is handled as the mirror image
-of the x-smaller one under exchanging x and y.
+and the search both encode.
+
+Every function here works on the x-smaller side, where the larger monomial of
+a class is the one with the larger y-exponent.  The y-smaller side of a pair
+is the x-smaller side of the pair with x and y exchanged: call the same
+function on ``M.swap()``, ``N.swap()`` and ``g.swap()``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomial import (Grading, MonomialIdeal2, TermSide, colon_box,
-                       format_monomial, minimal_box, parse_monomial, side_key)
+from .monomial import (Grading, MonomialIdeal2, colon_box, format_monomial,
+                       minimal_box)
 
 
 def active_classes(M, N, g):
@@ -46,26 +50,14 @@ def active_classes(M, N, g):
     return out
 
 
-def _mirror(assignment):
-    return {(m[1], m[0]): (v[1], v[0]) for m, v in assignment.items()}
-
-
-def _x_small(M, N, g, side, assignment):
-    """The pair, grading and assignment as the x-smaller side sees them."""
-    if side is TermSide.Y_SMALL:
-        return M.swap(), N.swap(), g.swap(), _mirror(assignment)
-    return M, N, g, assignment
-
-
 def _dominates(classes):
     """Each class of M, largest first, lies above N's member for member."""
     return all(a[1] >= b[1] for _, mons_m, mons_n in classes
                for a, b in zip(mons_m, mons_n))
 
 
-def dominates(M, N, g, side=TermSide.X_SMALL):
+def dominates(M, N, g):
     """Whether M is greater than or equal to N in the dominance order."""
-    M, N, g, _ = _x_small(M, N, g, side, {})
     return _dominates(active_classes(M, N, g))
 
 
@@ -89,7 +81,6 @@ class ArrowMap:
     source: MonomialIdeal2
     target: MonomialIdeal2
     grading: Grading
-    side: TermSide
     pairs: tuple  # ((m, f(m)), ...) covering the active classes, sorted
 
     def moved_pairs(self):
@@ -101,34 +92,17 @@ class ArrowMap:
             "source": str(self.source),
             "target": str(self.target),
             "grading": {"alpha": self.grading.alpha, "beta": self.grading.beta},
-            "side": self.side.value,
+            # every map lives on the x-smaller side; the field keeps the schema
+            "side": "x_small",
             "pairs": [[format_monomial(m), format_monomial(v)]
                       for m, v in self.moved_pairs()],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        from .monomial import parse_ideal
-
-        side = TermSide(data["side"])
-        g = Grading(data["grading"]["alpha"], data["grading"]["beta"])
-        M = parse_ideal(data["source"])
-        N = parse_ideal(data["target"])
-        assign = {parse_monomial(a): parse_monomial(b)
-                  for a, b in data["pairs"]}
-        return build_arrow_map(M, N, g, side, assign)
 
 
 def _completed(classes, assignment):
     """The assignment on every monomial of the active region, sorted."""
     return tuple(sorted((m, assignment.get(m, m))
                         for _, mons_m, _ in classes for m in mons_m))
-
-
-def build_arrow_map(M, N, g, side, assignment):
-    """Complete a partial assignment with identities on the active region."""
-    return ArrowMap(M, N, g, side,
-                    _completed(active_classes(M, N, g), assignment))
 
 
 def _divisor_bound(m, ideal, dist):
@@ -157,7 +131,7 @@ def _distances(classes, g, assignment):
             v = assignment.get(m, m)
             if v not in mons_n or v in dist_n:
                 return None
-            if side_key(v, TermSide.X_SMALL) > side_key(m, TermSide.X_SMALL):
+            if v[1] > m[1]:
                 return None
             dist_m[m] = dist_n[v] = g.distance(m, v)
     return dist_m, dist_n
@@ -177,21 +151,19 @@ def _is_arrow_map(M, N, g, classes, assignment):
     return dist is not None and _bounded(M, dist[0]) and _bounded(N, dist[1])
 
 
-def is_arrow_map(M, N, g, side, assignment):
+def is_arrow_map(M, N, g, assignment):
     """Literal check of the three conditions on the active region."""
-    M, N, g, assignment = _x_small(M, N, g, side, assignment)
     return _is_arrow_map(M, N, g, active_classes(M, N, g), assignment)
 
 
-def is_system_of_arrows(M, N, g, side, assignment):
+def is_system_of_arrows(M, N, g, assignment):
     """Weaker check: the bijective-decreasing and target-side conditions only."""
-    M, N, g, assignment = _x_small(M, N, g, side, assignment)
     dist = _distances(active_classes(M, N, g), g, assignment)
     return dist is not None and _bounded(N, dist[1])
 
 
 def _search(M, N, g, classes, limit):
-    """Backtracking enumeration of arrow maps, x-smaller side.
+    """Backtracking enumeration of arrow maps.
 
     Classes are processed by increasing weight; the shift bounds flow from
     divisors already assigned, so the per-class constraints are exactly the
@@ -223,7 +195,7 @@ def _search(M, N, g, classes, limit):
             for v in mons_n:
                 if v in used:
                     continue
-                if side_key(v, TermSide.X_SMALL) > side_key(m, TermSide.X_SMALL):
+                if v[1] > m[1]:
                     continue
                 d = g.distance(m, v)
                 if cap_m is not None and d > cap_m:
@@ -246,42 +218,42 @@ def _search(M, N, g, classes, limit):
     yield from per_class(0)
 
 
-def find_arrow_maps(M, N, g, side=TermSide.X_SMALL, limit=1):
-    """Up to `limit` arrow maps from M onto N (None for all), validated."""
-    xM, xN, xg, _ = _x_small(M, N, g, side, {})
-    classes = active_classes(xM, xN, xg)
+def find_arrow_maps(M, N, g, limit=1):
+    """Up to `limit` arrow maps from M onto N (None for all), validated.
+
+    Raises RuntimeError when the search yields a map that fails the literal
+    check, which would be a bug in the search.
+    """
+    classes = active_classes(M, N, g)
     if not _dominates(classes):
         return []
     maps = []
-    for assignment in _search(xM, xN, xg, classes, limit):
-        assert _is_arrow_map(xM, xN, xg, classes, assignment)
+    for assignment in _search(M, N, g, classes, limit):
+        if not _is_arrow_map(M, N, g, classes, assignment):
+            raise RuntimeError(
+                f"the search produced a non-map from {M} to {N} for {g}")
         # A search result assigns every monomial of the active region.
-        if side is TermSide.Y_SMALL:
-            assignment = _mirror(assignment)
-        maps.append(ArrowMap(M, N, g, side, tuple(sorted(assignment.items()))))
+        maps.append(ArrowMap(M, N, g, tuple(sorted(assignment.items()))))
     return maps
 
 
-def arrow_map_exists(M, N, g, side=TermSide.X_SMALL):
+def arrow_map_exists(M, N, g):
     """Some arrow map M -> N, or None; requires equal Hilbert functions."""
-    maps = find_arrow_maps(M, N, g, side, limit=1)
+    maps = find_arrow_maps(M, N, g, limit=1)
     return maps[0] if maps else None
 
 
-def enumerate_arrow_maps(M, N, g, side=TermSide.X_SMALL, limit=None):
+def enumerate_arrow_maps(M, N, g, limit=None):
     """All arrow maps (up to `limit`), in a canonical deterministic order."""
-    maps = find_arrow_maps(M, N, g, side, limit=limit)
+    maps = find_arrow_maps(M, N, g, limit=limit)
 
     def order_key(f):
-        return tuple(
-            (g.weight(m), side_key(m, side), side_key(v, side))
-            for m, v in f.pairs
-        )
+        return tuple((g.weight(m), m[1], v[1]) for m, v in f.pairs)
 
     return sorted(maps, key=order_key)
 
 
-def dual_condition(M, N, g, side=TermSide.X_SMALL, box=None):
+def dual_condition(M, N, g, box=None):
     """Arrow-map test between the box quotients; returns (map or None, box).
 
     The default box uses the least pure powers lying in both ideals; a caller
@@ -292,5 +264,5 @@ def dual_condition(M, N, g, side=TermSide.X_SMALL, box=None):
         box = minimal_box(M, N)
     qm = colon_box(box, M)
     qn = colon_box(box, N)
-    witness = arrow_map_exists(qm, qn, g, side)
+    witness = arrow_map_exists(qm, qn, g)
     return witness, box

@@ -6,17 +6,20 @@ attached to each positive significant arrow of M; the cell's universal ideal
 has one generator per minimal generator of M, computed here by the standard
 recursion and then tail-reduced to the unique reduced basis.
 
-The edge equations for a comparable pair (M, N) come from reducing the
-y-smaller-side basis of N modulo the reduced basis of M and reading off the
-coefficients of the standard monomials of M.  All coefficients stay integral
-because every reduction divides only by unit lead coefficients.
+Every function here works on the x-smaller side; the y-smaller side of an
+ideal is the x-smaller side of its swap under the swapped grading, with x and
+y exchanged back.  The edge equations for a comparable pair (M, N) come from
+reducing N's y-smaller cell basis, built that way, modulo the reduced basis
+of M and reading off the coefficients of the standard monomials of M.  All
+coefficients stay integral because every reduction divides only by unit lead
+coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomial import (Grading, MonomialIdeal2, TermSide, format_monomial,
-                       hilbert_function, side_key)
+from .monomial import (Grading, MonomialIdeal2, format_monomial,
+                       hilbert_function)
 from .poly import ArrowVar, Poly, Ring, arrow_ring
 
 
@@ -28,11 +31,8 @@ class SignificantArrowSet:
     negative: tuple
 
 
-def significant_arrows(M, g, side=TermSide.X_SMALL):
-    """All significant arrows of M for one grading and chain direction."""
-    if side is TermSide.Y_SMALL:
-        flipped = significant_arrows(M.swap(), g.swap(), TermSide.X_SMALL)
-        return flipped
+def significant_arrows(M, g):
+    """All significant arrows of M for one grading."""
     gens = M.gens
     e = len(gens) - 1
     positive = []
@@ -65,19 +65,14 @@ class CellBasis:
     """Generators of the universal cell ideal: lead monomial -> coefficients.
 
     elements[i] maps each monomial of the i-th generator to its coefficient
-    polynomial; leads[i] is that generator, sorted ascending under the side,
-    and always carries coefficient one.
+    polynomial; its lead is ideal.gens[i], which always carries coefficient
+    one.
     """
 
     ideal: MonomialIdeal2
     grading: Grading
-    side: TermSide
     ring: Ring
-    leads: tuple
     elements: tuple  # tuple of dict(Mono -> Poly)
-
-    def element(self, i):
-        return self.elements[i]
 
 
 def _shift_element(elem, delta):
@@ -91,23 +86,13 @@ def _shift_element(elem, delta):
     return out
 
 
-def cell_generators_f(M, g, side=TermSide.X_SMALL, ring=None, var_side=0):
+def cell_generators_f(M, g, ring=None, var_side=0):
     """Recursive cell basis; element i has lead M.gens[i] with coefficient 1.
 
     When `ring` is given it must contain ArrowVar(var_side, i, l) for every
     positive arrow (i, l); this lets both sides of a pair share one ring.
     """
-    if side is TermSide.Y_SMALL:
-        basis = cell_generators_f(M.swap(), g.swap(), TermSide.X_SMALL,
-                                  ring=ring, var_side=var_side)
-        elements = tuple(
-            {(b, a): poly for (a, b), poly in elem.items()}
-            for elem in basis.elements
-        )
-        leads = tuple((b, a) for a, b in basis.leads)
-        return CellBasis(M, g, side, basis.ring, leads, elements)
-
-    arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
+    arrows = significant_arrows(M, g).positive
     if ring is None:
         ring = arrow_ring(arrows) if var_side == 0 else arrow_ring((), arrows)
     gens = M.gens
@@ -137,7 +122,7 @@ def cell_generators_f(M, g, side=TermSide.X_SMALL, ring=None, var_side=0):
                     else:
                         slot.pop(e2, None)
         elements.append({m: Poly(ring, t) for m, t in acc.items() if t})
-    return CellBasis(M, g, side, ring, gens, tuple(elements))
+    return CellBasis(M, g, ring, tuple(elements))
 
 
 def _tail_reduce(elem, lead, basis):
@@ -150,12 +135,12 @@ def _tail_reduce(elem, lead, basis):
         candidates = [m for m in work if m != lead and M.contains(m)]
         if not candidates:
             break
-        u = max(candidates, key=lambda m: side_key(m, TermSide.X_SMALL))
+        u = max(candidates, key=lambda m: m[1])
         coeff = work.pop(u)
         j = M.j_index(u)
         gj = M.gens[j]
         delta = (u[0] - gj[0], u[1] - gj[1])
-        for m, poly in basis.element(j).items():
+        for m, poly in basis.elements[j].items():
             if m == gj:
                 continue
             m2 = (m[0] + delta[0], m[1] + delta[1])
@@ -181,21 +166,18 @@ def cell_generators_g(M, g, ring=None, var_side=0):
         red = _tail_reduce(elem, lead, basis)
         assert all(m == lead or not M.contains(m) for m in red)
         reduced.append(red)
-    return CellBasis(M, g, TermSide.X_SMALL, basis.ring, basis.leads,
-                     tuple(reduced))
+    return CellBasis(M, g, basis.ring, tuple(reduced))
 
 
 def reduce_monomial(m, gbasis):
     """Normal form of a monomial of the ideal modulo the reduced cell basis.
 
-    Returns a map from standard monomials (all of the same weight as m,
-    strictly smaller under the basis side) to integer coefficient polynomials.
+    Returns a map from standard monomials (all of the same weight as m, with
+    smaller y-exponent) to integer coefficient polynomials.
     """
     M = gbasis.ideal
     if not M.contains(m):
         raise ValueError(f"{format_monomial(m)} is not in {M}")
-    if gbasis.side is not TermSide.X_SMALL:
-        raise ValueError("reduction is defined against an x-smaller basis")
     nf = _tail_reduce({m: gbasis.ring.one()}, None, gbasis)
     assert all(not M.contains(s) for s in nf)
     return nf
@@ -226,39 +208,42 @@ class EdgeIdeal:
 
 
 def edge_ideal(M, N, g):
-    """Equations for the pair, with M strictly above N (x-smaller side)."""
+    """Equations for the pair, with M strictly above N (x-smaller side).
+
+    N's family is its y-smaller cell basis: the cell basis of N.swap() under
+    g.swap(), with x and y exchanged back.  Raises RuntimeError if an
+    equation comes out with a non-integral coefficient.
+    """
     from .arrows import dominates
 
-    if M == N or not dominates(M, N, g, TermSide.X_SMALL):
+    if M == N or not dominates(M, N, g):
         raise ValueError("first ideal must dominate the second strictly")
 
-    m_arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
-    n_arrows = significant_arrows(N, g, TermSide.Y_SMALL).positive
-    ring = arrow_ring(m_arrows, n_arrows)
+    n_swap, g_swap = N.swap(), g.swap()
+    ring = arrow_ring(significant_arrows(M, g).positive,
+                      significant_arrows(n_swap, g_swap).positive)
     gb = cell_generators_g(M, g, ring=ring)
-    nf_basis = cell_generators_f(N, g, TermSide.Y_SMALL, ring=ring, var_side=1)
+    n_basis = cell_generators_f(n_swap, g_swap, ring=ring, var_side=1)
 
     std_by_weight = {}
     for s in M.standard_monomials():
         std_by_weight.setdefault(g.weight(s), []).append(s)
 
     generators = []
-    for i, n in enumerate(nf_basis.leads):
+    for (b, a), elem in zip(n_swap.gens, n_basis.elements):
+        n = (a, b)
         w = g.weight(n)
-        nf = _tail_reduce(nf_basis.element(i), None, gb)
-        targets = sorted(std_by_weight.get(w, ()),
-                         key=lambda s: side_key(s, TermSide.X_SMALL),
+        nf = _tail_reduce({(v, u): poly for (u, v), poly in elem.items()},
+                          None, gb)
+        targets = sorted(std_by_weight.get(w, ()), key=lambda s: s[1],
                          reverse=True)
-        seen = set()
-        for s, poly in nf.items():
-            assert g.weight(s) == w
-            seen.add(s)
-            assert s in targets
-        assert targets or not nf
+        assert set(nf) <= set(targets)
         for s in targets:
             poly = nf.get(s, ring.zero())
-            for c in poly.terms.values():
-                assert isinstance(c, int), "edge equations must be integral"
+            if not all(isinstance(c, int) for c in poly.terms.values()):
+                raise RuntimeError(
+                    f"edge equation ({format_monomial(n)}, "
+                    f"{format_monomial(s)}) of {M} over {N} is not integral")
             generators.append((n, s, poly))
     return EdgeIdeal(M, N, g, ring, tuple(generators))
 
@@ -277,9 +262,9 @@ def extremal_ideals(H, g):
     if not pool:
         raise ValueError("Hilbert function is not realized by a monomial ideal")
     tops = [M for M in pool
-            if all(dominates(M, other, g, TermSide.X_SMALL) for other in pool)]
+            if all(dominates(M, other, g) for other in pool)]
     bottoms = [M for M in pool
-               if all(dominates(other, M, g, TermSide.X_SMALL) for other in pool)]
+               if all(dominates(other, M, g) for other in pool)]
     if len(tops) != 1 or len(bottoms) != 1:
         raise ValueError("poset of ideals lacks a unique top or bottom")
     return tops[0], bottoms[0]

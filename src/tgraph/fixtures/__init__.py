@@ -14,8 +14,8 @@ from ..arrows import (arrow_map_exists, dual_condition, enumerate_arrow_maps,
 from ..cells import cell_generators_f, edge_ideal, reduce_monomial
 from ..cells import cell_generators_g
 from ..groebner import buchberger, quotient_dimension
-from ..monomial import (Grading, TermSide, colon_box, format_ideal,
-                        format_monomial, parse_ideal, parse_monomial)
+from ..monomial import (Grading, colon_box, format_ideal, format_monomial,
+                        parse_ideal, parse_monomial)
 
 
 def _grading(data):
@@ -133,9 +133,9 @@ def _check_dual_discriminator(data):
     if (witness is None) != (not data["dual_exists"]):
         problems.append("dual verdict differs")
     system = _pairs(data["system_pairs"])
-    if not is_system_of_arrows(qm, qn, g, TermSide.X_SMALL, system):
+    if not is_system_of_arrows(qm, qn, g, system):
         problems.append("system of arrows rejected")
-    if is_arrow_map(qm, qn, g, TermSide.X_SMALL, system):
+    if is_arrow_map(qm, qn, g, system):
         problems.append("system of arrows wrongly accepted as an arrow map")
     return problems
 

@@ -339,40 +339,41 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     Returns (vertices, edges, dims) where edges maps a vertex index pair to
     the list of directions carrying a nonempty edge scheme and dims holds the
     corresponding quotient dimensions.  One Groebner basis per scheme and
-    window gives both the verdict and the dimension.  Raises BudgetExceeded
-    when the budget runs out, and RuntimeError when `verify_window` finds a
-    verdict that changes one degree higher.
+    window gives both the verdict and the dimension.  Each pair is oriented
+    per direction by chain-wise dominance.  Raises BudgetExceeded when the
+    budget runs out, RuntimeError when `verify_window` finds a verdict that
+    changes one degree higher, and ValueError when the window misses a
+    syzygy degree of an oriented pair.
     """
     vertices = fixed_points_two_points_p2()
     degrees = TWO_POINTS_WINDOW
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
     edges = {}
     dims = {}
+    # every vertex has the Hilbert values (1, 3, 2, 2) on the window
     for i, j in combinations(range(len(vertices)), 2):
         M, N = vertices[i], vertices[j]
-        if M.hilbert_values(degrees) != N.hilbert_values(degrees):
-            continue
         for c in directions:
-            for big, small, direction in ((M, N, c), (N, M, c)):
-                try:
-                    ring, eqs = edge_scheme_general(big, small, direction,
-                                                    degrees)
-                except ValueError:
-                    continue
-                gb = buchberger(eqs, budget=budget)
-                if verify_window:
-                    _, eqs4 = edge_scheme_general(
-                        big, small, direction, tuple(degrees) + (4,))
-                    gb4 = buchberger(eqs4, budget=budget)
-                    if gb4.is_trivial() != gb.is_trivial():
-                        raise RuntimeError(
-                            f"{big} over {small} along {direction}: the "
-                            "verdict changes one degree above the window")
-                if not gb.is_trivial():
-                    dim = quotient_dimension(gb, nvars=ring.nvars)
-                    key = (i + 1, j + 1)
-                    edges.setdefault(key, []).append(direction)
-                    prev = dims.get(key)
-                    dims[key] = dim if prev is None else max(prev, dim)
-                break
+            if class_dominates(M, N, c, degrees):
+                big, small = M, N
+            elif class_dominates(N, M, c, degrees):
+                big, small = N, M
+            else:
+                continue
+            ring, eqs = edge_scheme_general(big, small, c, degrees)
+            gb = buchberger(eqs, budget=budget)
+            if verify_window:
+                _, eqs4 = edge_scheme_general(big, small, c,
+                                              tuple(degrees) + (4,))
+                gb4 = buchberger(eqs4, budget=budget)
+                if gb4.is_trivial() != gb.is_trivial():
+                    raise RuntimeError(
+                        f"{big} over {small} along {c}: the verdict "
+                        "changes one degree above the window")
+            if not gb.is_trivial():
+                dim = quotient_dimension(gb, nvars=ring.nvars)
+                key = (i + 1, j + 1)
+                edges.setdefault(key, []).append(c)
+                prev = dims.get(key)
+                dims[key] = dim if prev is None else max(prev, dim)
     return vertices, edges, dims

@@ -7,13 +7,17 @@ x-smaller order reads off the initial monomials, and a second reduction from
 the opposite end finds, for each initial monomial m, the largest possible
 opposite-side initial monomial among slice members leading with m.  That
 assignment is the map the ideal induces between its two initial ideals.
+
+Like the rest of the package this module orders classes the x-smaller way
+only; the y-smaller initial ideal is the x-smaller one of the generators with
+x and y exchanged, under the swapped grading, exchanged back.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
-from .monomial import MonomialIdeal2, TermSide, side_key
+from .monomial import MonomialIdeal2
 from .poly import ArrowVar
 
 
@@ -117,11 +121,15 @@ def _slice_rows(gens, g, w):
     return rows
 
 
-def _desc(columns, side):
-    return sorted(columns, key=lambda m: side_key(m, side), reverse=True)
+def _desc(columns):
+    return sorted(columns, key=lambda m: m[1], reverse=True)
 
 
-def initial_ideal(gens, g, colength_bound, side=TermSide.X_SMALL):
+def _swapped(rows):
+    return [{(b, a): c for (a, b), c in row.items()} for row in rows]
+
+
+def initial_ideal(gens, g, colength_bound):
     """Initial monomial ideal of the span of the generators, as a staircase.
 
     Scans degree classes up to a window determined by the colength bound and
@@ -132,7 +140,7 @@ def initial_ideal(gens, g, colength_bound, side=TermSide.X_SMALL):
     pivots_all = []
     std_total = 0
     for w in range(wmax + 1):
-        columns = _desc(g.monomials_of_weight(w), side)
+        columns = _desc(g.monomials_of_weight(w))
         piv = rref(_slice_rows(gens, g, w), columns)
         pivots_all.extend(piv)
         std_total += len(columns) - len(piv)
@@ -148,7 +156,7 @@ def initial_ideal(gens, g, colength_bound, side=TermSide.X_SMALL):
         raise ValueError("rank pattern does not match a finite-colength point")
     for w in range(wmax + 1):
         expected = {m for m in g.monomials_of_weight(w) if M.contains(m)}
-        columns = _desc(g.monomials_of_weight(w), side)
+        columns = _desc(g.monomials_of_weight(w))
         got = set(rref(_slice_rows(gens, g, w), columns))
         if got != expected:
             raise ValueError("pivot pattern is not an ideal slice")
@@ -159,21 +167,20 @@ def induced_arrow_map(gens, g, colength_bound):
     """The arrow map carried by a homogeneous ideal, plus its two limits.
 
     Returns (M, N, ArrowMap) where M is the x-smaller initial ideal and N the
-    opposite one.  The witness is re-validated against the map conditions.
+    opposite one.  The witness is re-validated against the map conditions,
+    and RuntimeError is raised if it fails them.
     """
-    M = initial_ideal(gens, g, colength_bound, TermSide.X_SMALL)
-    N = initial_ideal(gens, g, colength_bound, TermSide.Y_SMALL)
+    M = initial_ideal(gens, g, colength_bound)
+    N = initial_ideal(_swapped(gens), g.swap(), colength_bound).swap()
     classes = active_classes(M, N, g)
     assignment = {}
     for w, mons_m, mons_n in classes:
-        columns = _desc(g.monomials_of_weight(w), TermSide.X_SMALL)
+        columns = _desc(g.monomials_of_weight(w))
         piv = rref(_slice_rows(gens, g, w), columns)
         assert set(piv) == set(mons_m)
         colpos = {c: i for i, c in enumerate(columns)}
-        for m in _desc(mons_m, TermSide.X_SMALL):
-            below = [piv[m2] for m2 in mons_m
-                     if side_key(m2, TermSide.X_SMALL)
-                     < side_key(m, TermSide.X_SMALL)]
+        for m in _desc(mons_m):
+            below = [piv[m2] for m2 in mons_m if m2[1] < m[1]]
             opp_cols = list(reversed(columns))
             opp_piv = rref(below, opp_cols)
             vec = dict(piv[m])
@@ -190,7 +197,8 @@ def induced_arrow_map(gens, g, colength_bound):
                     else:
                         vec.pop(c2, None)
             assignment[m] = max(vec, key=lambda c: colpos[c])
-    assert _is_arrow_map(M, N, g, classes, assignment)
-    witness = ArrowMap(M, N, g, TermSide.X_SMALL,
-                       _completed(classes, assignment))
+    if not _is_arrow_map(M, N, g, classes, assignment):
+        raise RuntimeError(
+            f"the map induced between {M} and {N} fails the arrow-map checks")
+    witness = ArrowMap(M, N, g, _completed(classes, assignment))
     return M, N, witness

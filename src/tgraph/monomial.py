@@ -5,31 +5,19 @@ is a coprime positive pair (alpha, beta) with deg x = alpha and deg y = beta.
 Two monomials lie in the same degree class exactly when their weights
 alpha*a + beta*b agree, and each class is a finite chain under the shift
 r = x^beta * y^-alpha.
+
+Every layer of the package orders a class the x-smaller way: of two
+monomials in one class, the larger is the one with the larger y-exponent.
+The y-smaller order is that order after exchanging x and y, which is what
+``MonomialIdeal2.swap`` and ``Grading.swap`` do.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd
 
 Mono = tuple  # (a, b) exponent pair
-
-
-class TermSide(Enum):
-    """Which of the two class-chain directions counts as smaller.
-
-    X_SMALL: within a degree class the monomial with larger y-exponent is
-    larger (lex with x < y, restricted to a class).  Y_SMALL is the reverse.
-    """
-
-    X_SMALL = "x_small"
-    Y_SMALL = "y_small"
-
-
-def side_key(m, side):
-    """Sort key: larger key means larger monomial within its degree class."""
-    return m[1] if side is TermSide.X_SMALL else m[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ generator, which is exactly how one division step lands.
 from __future__ import annotations
 
 from .cells import EdgeIdeal, significant_arrows
-from .monomial import TermSide, hilbert_function, side_key
+from .monomial import hilbert_function
 from .poly import ArrowVar, arrow_ring
 
 
@@ -42,7 +42,7 @@ def enumerate_paths(M, g, ring=None, var_side=0, cap=2_000_000):
     (arrow tuple, length) with each arrow a (generator index, step) label.
     """
     budget = _Budget(cap)
-    arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
+    arrows = significant_arrows(M, g).positive
     by_index = {}
     for (i, l) in arrows:
         by_index.setdefault(i, []).append(l)
@@ -158,14 +158,12 @@ def edge_ideal_hikes(M, N, g, cap=2_000_000):
 
     if hilbert_function(M, g) != hilbert_function(N, g):
         raise ValueError("the two ideals have different Hilbert functions")
-    if M == N or not dominates(M, N, g, TermSide.X_SMALL):
+    if M == N or not dominates(M, N, g):
         raise ValueError("first ideal must dominate the second strictly")
-    m_arrows = significant_arrows(M, g, TermSide.X_SMALL).positive
-    n_arrows = significant_arrows(N, g, TermSide.Y_SMALL).positive
-    ring = arrow_ring(m_arrows, n_arrows)
-
     Nsw = N.swap()
     gsw = g.swap()
+    ring = arrow_ring(significant_arrows(M, g).positive,
+                      significant_arrows(Nsw, gsw).positive)
     n_paths = enumerate_paths(Nsw, gsw, ring, var_side=1, cap=cap)
     sums = stroll_sums(M, g, ring, var_side=0, cap=cap)
 
@@ -197,8 +195,7 @@ def edge_ideal_hikes(M, N, g, cap=2_000_000):
                     add(s, factor * poly)
             else:
                 add(m, factor)
-        targets = sorted(std_by_weight.get(w, ()),
-                         key=lambda s: side_key(s, TermSide.X_SMALL),
+        targets = sorted(std_by_weight.get(w, ()), key=lambda s: s[1],
                          reverse=True)
         for s in targets:
             generators.append((n, s, acc.get(s, ring.zero())))

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from tgraph.monomial import Grading, MonomialIdeal2, TermSide, side_key
+from tgraph.monomial import Grading, MonomialIdeal2
 
 
 def box_monomials(amax, bmax):
@@ -35,7 +35,7 @@ def brute_arrow_check(M, N, g, assignment, pad=3):
             return False
         if g.weight(v) != g.weight(m):
             return False
-        if side_key(v, TermSide.X_SMALL) > side_key(m, TermSide.X_SMALL):
+        if v[1] > m[1]:  # moved up its class
             return False
         images.setdefault(g.weight(m), []).append(v)
     for w, vs in images.items():
@@ -414,9 +414,12 @@ def sample_two_sided_edges(d, seed=20240811):
                         values[arrow] = Fraction(rng.randint(1, 7),
                                                  rng.randint(1, 3))
                 rows = cell_point(M, g, values)
-                top = initial_ideal(rows, g, d, TermSide.X_SMALL)
+                top = initial_ideal(rows, g, d)
                 assert top == M
-                other = initial_ideal(rows, g, d, TermSide.Y_SMALL)
+                # the y-smaller limit: exchange x and y, then exchange back
+                swapped = [{(b, a): c for (a, b), c in row.items()}
+                           for row in rows]
+                other = initial_ideal(swapped, g.swap(), d).swap()
                 if other != M:
                     pair = tuple(sorted((index[M], index[other])))
                     edges.add(pair)

@@ -104,6 +104,16 @@ def test_two_points_graph_equations_are_pinned():
         "29af4a869f0c967962203fe4e5de7ad78ac5ad321a0b10887aac9b96ce7971c5")
 
 
+def test_edge_scheme_errors_reach_the_caller(monkeypatch):
+    # a window that misses a syzygy degree must not read as "no edge"
+    def misdeclared(*args):
+        raise ValueError("syzygy degree 4 falls outside the declared window")
+
+    monkeypatch.setattr("tgraph.general.edge_scheme_general", misdeclared)
+    with pytest.raises(ValueError, match="outside the declared window"):
+        two_points_graph()
+
+
 def test_rejects_equal_ideals_and_bad_directions():
     M = from_saturation(0, (0, 0, 2))
     with pytest.raises(ValueError):

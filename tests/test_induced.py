@@ -4,7 +4,7 @@ import pytest
 
 from tgraph.induced import (cell_point, induced_arrow_map, initial_ideal,
                             rref, specialize)
-from tgraph.monomial import (Grading, TermSide, format_ideal, format_monomial,
+from tgraph.monomial import (Grading, format_ideal, format_monomial,
                              parse_ideal, parse_monomial)
 
 from oracles import QuadExt, gf
@@ -33,7 +33,7 @@ def test_quartic_pencil_slice_content():
     from tgraph.induced import _desc, _slice_rows
 
     rows = _slice_rows(quartic_pencil(), G11, 4)
-    columns = _desc(G11.monomials_of_weight(4), TermSide.X_SMALL)
+    columns = _desc(G11.monomials_of_weight(4))
     piv = rref(rows, columns)
     assert piv[parse_monomial("x*y^3")] == {
         parse_monomial("x*y^3"): 1, parse_monomial("x^3*y"): Fraction(-1, 2)}
