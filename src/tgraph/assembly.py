@@ -134,11 +134,10 @@ class TGraph:
         return out
 
 
-def pair_grading_jobs(vertices, bound=None):
+def pair_grading_jobs(vertices):
     """All (pair index, grading) jobs with matching Hilbert functions."""
-    bound = bound or (vertices[0].colength if vertices else 1)
     jobs = []
-    for g in coprime_gradings(bound):
+    for g in coprime_gradings(vertices[0].colength if vertices else 1):
         buckets = {}
         for idx, M in enumerate(vertices):
             buckets.setdefault(_hf(M, g), []).append(idx)
@@ -159,7 +158,7 @@ def build_tgraph(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET,
     exact records of a full build.
     """
     vertices = enumerate_ideals(d)
-    keys = pair_grading_jobs(vertices, bound=d)
+    keys = pair_grading_jobs(vertices)
     jobs = [(vertices[i - 1], vertices[j - 1], g) for (i, j), g in keys]
     if depth is PipelineDepth.FULL:
         records = _exact_records(jobs, budget, with_dimension, cache, threads)
@@ -205,7 +204,7 @@ def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None):
     """
     vertices = enumerate_ideals(d)
     by_pair = {}
-    for pair, g in pair_grading_jobs(vertices, bound=d):
+    for pair, g in pair_grading_jobs(vertices):
         by_pair.setdefault(pair, []).append(g)
 
     wanted = _CONDITIONS[depth]

@@ -157,14 +157,15 @@ def _tail_reduce(elem, lead, basis):
     return {m: Poly(ring, t) for m, t in work.items()}
 
 
-def cell_generators_g(M, g, ring=None, var_side=0):
+def cell_generators_g(M, g, ring=None):
     """Reduced x-smaller cell basis: tails are standard monomials of M."""
-    basis = cell_generators_f(M, g, ring=ring, var_side=var_side)
+    basis = cell_generators_f(M, g, ring=ring)
     reduced = []
     for i, elem in enumerate(basis.elements):
         lead = M.gens[i]
         red = _tail_reduce(elem, lead, basis)
-        assert all(m == lead or not M.contains(m) for m in red)
+        if any(m != lead and M.contains(m) for m in red):
+            raise RuntimeError(f"a tail of {format_monomial(lead)} is in {M}")
         reduced.append(red)
     return CellBasis(M, g, basis.ring, tuple(reduced))
 
@@ -179,7 +180,8 @@ def reduce_monomial(m, gbasis):
     if not M.contains(m):
         raise ValueError(f"{format_monomial(m)} is not in {M}")
     nf = _tail_reduce({m: gbasis.ring.one()}, None, gbasis)
-    assert all(not M.contains(s) for s in nf)
+    if any(M.contains(s) for s in nf):
+        raise RuntimeError(f"normal form of {format_monomial(m)} meets {M}")
     return nf
 
 
@@ -237,7 +239,8 @@ def edge_ideal(M, N, g):
                           None, gb)
         targets = sorted(std_by_weight.get(w, ()), key=lambda s: s[1],
                          reverse=True)
-        assert set(nf) <= set(targets)
+        if not set(nf) <= set(targets):
+            raise RuntimeError(f"stray term reducing {N} modulo {M}")
         for s in targets:
             poly = nf.get(s, ring.zero())
             if not all(isinstance(c, int) for c in poly.terms.values()):

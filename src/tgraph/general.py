@@ -10,6 +10,10 @@ zero against the family, and each generator of the N-side family must reduce
 to zero as well.  Everything happens inside a finite degree window, declared
 by the caller and re-checkable one degree higher.
 
+A direction's chains on a window are built once and passed down; each ideal
+is then described by its positions on those chains, and dominance is read
+off two such position lists.
+
 This is enough for the Hilbert scheme of two points in the projective plane,
 and for colength-d ideals in two variables it must agree with the staircase
 route, which the test suite uses as a cross-engine oracle.
@@ -97,33 +101,34 @@ class NMonomialIdeal:
         return "<" + ", ".join(map(_format_monomial, self.gens)) + ">"
 
 
-def degree_classes(nvars, weights, c, t):
-    """Partition the degree-t monomials into chains under adding c.
+def degree_classes(nvars, weights, c, degrees):
+    """Partition each window degree's monomials into chains under adding c.
 
-    Each class is returned from the large end downward: index 0 is the
-    monomial with the most room to move against c, and each later entry adds
-    one copy of c.
+    Chains come in degree order.  Each is listed from the large end downward:
+    index 0 is the monomial with the most room to move against c, and each
+    later entry adds one copy of c.
     """
-    mons = set(_monomials_of_degree(nvars, weights, t))
-    seen = set()
     classes = []
-    for m in sorted(mons):
-        if m in seen:
-            continue
-        top = m
-        while True:
-            up = tuple(a - b for a, b in zip(top, c))
-            if any(x < 0 for x in up) or up not in mons:
-                break
-            top = up
-        chain = [top]
-        while True:
-            down = tuple(a + b for a, b in zip(chain[-1], c))
-            if any(x < 0 for x in down) or down not in mons:
-                break
-            chain.append(down)
-        seen.update(chain)
-        classes.append(tuple(chain))
+    for t in degrees:
+        mons = set(_monomials_of_degree(nvars, weights, t))
+        seen = set()
+        for m in sorted(mons):
+            if m in seen:
+                continue
+            top = m
+            while True:
+                up = tuple(a - b for a, b in zip(top, c))
+                if any(x < 0 for x in up) or up not in mons:
+                    break
+                top = up
+            chain = [top]
+            while True:
+                down = tuple(a + b for a, b in zip(chain[-1], c))
+                if any(x < 0 for x in down) or down not in mons:
+                    break
+                chain.append(down)
+            seen.update(chain)
+            classes.append(tuple(chain))
     return classes
 
 
@@ -146,38 +151,36 @@ def candidate_refinements(nvars, weights, degrees):
     return out
 
 
-def class_dominates(M, N, c, degrees):
-    """Chain-wise dominance of M over N on the window classes."""
-    for t in degrees:
-        for chain in degree_classes(M.nvars, M.weights, c, t):
-            pos_m = [k for k, m in enumerate(chain) if M.contains(m)]
-            pos_n = [k for k, m in enumerate(chain) if N.contains(m)]
-            if len(pos_m) != len(pos_n):
-                return False
-            if any(a > b for a, b in zip(pos_m, pos_n)):
-                return False
-    return True
+def chain_positions(ideal, chains):
+    """For each chain, the indices of its members that lie in the ideal."""
+    return [tuple(k for k, m in enumerate(chain) if ideal.contains(m))
+            for chain in chains]
 
 
-def _tails(ideal, c, degrees, var_side, opposite):
+def class_dominates(pos_m, pos_n):
+    """Chain-wise dominance of M over N, read off their chain positions.
+
+    On every chain both ideals hold the same number of members, and M's k-th
+    member sits no lower on the chain than N's k-th.
+    """
+    return all(len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+               for a, b in zip(pos_m, pos_n))
+
+
+def _tails(ideal, chains, var_side, opposite):
     """Where the generic coefficients of each generator sit.
 
     A generator m picks up one variable per standard monomial strictly after
     it on its chain (strictly before it when `opposite`).  Returns a list of
     (m, ((variable, monomial), ...)).
     """
-    members = []
-    for t in degrees:
-        for chain in degree_classes(ideal.nvars, ideal.weights, c, t):
-            members.append(chain)
+    where = {m: (chain, k) for chain in chains for k, m in enumerate(chain)}
     out = []
     for gi, gen in enumerate(ideal.gens):
-        chain = next(ch for ch in members if gen in ch)
-        k = chain.index(gen)
-        if opposite:
-            tail = chain[k - 1::-1] if k else ()
-        else:
-            tail = chain[k + 1:]
+        if gen not in where:
+            raise ValueError(f"generator {gen} falls outside the window")
+        chain, k = where[gen]
+        tail = chain[:k][::-1] if opposite else chain[k + 1:]
         out.append((gen, tuple((ArrowVar(var_side, gi, step), u)
                                for step, u in enumerate(tail, start=1)
                                if not ideal.contains(u))))
@@ -188,6 +191,15 @@ def _family(tails, ring):
     """Generic-coefficient deformations: dicts exponent tuple -> Poly."""
     return [{gen: ring.one(), **{u: ring.var(v) for v, u in tail}}
             for gen, tail in tails]
+
+
+def _add(row, m, poly):
+    """Add poly into row[m], dropping the entry when it cancels."""
+    merged = row[m] + poly if m in row else poly
+    if merged:
+        row[m] = merged
+    else:
+        row.pop(m, None)
 
 
 def _reduce_against(poly_row, M, families_by_gen):
@@ -201,24 +213,14 @@ def _reduce_against(poly_row, M, families_by_gen):
         inside = [m for m in work if M.contains(m)]
         if not inside:
             break
-        inside.sort()
-        m = inside[0]
+        m = min(inside)
         coeff = work.pop(m)
         gen = next(g for g in M.gens if _divides(g, m))
         shift = tuple(a - b for a, b in zip(m, gen))
         for u, cpoly in families_by_gen[gen].items():
             if u == gen:
                 continue
-            target = tuple(a + b for a, b in zip(u, shift))
-            add = coeff * cpoly
-            if target in work:
-                merged = work[target] + add
-            else:
-                merged = add
-            if merged:
-                work[target] = merged
-            else:
-                work.pop(target, None)
+            _add(work, tuple(a + b for a, b in zip(u, shift)), coeff * cpoly)
     return work
 
 
@@ -233,15 +235,14 @@ def edge_scheme_general(M, N, c, window_degrees):
         raise ValueError("the two ideals must differ")
     if not (any(x > 0 for x in c) and any(x < 0 for x in c)):
         raise ValueError("direction must have entries of both signs")
-    hm = M.hilbert_values(window_degrees)
-    hn = N.hilbert_values(window_degrees)
-    if hm != hn:
-        raise ValueError("Hilbert values differ on the window")
-    if not class_dominates(M, N, c, window_degrees):
+    # Equal counts on every chain also mean equal Hilbert values on the window.
+    chains = degree_classes(M.nvars, M.weights, c, window_degrees)
+    if not class_dominates(chain_positions(M, chains),
+                           chain_positions(N, chains)):
         raise ValueError("first ideal must dominate the second on the window")
 
-    tails_m = _tails(M, c, window_degrees, 0, False)
-    tails_n = _tails(N, c, window_degrees, 1, True)
+    tails_m = _tails(M, chains, 0, False)
+    tails_n = _tails(N, chains, 1, True)
     # Sorted, the M-side variables (side 0) come before the N-side ones.
     ring = Ring(sorted(v for tails in (tails_m, tails_n)
                        for _, tail in tails for v, _ in tail))
@@ -255,8 +256,7 @@ def edge_scheme_general(M, N, c, window_degrees):
         for m, poly in sorted(remainder.items()):
             if M.contains(m):
                 raise AssertionError("reduction left an in-ideal monomial")
-            if poly:
-                equations.append(poly)
+            equations.append(poly)
 
     max_window = max(window_degrees)
     for (g1, r1), (g2, r2) in combinations(zip(M.gens, fam_m), 2):
@@ -271,17 +271,9 @@ def edge_scheme_general(M, N, c, window_degrees):
         s2 = tuple(a - b for a, b in zip(lcm, g2))
         row = {}
         for u, poly in r1.items():
-            row[tuple(a + b for a, b in zip(u, s1))] = poly
+            _add(row, tuple(a + b for a, b in zip(u, s1)), poly)
         for u, poly in r2.items():
-            target = tuple(a + b for a, b in zip(u, s2))
-            if target in row:
-                merged = row[target] - poly
-                if merged:
-                    row[target] = merged
-                else:
-                    row.pop(target)
-            else:
-                row[target] = -poly
+            _add(row, tuple(a + b for a, b in zip(u, s2)), -poly)
         emit(_reduce_against(row, M, by_gen))
 
     for row in fam_n:
@@ -340,23 +332,27 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     the list of directions carrying a nonempty edge scheme and dims holds the
     corresponding quotient dimensions.  One Groebner basis per scheme and
     window gives both the verdict and the dimension.  Each pair is oriented
-    per direction by chain-wise dominance.  Raises BudgetExceeded when the
-    budget runs out, RuntimeError when `verify_window` finds a verdict that
-    changes one degree higher, and ValueError when the window misses a
-    syzygy degree of an oriented pair.
+    per direction, both ways, from the vertices' chain positions.  Raises
+    BudgetExceeded when the budget runs out, RuntimeError when
+    `verify_window` finds a verdict that changes one degree higher, and
+    ValueError when the window misses a syzygy degree of an oriented pair.
     """
     vertices = fixed_points_two_points_p2()
     degrees = TWO_POINTS_WINDOW
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
+    positions = {}
+    for c in directions:
+        chains = degree_classes(3, (1, 1, 1), c, degrees)
+        positions[c] = [chain_positions(v, chains) for v in vertices]
     edges = {}
     dims = {}
-    # every vertex has the Hilbert values (1, 3, 2, 2) on the window
     for i, j in combinations(range(len(vertices)), 2):
         M, N = vertices[i], vertices[j]
         for c in directions:
-            if class_dominates(M, N, c, degrees):
+            pos_i, pos_j = positions[c][i], positions[c][j]
+            if class_dominates(pos_i, pos_j):
                 big, small = M, N
-            elif class_dominates(N, M, c, degrees):
+            elif class_dominates(pos_j, pos_i):
                 big, small = N, M
             else:
                 continue
@@ -374,6 +370,5 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
                 dim = quotient_dimension(gb, nvars=ring.nvars)
                 key = (i + 1, j + 1)
                 edges.setdefault(key, []).append(c)
-                prev = dims.get(key)
-                dims[key] = dim if prev is None else max(prev, dim)
+                dims[key] = max(dims.get(key, 0), dim)
     return vertices, edges, dims

@@ -177,7 +177,8 @@ def induced_arrow_map(gens, g, colength_bound):
     for w, mons_m, mons_n in classes:
         columns = _desc(g.monomials_of_weight(w))
         piv = rref(_slice_rows(gens, g, w), columns)
-        assert set(piv) == set(mons_m)
+        if set(piv) != set(mons_m):
+            raise RuntimeError(f"pivots of weight {w} differ from {M}")
         colpos = {c: i for i, c in enumerate(columns)}
         for m in _desc(mons_m):
             below = [piv[m2] for m2 in mons_m if m2[1] < m[1]]

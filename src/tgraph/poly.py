@@ -48,7 +48,8 @@ class Ring:
     def nvars(self):
         return len(self.vars)
 
-    def key(self, exps):
+    @staticmethod
+    def key(exps):
         """Grevlex sort key; larger key means larger monomial.
 
         The key determines the exponents, so distinct monomials never tie.
@@ -241,8 +242,8 @@ def _accumulate(target, terms, sign, ring):
             target.pop(e, None)
 
 
-def arrow_ring(m_arrows, n_arrows=(), char=0):
+def arrow_ring(m_arrows, n_arrows=()):
     """Ring over the joint arrow coordinates, first ideal's variables first."""
     variables = [ArrowVar(0, i, l) for i, l in sorted(m_arrows)]
     variables += [ArrowVar(1, i, l) for i, l in sorted(n_arrows)]
-    return Ring(variables, char=char)
+    return Ring(variables)

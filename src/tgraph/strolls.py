@@ -35,7 +35,7 @@ class _Budget:
             raise StrollOverflow("chain enumeration cap exceeded")
 
 
-def enumerate_paths(M, g, ring=None, var_side=0, cap=2_000_000):
+def enumerate_paths(M, g, cap=2_000_000):
     """Arrow chains starting at each generator index, x-smaller side.
 
     Returns a list over generator indices; entry i is a list of
@@ -79,7 +79,7 @@ def walk_polynomials(M, g, ring, var_side=0, cap=2_000_000):
     product of arrow variables over all walks of d paths with that length.
     """
     budget = _Budget(cap)
-    paths = enumerate_paths(M, g, ring, var_side, cap=cap)
+    paths = enumerate_paths(M, g, cap=cap)
     gens = M.gens
     out = []
     for i in range(len(gens)):
@@ -164,7 +164,7 @@ def edge_ideal_hikes(M, N, g, cap=2_000_000):
     gsw = g.swap()
     ring = arrow_ring(significant_arrows(M, g).positive,
                       significant_arrows(Nsw, gsw).positive)
-    n_paths = enumerate_paths(Nsw, gsw, ring, var_side=1, cap=cap)
+    n_paths = enumerate_paths(Nsw, gsw, cap=cap)
     sums = stroll_sums(M, g, ring, var_side=0, cap=cap)
 
     std_by_weight = {}

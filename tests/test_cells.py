@@ -79,7 +79,7 @@ def test_recursion_matches_path_enumeration():
         for M in rng.sample(pool, min(3, len(pool))):
             for g in (Grading(1, 1), Grading(1, 2)):
                 basis = cell_generators_f(M, g)
-                paths = enumerate_paths(M, g, basis.ring)
+                paths = enumerate_paths(M, g)
                 for i, elem in enumerate(basis.elements):
                     by_len = {}
                     for seq, length in paths[i]:
@@ -252,7 +252,7 @@ def test_edge_equations_through_colength_6_are_pinned():
     count = 0
     for d in range(2, 7):
         vertices = enumerate_ideals(d)
-        for (i, j), g in pair_grading_jobs(vertices, bound=d):
+        for (i, j), g in pair_grading_jobs(vertices):
             pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
             if pair is None:
                 continue

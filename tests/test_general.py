@@ -3,11 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from tgraph import general
 from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
-                            candidate_refinements, class_dominates,
-                            degree_classes, edge_scheme_general,
-                            fixed_points_two_points_p2, from_saturation,
-                            saturation_label, two_points_graph)
+                            candidate_refinements, chain_positions,
+                            class_dominates, degree_classes,
+                            edge_scheme_general, fixed_points_two_points_p2,
+                            from_saturation, saturation_label,
+                            two_points_graph)
 from tgraph.groebner import buchberger, is_trivial, quotient_dimension
 
 
@@ -48,7 +50,7 @@ def test_symmetry_permutes_the_vertex_set():
 
 
 def test_degree_classes_are_chains():
-    classes = degree_classes(3, (1, 1, 1), (1, -1, 0), 2)
+    classes = degree_classes(3, (1, 1, 1), (1, -1, 0), (2,))
     for chain in classes:
         for u, v in zip(chain, chain[1:]):
             assert tuple(a - b for a, b in zip(v, u)) == (1, -1, 0)
@@ -69,7 +71,11 @@ def test_triangle_edge_has_two_parameters():
     M = from_saturation(0, (0, 0, 2))
     N = from_saturation(0, (0, 2, 0))
     c = (0, 1, -1)
-    big, small = (M, N) if class_dominates(M, N, c, TWO_POINTS_WINDOW) else (N, M)
+    chains = degree_classes(3, (1, 1, 1), c, TWO_POINTS_WINDOW)
+    if class_dominates(chain_positions(M, chains), chain_positions(N, chains)):
+        big, small = M, N
+    else:
+        big, small = N, M
     ring, eqs = edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
     assert [v.label() for v in ring.vars] == ["c0^1", "c0^2", "ct0^1", "ct0^2"]
     assert [str(e) for e in eqs] == ["c0^1*ct0^2 + ct0^1", "c0^2*ct0^2 + 1"]
@@ -104,6 +110,27 @@ def test_two_points_graph_equations_are_pinned():
         "29af4a869f0c967962203fe4e5de7ad78ac5ad321a0b10887aac9b96ce7971c5")
 
 
+def test_two_points_graph_output_is_pinned():
+    _, edges, dims = two_points_graph(verify_window=True)
+    text = repr((sorted(edges.items()), sorted(dims.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bc3b8e6176c03bb816c4098ea35f062b68cc624a3a2143f4979fdb8ab277d8eb")
+
+
+def test_two_points_graph_builds_each_chain_partition_once(monkeypatch):
+    # one partition per direction, then one per scheme on its own window
+    calls = []
+    real = general.degree_classes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(general, "degree_classes", counted)
+    two_points_graph(verify_window=True)
+    assert len(calls) == 6 + 36
+
+
 def test_edge_scheme_errors_reach_the_caller(monkeypatch):
     # a window that misses a syzygy degree must not read as "no edge"
     def misdeclared(*args):
@@ -121,6 +148,12 @@ def test_rejects_equal_ideals_and_bad_directions():
     N = from_saturation(0, (0, 2, 0))
     with pytest.raises(ValueError):
         edge_scheme_general(M, N, (0, 1, 1), TWO_POINTS_WINDOW)
+    # different Hilbert values on the window fail the chain counts
+    line = NMonomialIdeal(3, ((1, 0, 0),), (1, 1, 1))
+    with pytest.raises(ValueError, match="dominate"):
+        edge_scheme_general(M, line, (0, 1, -1), TWO_POINTS_WINDOW)
+    with pytest.raises(ValueError, match="outside the window"):
+        edge_scheme_general(M, N, (0, 1, -1), (0, 1))
 
 
 def test_two_points_graph_matches_published_shape():
@@ -179,3 +212,28 @@ def test_cross_engine_agreement_on_the_plane():
                 c = (g.beta, -g.alpha)
                 ring, eqs = edge_scheme_general(M2, N2, c, degrees)
                 assert triv(eqs) == verdict, (big, small, gi)
+
+
+def test_chain_dominance_matches_the_plane_engine():
+    # on two-variable pairs, dominance read off chain positions must agree
+    # with the staircase engine's dominance, in both orders
+    from tgraph.arrows import dominates
+    from tgraph.monomial import Grading, enumerate_ideals, hilbert_function
+
+    compared = 0
+    for d in range(1, 7):
+        pool = enumerate_ideals(d)
+        for gi in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
+            g = Grading(*gi)
+            for A, B in combinations(pool, 2):
+                if hilbert_function(A, g) != hilbert_function(B, g):
+                    continue
+                top = max(g.weight(s) for s in A.standard_monomials())
+                chains = degree_classes(2, gi, (g.beta, -g.alpha),
+                                        range(top + 1))
+                pos_a = chain_positions(NMonomialIdeal(2, A.gens, gi), chains)
+                pos_b = chain_positions(NMonomialIdeal(2, B.gens, gi), chains)
+                assert class_dominates(pos_a, pos_b) == dominates(A, B, g)
+                assert class_dominates(pos_b, pos_a) == dominates(B, A, g)
+                compared += 2
+    assert compared == 120

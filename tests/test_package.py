@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -72,6 +74,56 @@ def test_witness_checks_survive_optimization():
         "        print('returned')\n")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised", "raised"]
+
+
+def test_result_checks_survive_optimization():
+    # a normal form with a stray term must not drop out of the edge
+    # equations unnoticed, even under -O
+    done = run_python(
+        "-O", "-c",
+        "from tgraph import cells\n"
+        "from tgraph.arrows import oriented_pair\n"
+        "from tgraph.monomial import Grading, parse_ideal\n"
+        "g = Grading(1, 1)\n"
+        "pair = oriented_pair(parse_ideal('<x^2, y>'),\n"
+        "                     parse_ideal('<x, y^2>'), g)\n"
+        "real = cells._tail_reduce\n"
+        "def stray(elem, lead, basis):\n"
+        "    out = real(elem, lead, basis)\n"
+        "    out[(0, 0)] = basis.ring.one()\n"
+        "    return out\n"
+        "cells._tail_reduce = stray\n"
+        "try:\n"
+        "    cells.edge_ideal(*pair, g)\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+        "else:\n"
+        "    print('returned')\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised stray term"), done.stdout
+
+
+def test_every_parameter_is_read():
+    # the CLI handlers share one signature, whatever each of them reads
+    from tgraph.cli import _COMMANDS
+
+    handlers = {f.__name__ for f in _COMMANDS.values()}
+    unread = []
+    for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name == "cli.py" and node.name in handlers:
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})"
+                       for p in params if p not in read]
+    assert unread == []
 
 
 def test_fixture_replay_without_asserts():
