@@ -233,6 +233,8 @@ def edge_scheme_general(M, N, c, window_degrees):
     """
     if M == N:
         raise ValueError("the two ideals must differ")
+    if (M.nvars, M.weights) != (N.nvars, N.weights):
+        raise ValueError("the two ideals must share variables and weights")
     if not (any(x > 0 for x in c) and any(x < 0 for x in c)):
         raise ValueError("direction must have entries of both signs")
     # Equal counts on every chain also mean equal Hilbert values on the window.

@@ -4,11 +4,20 @@ Verdicts are tri-state at the call sites: a run that exceeds its budget raises
 BudgetExceeded, which callers convert to an explicit unknown rather than a
 guess.  Output is deterministic: fixed pair selection, fixed reducer order,
 fully interreduced monic result.
+
+In characteristic 0 a run is fraction-free: the inputs are cleared of
+denominators, every intermediate basis element is kept primitive over the
+integers (content 1, positive lead), and reduction is integer
+pseudo-division.  Each element is a nonzero scalar multiple of its monic
+version, so the run forms the same S-pairs and makes the same reduction steps
+as it would over monic elements; the reduced basis is made monic once, at the
+end.  In characteristic p, primitive means monic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from .poly import Poly
@@ -45,8 +54,35 @@ def _descending(key):
     return tuple(map(neg, key))
 
 
+def _primitive(p):
+    """The scalar multiple of p that basis elements are kept as.
+
+    In characteristic 0 it has integer coefficients with gcd 1 and a positive
+    lead; in characteristic p it is monic.
+    """
+    ring = p.ring
+    if ring.char or not p:
+        return p.monic()
+    coeffs = p.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    content = gcd(*(c.numerator for c in coeffs))
+    if p.lead()[1] < 0:
+        content = -content
+    if den == 1 and content == 1:
+        return p
+    return Poly(ring, {e: (c * den).numerator // content
+                       for e, c in p.terms.items()})
+
+
 def normal_form(f, basis, stats=None):
-    """Full remainder of f on division by basis (monic leads assumed).
+    """Full remainder of f on division by basis.
+
+    The remainder is exact when every reducer is monic, and a nonzero scalar
+    multiple of it otherwise.  A term c*x^e met by a reducer g whose lead
+    coefficient a is not 1 is reduced by pseudo-division: with q = gcd(a, c),
+    every pending and remainder coefficient is multiplied by a/q, then
+    (c/q)*x^shift*g is subtracted.  That branch needs integer coefficients,
+    which is what ``buchberger`` works with.
 
     The largest pending term is reduced first.  Pending terms sit in a heap
     on their negated grevlex key, computed once, when the term enters the
@@ -66,8 +102,8 @@ def normal_form(f, basis, stats=None):
     coeff = ring.coeff
     reducers = []
     for g in basis:
-        lead = g.lead()[0]
-        reducers.append((lead, sum(lead), g))
+        lead, a = g.lead()
+        reducers.append((lead, sum(lead), a, g))
     work = dict(f.terms)
     heap = [(_descending(key(e)), e) for e in work]
     heapify(heap)
@@ -79,9 +115,18 @@ def normal_form(f, basis, stats=None):
         if not c:
             continue
         degree = -order[0]
-        for lead, lead_degree, g in reducers:
+        for lead, lead_degree, a, g in reducers:
             if lead_degree <= degree and _divides(lead, e):
                 steps += 1
+                if a != 1:
+                    q = gcd(a, c)
+                    scale = a // q
+                    if scale != 1:
+                        for e3, c3 in work.items():
+                            work[e3] = coeff(c3 * scale)
+                        for e3, c3 in rem.items():
+                            rem[e3] = coeff(c3 * scale)
+                    c //= q
                 shift = tuple(map(sub, e, lead))
                 for e2, c2 in g.terms.items():
                     if e2 == lead:
@@ -104,10 +149,11 @@ def normal_form(f, basis, stats=None):
 def _spoly(f, g):
     ef, cf = f.lead()
     eg, cg = g.lead()
+    q = gcd(cf, cg)
     lcm = _lcm(ef, eg)
     mf = tuple(a - b for a, b in zip(lcm, ef))
     mg = tuple(a - b for a, b in zip(lcm, eg))
-    return f.mul_term(mf, 1) - g.mul_term(mg, 1)
+    return f.mul_term(mf, cg // q) - g.mul_term(mg, cf // q)
 
 
 def _update_pairs(basis_leads, pairs, queue, t, ring):
@@ -156,7 +202,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     one whose lcm is grevlex-least, ties going to the smaller index pair; a
     heap holds every pair ever formed and skips those the updates dropped.
     """
-    gens = [g for g in gens if g]
+    gens = [_primitive(g) for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
     if not gens:
         return GroebnerBasis([], stats=stats)
@@ -168,7 +214,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     pairs = set()
     queue = []
     for g in ordered:
-        r = normal_form(g, basis, stats).monic()
+        r = _primitive(normal_form(g, basis, stats))
         if not r:
             continue
         basis.append(r)
@@ -186,7 +232,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
         r = normal_form(_spoly(basis[i], basis[j]), basis, stats)
         if not r:
             continue
-        r = r.monic()
+        r = _primitive(r)
         basis.append(r)
         leads.append(r.lead()[0])
         pairs = _update_pairs(leads, pairs, queue, len(basis) - 1, ring)

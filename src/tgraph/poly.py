@@ -1,11 +1,14 @@
 """Sparse multivariate polynomials over exact coefficients in arrow variables.
 
-Coefficients are Python ints or Fractions in characteristic 0, or ints reduced
-mod p when the ring carries a prime characteristic.  Exponent vectors are
-tuples indexed by the ring's fixed variable list; the monomial order is graded
-reverse lexicographic over that list, with ``Ring.key`` its one definition.
-A polynomial's terms are never mutated after construction, so each polynomial
-computes its lead term once and keeps it.
+Coefficients are Python ints in characteristic 0, or ints reduced mod p when
+the ring carries a prime characteristic.  Fractions are accepted as input, and
+appear in characteristic 0 only where ``monic`` divides by a lead that is not
++-1; the Groebner solver works on integer multiples and calls ``monic`` once,
+on its final reduced basis.  Exponent vectors are tuples indexed by the ring's
+fixed variable list; the monomial order is graded reverse lexicographic over
+that list, with ``Ring.key`` its one definition.  A polynomial's terms are
+never mutated after construction, so each polynomial computes its lead term
+once and keeps it.
 """
 from __future__ import annotations
 

@@ -154,6 +154,11 @@ def test_rejects_equal_ideals_and_bad_directions():
         edge_scheme_general(M, line, (0, 1, -1), TWO_POINTS_WINDOW)
     with pytest.raises(ValueError, match="outside the window"):
         edge_scheme_general(M, N, (0, 1, -1), (0, 1))
+    # the same generators in two gradings are not a pair of one scheme
+    gens = ((2, 0), (0, 1))
+    with pytest.raises(ValueError, match="weights"):
+        edge_scheme_general(NMonomialIdeal(2, gens, (1, 1)),
+                            NMonomialIdeal(2, gens, (1, 2)), (1, -1), (0, 1, 2))
 
 
 def test_two_points_graph_matches_published_shape():

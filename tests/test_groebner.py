@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from tgraph.arrows import oriented_pair
 from tgraph.assembly import PipelineDepth, build_tgraph
 from tgraph.cells import edge_ideal
-from tgraph.groebner import (BudgetExceeded, buchberger, is_trivial,
-                             normal_form, quotient_dimension)
+from tgraph import groebner
+from tgraph.groebner import (BudgetExceeded, _primitive, _spoly, buchberger,
+                             is_trivial, normal_form, quotient_dimension)
 from tgraph.poly import ArrowVar, Ring
 
 from oracles import brute_normal_form, membership_certificate
@@ -104,6 +106,15 @@ def test_normal_form_matches_the_division_loop(char):
     assert recreated > 0
 
 
+# The digests, over the printed generators of every reduced basis, were
+# recorded while the solver still made every basis element monic over the
+# rationals.
+BASES_SHA256 = {
+    7: "c222e468cda1eee246b7bc997d38b51943b4471625052e35c45d6e0a0d16535d",
+    8: "0694f1aa9ed39d1a4df5f13621cb01f6858a70b7b73a9f2dacbb9b717ab4b47b",
+}
+
+
 # Recorded before reduction and pair selection were moved onto heaps: any
 # change in the order of S-pairs or of reduction steps moves these sums.
 @pytest.mark.parametrize("d, s_pairs, basis_size, reduction_steps",
@@ -113,14 +124,101 @@ def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
     graph = build_tgraph(d, PipelineDepth.FULL, with_dimension=True)
     assert sum(rec.s_pairs for rec in graph.records) == s_pairs
     stats = []
+    bases = hashlib.sha256()
     for rec in graph.records:
         oriented = oriented_pair(*rec.pair, rec.grading)
         if oriented is not None:
             ideal = edge_ideal(*oriented, rec.grading)
-            stats.append(buchberger(ideal.nonzero_generators()).stats)
+            gb = buchberger(ideal.nonzero_generators())
+            stats.append(gb.stats)
+            for g in gb.generators:
+                bases.update(f"{g}\n".encode())
     assert sum(st["s_pairs"] for st in stats) == s_pairs
     assert sum(st["basis_size"] for st in stats) == basis_size
     assert sum(st["reduction_steps"] for st in stats) == reduction_steps
+    assert bases.hexdigest() == BASES_SHA256[d]
+
+
+def assert_rational_multiple(got, want):
+    """got is a nonzero rational multiple of want (both zero, or neither)."""
+    if not want:
+        assert not got
+        return
+    ratio = Fraction(got.lead()[1]) / Fraction(want.lead()[1])
+    assert ratio and want.scale(ratio) == got
+
+
+def test_pseudo_division_matches_the_division_loop_on_monic_reducers():
+    rng = random.Random(20261019)
+    r = ring(3)
+    steps_seen = 0
+    for _ in range(150):
+        basis = []
+        for _ in range(rng.randint(1, 4)):
+            g = random_poly(r, rng, 3, 2)
+            if g:
+                lead = g.lead()[0]
+                g = _primitive(g + r.poly({lead: rng.choice((1, 2, 5))}))
+            if g and g.lead()[1] != 1:
+                basis.append(g)
+        f = random_poly(r, rng, 8, 4)
+        stats = {}
+        remainder = normal_form(f, basis, stats)
+        want, steps, _ = brute_normal_form(f, [g.monic() for g in basis])
+        assert_rational_multiple(remainder, want)
+        assert stats.get("reduction_steps", 0) == steps
+        steps_seen += steps
+    assert steps_seen > 100
+
+
+def test_pseudo_division_rescales_the_remainder_already_kept():
+    r = ring(3)
+    x, y, z = (r.var(v) for v in r.vars)
+    reducer = y.scale(2) - z
+    # x^2 is kept in the remainder before y meets the reducer with lead 2.
+    assert normal_form(x * x + y, [reducer]) == (x * x).scale(2) + z
+    assert normal_form(x * x + y.scale(2), [reducer]) == x * x + z
+    # The S-polynomial's cofactors are divided by the gcd of the leads.
+    f = (x * x).scale(4) + y
+    g = (x * y).scale(6) + z
+    assert _spoly(f, g) == (y * y).scale(3) - (x * z).scale(2)
+
+
+def test_rational_and_non_unit_inputs_keep_their_bases():
+    r = ring(3)
+    x, y, z = (r.var(v) for v in r.vars)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    gb = buchberger([x.scale(half) - y, (y * y).scale(two_thirds) - z * x])
+    assert [str(g) for g in gb.generators] == [
+        "c1^1 - 2*c2^1", "c2^1**2 - 3*c2^1*c3^1"]
+    gens = [(x * x).scale(2) - y.scale(3), (x * y).scale(4) - z.scale(6),
+            y * y - z]
+    assert [str(g) for g in buchberger(gens).generators] == [
+        "c3^1**2 - 4/9*c3^1", "c2^1*c3^1 - 2/3*c3^1", "c1^1*c3^1 - c3^1",
+        "c2^1**2 - c3^1", "c1^1*c2^1 - 3/2*c3^1", "c1^1**2 - 3/2*c2^1"]
+    r5 = ring(3, char=5)
+    x, y, z = (r5.var(v) for v in r5.vars)
+    gens = [(x * x).scale(2) - y.scale(3), (x * y).scale(4) - z.scale(6),
+            y * y - z]
+    assert [str(g) for g in buchberger(gens).generators] == [
+        "c3^1**2 + 4*c3^1", "c2^1*c3^1 + c3^1", "c1^1*c3^1 + 4*c3^1",
+        "c2^1**2 + 4*c3^1", "c1^1*c2^1 + c3^1", "c1^1**2 + c2^1"]
+
+
+def test_solver_reduces_only_integers_in_characteristic_zero(monkeypatch):
+    seen = []
+    plain = groebner.normal_form
+
+    def checked(f, basis, stats=None):
+        if not f.ring.char:
+            for p in (f, *basis):
+                assert all(type(c) is int for c in p.terms.values()), p
+        seen.append(len(basis))
+        return plain(f, basis, stats)
+
+    monkeypatch.setattr(groebner, "normal_form", checked)
+    build_tgraph(7, PipelineDepth.FULL, with_dimension=True)
+    assert len(seen) > 100 and any(seen)
 
 
 def test_reduced_basis_properties():
