@@ -4,7 +4,9 @@ For a finite-colength M in k[x,y] and a grading, the ideals whose initial
 ideal under the x-smaller order is M form an affine cell.  One coordinate is
 attached to each positive significant arrow of M; the cell's universal ideal
 has one generator per minimal generator of M, computed here by the standard
-recursion and then tail-reduced to the unique reduced basis.
+recursion and then tail-reduced to the unique reduced basis.  Both steps are
+``Poly`` arithmetic on rows that map monomials to coefficient polynomials,
+updated through ``poly.add_into``.
 
 Every function here works on the x-smaller side; the y-smaller side of an
 ideal is the x-smaller side of its swap under the swapped grading, with x and
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .monomial import (Grading, MonomialIdeal2, format_monomial,
                        hilbert_function)
-from .poly import ArrowVar, Poly, Ring, arrow_ring
+from .poly import ArrowVar, Ring, add_into, arrow_ring
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,11 @@ def cell_generators_f(M, g, ring=None, var_side=0):
 
     When `ring` is given it must contain ArrowVar(var_side, i, l) for every
     positive arrow (i, l); this lets both sides of a pair share one ring.
+    Without it the ring holds the side-0 variables only.
     """
     arrows = significant_arrows(M, g).positive
     if ring is None:
-        ring = arrow_ring(arrows) if var_side == 0 else arrow_ring((), arrows)
+        ring = arrow_ring(arrows)
     gens = M.gens
     elements = [{gens[0]: ring.one()}]
     by_index = {}
@@ -103,9 +106,8 @@ def cell_generators_f(M, g, ring=None, var_side=0):
     for i in range(1, len(gens)):
         prev = gens[i - 1]
         cur = gens[i]
-        elem = _shift_element(elements[i - 1],
-                              (cur[0] - prev[0], cur[1] - prev[1]))
-        acc = {m: dict(p.terms) for m, p in elem.items()}
+        acc = _shift_element(elements[i - 1],
+                             (cur[0] - prev[0], cur[1] - prev[1]))
         wi = (prev[0], cur[1])
         for l in by_index.get(i, ()):
             hop = g.shift(wi, l)
@@ -114,47 +116,27 @@ def cell_generators_f(M, g, ring=None, var_side=0):
             var = ring.var(ArrowVar(var_side, i, l))
             delta = (target[0] - gens[j][0], target[1] - gens[j][1])
             for m, poly in _shift_element(elements[j], delta).items():
-                slot = acc.setdefault(m, {})
-                for e2, c2 in (var * poly).terms.items():
-                    c3 = ring.coeff(slot.get(e2, 0) + c2)
-                    if c3:
-                        slot[e2] = c3
-                    else:
-                        slot.pop(e2, None)
-        elements.append({m: Poly(ring, t) for m, t in acc.items() if t})
+                add_into(acc, m, var * poly)
+        elements.append(acc)
     return CellBasis(M, g, ring, tuple(elements))
 
 
 def _tail_reduce(elem, lead, basis):
     """Rewrite every non-lead monomial of the ideal via the cell basis."""
     M = basis.ideal
-    g = basis.grading
-    ring = basis.ring
-    work = {m: dict(p.terms) for m, p in elem.items()}
+    work = dict(elem)
     while True:
         candidates = [m for m in work if m != lead and M.contains(m)]
         if not candidates:
-            break
+            return work
         u = max(candidates, key=lambda m: m[1])
         coeff = work.pop(u)
         j = M.j_index(u)
         gj = M.gens[j]
-        delta = (u[0] - gj[0], u[1] - gj[1])
+        da, db = u[0] - gj[0], u[1] - gj[1]
         for m, poly in basis.elements[j].items():
-            if m == gj:
-                continue
-            m2 = (m[0] + delta[0], m[1] + delta[1])
-            slot = work.setdefault(m2, {})
-            for e1, c1 in coeff.items():
-                for e2, c2 in poly.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = ring.coeff(slot.get(e, 0) - c1 * c2)
-                    if c:
-                        slot[e] = c
-                    else:
-                        slot.pop(e, None)
-        work = {m: t for m, t in work.items() if t}
-    return {m: Poly(ring, t) for m, t in work.items()}
+            if m != gj:
+                add_into(work, (m[0] + da, m[1] + db), -(coeff * poly))
 
 
 def cell_generators_g(M, g, ring=None):

@@ -20,6 +20,7 @@ from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        format_monomial, parse_ideal)
+from .poly import _is_prime
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -32,17 +33,6 @@ _DEPTHS = sorted(depth.value for depth in PipelineDepth)
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def build_parser():

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd
 
 from .groebner import DEFAULT_BUDGET, buchberger, quotient_dimension
-from .poly import ArrowVar, Ring
+from .poly import ArrowVar, Ring, add_into
 
 
 def _monomials_of_degree(nvars, weights, t):
@@ -193,15 +193,6 @@ def _family(tails, ring):
             for gen, tail in tails]
 
 
-def _add(row, m, poly):
-    """Add poly into row[m], dropping the entry when it cancels."""
-    merged = row[m] + poly if m in row else poly
-    if merged:
-        row[m] = merged
-    else:
-        row.pop(m, None)
-
-
 def _reduce_against(poly_row, M, families_by_gen):
     """Eliminate every in-M monomial of a row using the generic family.
 
@@ -220,7 +211,8 @@ def _reduce_against(poly_row, M, families_by_gen):
         for u, cpoly in families_by_gen[gen].items():
             if u == gen:
                 continue
-            _add(work, tuple(a + b for a, b in zip(u, shift)), coeff * cpoly)
+            add_into(work, tuple(a + b for a, b in zip(u, shift)),
+                     coeff * cpoly)
     return work
 
 
@@ -273,9 +265,9 @@ def edge_scheme_general(M, N, c, window_degrees):
         s2 = tuple(a - b for a, b in zip(lcm, g2))
         row = {}
         for u, poly in r1.items():
-            _add(row, tuple(a + b for a, b in zip(u, s1)), poly)
+            add_into(row, tuple(a + b for a, b in zip(u, s1)), poly)
         for u, poly in r2.items():
-            _add(row, tuple(a + b for a, b in zip(u, s2)), -poly)
+            add_into(row, tuple(a + b for a, b in zip(u, s2)), -poly)
         emit(_reduce_against(row, M, by_gen))
 
     for row in fam_n:

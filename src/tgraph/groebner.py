@@ -278,29 +278,18 @@ def _min_hitting_set(supports, best):
     return result
 
 
-def quotient_dimension(gb, nvars=None):
+def quotient_dimension(gb, nvars):
     """Krull dimension of the quotient by the ideal with this reduced basis.
 
     Computed as the largest variable subset meeting no lead-term support,
     via the complementary minimum hitting set.
     """
-    if isinstance(gb, GroebnerBasis):
-        if gb.is_trivial():
-            raise ValueError("the unit ideal has no quotient dimension")
-        leads = gb.leads()
-    else:
-        leads = list(gb)
-    if not leads:
-        if nvars is None:
-            raise ValueError("need nvars for the zero ideal")
-        return nvars
-    nvars = len(leads[0])
-    supports = []
-    for e in leads:
+    supports = set()
+    for e in gb.leads():
         s = frozenset(i for i, x in enumerate(e) if x)
         if not s:
             raise ValueError("the unit ideal has no quotient dimension")
-        supports.append(s)
-    supports = sorted(set(supports), key=sorted)
+        supports.add(s)
+    supports = sorted(supports, key=sorted)
     hit = _min_hitting_set(supports, len(frozenset().union(*supports)) + 1)
     return nvars - hit

@@ -18,13 +18,19 @@ from fractions import Fraction
 
 from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
 from .monomial import MonomialIdeal2
-from .poly import ArrowVar
+from .poly import ArrowVar, add_into
 
 
 def _as_field(c):
     if isinstance(c, int):
         return Fraction(c)
     return c
+
+
+def _eliminate(work, factor, row):
+    """Subtract factor times row from the row being reduced, in place."""
+    for c, v in row.items():
+        add_into(work, c, -factor * v)
 
 
 def rref(rows, columns):
@@ -39,15 +45,7 @@ def rref(rows, columns):
         work = {c: _as_field(v) for c, v in row.items() if v}
         for c in sorted(work, key=lambda c: colpos[c]):
             if c in pivots and work.get(c):
-                factor = work[c]
-                for c2, v2 in pivots[c].items():
-                    step = factor * v2
-                    new = work[c2] - step if c2 in work else -step
-                    if new:
-                        work[c2] = new
-                    else:
-                        work.pop(c2, None)
-        work = {c: v for c, v in work.items() if v}
+                _eliminate(work, work[c], pivots[c])
         if not work:
             continue
         lead = min(work, key=lambda c: colpos[c])
@@ -55,15 +53,8 @@ def rref(rows, columns):
         work = {c: v / inv for c, v in work.items()}
         for c2, prow in pivots.items():
             if lead in prow:
-                factor = prow[lead]
                 merged = dict(prow)
-                for c3, v3 in work.items():
-                    step = factor * v3
-                    new = merged[c3] - step if c3 in merged else -step
-                    if new:
-                        merged[c3] = new
-                    else:
-                        merged.pop(c3, None)
+                _eliminate(merged, prow[lead], work)
                 pivots[c2] = merged
         pivots[lead] = work
     return pivots
@@ -137,13 +128,14 @@ def initial_ideal(gens, g, colength_bound):
     or pivot patterns that fail to form a monomial staircase).
     """
     wmax = (g.alpha + g.beta) * colength_bound
-    pivots_all = []
+    slices = []
     std_total = 0
     for w in range(wmax + 1):
-        columns = _desc(g.monomials_of_weight(w))
-        piv = rref(_slice_rows(gens, g, w), columns)
-        pivots_all.extend(piv)
+        columns = g.monomials_of_weight(w)
+        piv = set(rref(_slice_rows(gens, g, w), _desc(columns)))
+        slices.append((columns, piv))
         std_total += len(columns) - len(piv)
+    pivots_all = [m for _, piv in slices for m in piv]
     minimal = [m for m in pivots_all
                if not any(u != m and u[0] <= m[0] and u[1] <= m[1]
                           for u in pivots_all)]
@@ -154,11 +146,8 @@ def initial_ideal(gens, g, colength_bound):
         raise ValueError(f"initial monomials do not form a staircase: {exc}")
     if M.colength != std_total:
         raise ValueError("rank pattern does not match a finite-colength point")
-    for w in range(wmax + 1):
-        expected = {m for m in g.monomials_of_weight(w) if M.contains(m)}
-        columns = _desc(g.monomials_of_weight(w))
-        got = set(rref(_slice_rows(gens, g, w), columns))
-        if got != expected:
+    for columns, piv in slices:
+        if piv != {m for m in columns if M.contains(m)}:
             raise ValueError("pivot pattern is not an ideal slice")
     return M
 
@@ -189,14 +178,7 @@ def induced_arrow_map(gens, g, colength_bound):
                 tail = max(vec, key=lambda c: colpos[c])
                 if tail not in opp_piv:
                     break
-                factor = vec[tail]
-                for c2, v2 in opp_piv[tail].items():
-                    step = factor * v2
-                    new = vec[c2] - step if c2 in vec else -step
-                    if new:
-                        vec[c2] = new
-                    else:
-                        vec.pop(c2, None)
+                _eliminate(vec, vec[tail], opp_piv[tail])
             assignment[m] = max(vec, key=lambda c: colpos[c])
     if not _is_arrow_map(M, N, g, classes, assignment):
         raise RuntimeError(

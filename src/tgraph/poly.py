@@ -9,6 +9,10 @@ fixed variable list; the monomial order is graded reverse lexicographic over
 that list, with ``Ring.key`` its one definition.  A polynomial's terms are
 never mutated after construction, so each polynomial computes its lead term
 once and keeps it.
+
+``add_into`` is the package's one sparse-row update: a row is a dict from
+monomials or columns to polynomials or field values, and adding into an entry
+drops the entry when it cancels.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ class Ring:
         self.index = {v: i for i, v in enumerate(self.vars)}
         if len(self.index) != len(self.vars):
             raise ValueError("duplicate variables")
-        if char and char < 2:
+        if char and not _is_prime(char):
             raise ValueError("characteristic must be 0 or a prime")
         self.char = char
 
@@ -234,6 +238,26 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    k = 2
+    while k * k <= p:
+        if p % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def add_into(row, key, value):
+    """Add value into row[key], dropping the entry when the sum cancels."""
+    merged = row[key] + value if key in row else value
+    if merged:
+        row[key] = merged
+    else:
+        row.pop(key, None)
 
 
 def _accumulate(target, terms, sign, ring):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tgraph.arrows import dominates, oriented_pair
-from tgraph.assembly import pair_grading_jobs
+from tgraph.assembly import coprime_gradings, pair_grading_jobs
 from tgraph.cells import (cell_generators_f, cell_generators_g, edge_ideal,
                           extremal_ideals, reduce_monomial,
                           significant_arrows, tangent_weight_count)
@@ -266,6 +266,32 @@ def test_edge_equations_through_colength_6_are_pinned():
     assert count == 64
     assert digest.hexdigest() == (
         "21abea5f477cead583676fcc1b555d9e2c995c0ba3b5a635c35f542604b6e5ea")
+
+
+def test_cell_layer_through_colength_7_is_pinned():
+    # every ideal under every grading a graph of its colength examines:
+    # both cell bases and the normal forms of x*m and y*m for each minimal
+    # generator m; recorded before the cell layer moved onto Poly arithmetic
+    def printed(elem):
+        return [(format_monomial(m), str(p)) for m, p in sorted(elem.items())]
+
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(2, 8):
+        for M in enumerate_ideals(d):
+            for g in coprime_gradings(d):
+                f = cell_generators_f(M, g)
+                gb = cell_generators_g(M, g)
+                count += 1
+                digest.update(repr((
+                    str(M), g.alpha, g.beta, [v.label() for v in f.ring.vars],
+                    [printed(e) for e in f.elements],
+                    [printed(e) for e in gb.elements],
+                    [printed(reduce_monomial(u, gb)) for a, b in M.gens
+                     for u in ((a + 1, b), (a, b + 1))])).encode())
+    assert count == 993
+    assert digest.hexdigest() == (
+        "b999ebb5b084261212a8ca23f8840f0e17afdaa9722ebab4cbebc0d711e0dff3")
 
 
 def test_specializations_keep_initial_ideal_and_colength():

@@ -122,3 +122,14 @@ def test_determinism_of_records():
     ja["groebner"].pop("time_ms")
     jb["groebner"].pop("time_ms")
     assert ja == jb
+
+
+def test_composite_characteristic_is_rejected():
+    # one pair that forms equations, one settled by the order alone
+    pairs = [(parse_ideal("<y^5, x^2>"), parse_ideal("<y^2, x^5>")),
+             (parse_ideal("<x^4, x*y, y^3>"), parse_ideal("<x^3, y^2>"))]
+    assert decide_edge(*pairs[1], G11).generator_count == 0
+    for M, N in pairs:
+        for char in (4, 6):
+            with pytest.raises(ValueError):
+                decide_edge(M, N, G11, char=char)

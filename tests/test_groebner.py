@@ -8,8 +8,9 @@ from tgraph.arrows import oriented_pair
 from tgraph.assembly import PipelineDepth, build_tgraph
 from tgraph.cells import edge_ideal
 from tgraph import groebner
-from tgraph.groebner import (BudgetExceeded, _primitive, _spoly, buchberger,
-                             is_trivial, normal_form, quotient_dimension)
+from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _primitive, _spoly,
+                             buchberger, is_trivial, normal_form,
+                             quotient_dimension)
 from tgraph.poly import ArrowVar, Ring
 
 from oracles import brute_normal_form, membership_certificate
@@ -39,18 +40,14 @@ def test_quartic_system_is_consistent():
     gb = buchberger(small_quartic_system(r))
     assert not gb.is_trivial()
     assert is_trivial(small_quartic_system(r)) is False
-    assert quotient_dimension(gb) == 1
+    assert quotient_dimension(gb, nvars=r.nvars) == 1
 
 
 def test_zero_ideal_dimension():
-    r = ring(3)
-    gb = buchberger([])
-    assert quotient_dimension(gb, nvars=3) == 3
+    assert quotient_dimension(buchberger([]), nvars=3) == 3
+    assert quotient_dimension(GroebnerBasis([]), nvars=2) == 2
     with pytest.raises(ValueError):
-        quotient_dimension(buchberger([ring(2).one()]))
-    assert quotient_dimension([], nvars=2) == 2
-    with pytest.raises(ValueError):
-        quotient_dimension([])
+        quotient_dimension(buchberger([ring(2).one()]), nvars=2)
 
 
 def test_determinism():

@@ -27,6 +27,23 @@ def test_two_limits_of_the_quartic_pencil():
                      "x*y^3": "x^2*y^2", "x^2*y^2": "x^3*y"}
 
 
+def test_initial_ideal_reduces_each_weight_once(monkeypatch):
+    import tgraph.induced
+
+    calls = []
+    real = tgraph.induced.rref
+
+    def counted(rows, columns):
+        calls.append(1)
+        return real(rows, columns)
+
+    monkeypatch.setattr(tgraph.induced, "rref", counted)
+    M = initial_ideal(quartic_pencil(), G11, 8)
+    assert format_ideal(M) == "<x^4, y^2>"
+    # one slice per weight 0 .. (alpha + beta) * colength bound
+    assert len(calls) == (G11.alpha + G11.beta) * 8 + 1
+
+
 def test_quartic_pencil_slice_content():
     # the slice member x*y^3 + x^2*y^2/2 pins the image of x*y^3 one step
     # down the chain (no slice member leads with x*y^3 and ends lower)

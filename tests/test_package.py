@@ -126,6 +126,23 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
+    # other modules compute through Poly operations and poly.add_into
+    # rather than reading ring.coeff or building Poly terms by hand
+    found = []
+    for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
+        if path.name in ("poly.py", "groebner.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if ((isinstance(f, ast.Attribute) and f.attr == "coeff")
+                    or (isinstance(f, ast.Name) and f.id == "Poly")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_fixture_replay_without_asserts():
     done = run_python("-O", "-m", "tgraph.cli", "verify-fixtures")
     assert done.returncode == 0, done.stdout + done.stderr

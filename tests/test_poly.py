@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tgraph import poly
 from tgraph.poly import ArrowVar, Poly, Ring, arrow_ring
 
 from oracles import grevlex_key
@@ -93,6 +94,16 @@ def test_charp_ring():
     assert r.constant(Fraction(1, 2)) == r.constant(3)
     with pytest.raises(ZeroDivisionError):
         Ring((A,), char=5).constant(Fraction(1, 5))
+
+
+def test_composite_characteristic_is_rejected(monkeypatch):
+    for char in (-3, 1, 4, 6, 8, 9):
+        with pytest.raises(ValueError):
+            Ring((A, B), char=char)
+    assert Ring((A,), char=2).char == 2
+    # characteristic zero, the solver's hot case, runs no primality test
+    monkeypatch.setattr(poly, "_is_prime", None)
+    assert Ring((A, B)).char == 0
 
 
 def test_arrow_ring_order():
