@@ -14,7 +14,7 @@ from .assembly import (EdgeCache, PipelineDepth, TGraph, build_tgraph,
 from .cells import (CellBasis, EdgeIdeal, cell_generators_f, cell_generators_g,
                     edge_ideal, reduce_monomial, significant_arrows)
 from .edges import EdgeRecord, EdgeStatus, decide_edge
-from .groebner import (BudgetExceeded, GroebnerBasis, buchberger, is_trivial,
+from .groebner import (BudgetExceeded, GroebnerBasis, buchberger,
                        quotient_dimension)
 from .induced import induced_arrow_map, initial_ideal
 from .monomial import (Grading, HilbertFunction, MonomialIdeal2, colon_box,
@@ -35,7 +35,7 @@ __all__ = [
     "enumerate_arrow_maps", "enumerate_ideals", "format_ideal",
     "format_monomial", "graph_to_dot", "graph_to_json", "hilbert_function",
     "induced_arrow_map", "initial_ideal", "is_arrow_map", "is_system_of_arrows",
-    "is_trivial", "minimal_box", "parse_ideal", "parse_monomial",
+    "minimal_box", "parse_ideal", "parse_monomial",
     "quotient_dimension", "reduce_monomial", "significant_arrows",
     "table_to_csv",
 ]

@@ -6,9 +6,12 @@ Hilbert function, one record is produced.  Below full depth it comes from
 the chain of necessary conditions in ``filters_passed`` (dominance order,
 arrow map, arrow map on the box quotients).  At full depth it comes from
 ``_exact_records``, the one place the exact equation solver runs, with the
-edge cache and an optional process pool; the solver sees every
-order-comparable pair, so its verdicts stay independent of the combinatorial
-filters and can be checked against them.
+edge cache and an optional process pool; the solver sees every job and
+returns NO_EDGE at once for a pair the order does not compare, so its
+verdicts stay independent of the combinatorial filters and can be checked
+against them.  The count table walks each colength's jobs once for the
+filter columns and reads its edge column off ``build_tgraph``, so a table
+and a graph of the same colength share one set of cached records.
 """
 from __future__ import annotations
 
@@ -20,14 +23,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from math import comb, gcd
 
 from .arrows import arrow_map_exists, dual_condition, oriented_pair
 from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
-                       hilbert_function, parse_ideal)
+                       hilbert_function)
 
 SCHEMA_VERSION = "1"
 
@@ -44,18 +46,12 @@ _CONDITIONS = {depth: min(rank, 2) + 1
                for rank, depth in enumerate(PipelineDepth)}
 
 
-@lru_cache(maxsize=None)
 def coprime_gradings(bound):
     """All gradings with weights between 1 and bound, ascending."""
     return tuple(Grading(a, b)
                  for a in range(1, bound + 1)
                  for b in range(1, bound + 1)
                  if gcd(a, b) == 1)
-
-
-@lru_cache(maxsize=262144)
-def _hf(M, g):
-    return hilbert_function(M, g)
 
 
 def filters_passed(M, N, g, depth):
@@ -97,8 +93,7 @@ def _solve(todo, threads):
         yield from map(_decide, todo)
 
 
-def _exact_records(jobs, budget=DEFAULT_BUDGET, with_dimension=False,
-                   cache=None, threads=1):
+def _exact_records(jobs, budget, with_dimension, cache, threads):
     """Exact records for a list of (M, N, grading) jobs, in the same order.
 
     Cached records are read back; the rest go to the solver, on ``threads``
@@ -140,7 +135,7 @@ def pair_grading_jobs(vertices):
     for g in coprime_gradings(vertices[0].colength if vertices else 1):
         buckets = {}
         for idx, M in enumerate(vertices):
-            buckets.setdefault(_hf(M, g), []).append(idx)
+            buckets.setdefault(hilbert_function(M, g), []).append(idx)
         for members in buckets.values():
             for x in range(len(members)):
                 for y in range(x + 1, len(members)):
@@ -198,49 +193,32 @@ TABLE_HEADER = ["d", "ideals", "pairs", "pairs_ordered", "pairs_arrowmap",
 def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None):
     """One summary row: unordered-pair counts for each necessary condition.
 
-    A pair is counted for a condition when some grading (and orientation)
-    satisfies it together with every weaker condition; the edge count asks
-    for a confirmed nonempty edge scheme under some grading.
+    A pair is counted for a condition when some grading satisfies it
+    together with every weaker condition: the row records, per pair, the
+    most conditions ``filters_passed`` finds under any of its gradings.  At
+    full depth the edge count is the number of simple edges of
+    ``build_tgraph`` (a confirmed nonempty edge scheme under some grading),
+    and ``unknown`` the number of pairs with an UNKNOWN record and no EDGE
+    record.
     """
     vertices = enumerate_ideals(d)
-    by_pair = {}
-    for pair, g in pair_grading_jobs(vertices):
-        by_pair.setdefault(pair, []).append(g)
+    passed = {}
+    for (i, j), g in pair_grading_jobs(vertices):
+        level = filters_passed(vertices[i - 1], vertices[j - 1], g, depth)
+        passed[(i, j)] = max(passed.get((i, j), 0), level)
+    ordered, arrow, dual = (sum(p >= k for p in passed.values())
+                            for k in (1, 2, 3))
 
-    wanted = _CONDITIONS[depth]
-    full = depth is PipelineDepth.FULL
-    ordered = arrow = dual = 0
-    edge_pairs = []
-    for pair in sorted(by_pair):
-        M, N = vertices[pair[0] - 1], vertices[pair[1] - 1]
-        passed = 0
-        for g in by_pair[pair]:
-            passed = max(passed, filters_passed(M, N, g, depth))
-            if passed == wanted:
-                break
-        ordered += passed >= 1
-        arrow += passed >= 2
-        dual += passed >= 3
-        if full and passed:
-            edge_pairs.append(pair)
-
-    edges = unknown = 0
-    for pair in edge_pairs:
-        M, N = vertices[pair[0] - 1], vertices[pair[1] - 1]
-        saw_unknown = False
-        for g in by_pair[pair]:
-            if oriented_pair(M, N, g) is None:
-                continue
-            [record] = _exact_records([(M, N, g)], budget, cache=cache)
-            if record.status is EdgeStatus.EDGE:
-                edges += 1
-                break
-            saw_unknown |= record.status is EdgeStatus.UNKNOWN
-        else:
-            unknown += saw_unknown
-
+    edges, unknown = None, 0
+    if depth is PipelineDepth.FULL:
+        graph = build_tgraph(d, depth, budget, cache=cache)
+        edges = len(graph.simple_edges)
+        unknown = len({pair for (pair, _), rec
+                       in zip(graph.keys, graph.records)
+                       if rec.status is EdgeStatus.UNKNOWN}
+                      - graph.simple_edges)
     return CountRow(d, len(vertices), comb(len(vertices), 2), ordered,
-                    arrow, dual, edges if full else None, unknown)
+                    arrow, dual, edges, unknown)
 
 
 def count_table(d_min, d_max, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET,
@@ -274,18 +252,6 @@ def graph_to_json(graph):
         "simple_edges": sorted(list(e) for e in graph.simple_edges),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def graph_from_json(text):
-    data = json.loads(text)
-    vertices = [parse_ideal(s) for s in data["vertices"]]
-    records = [EdgeRecord.from_json(r) for r in data["records"]]
-    keys = [((k["pair"][0], k["pair"][1]),
-             Grading(k["grading"]["alpha"], k["grading"]["beta"]))
-            for k in data["keys"]]
-    simple = {tuple(e) for e in data["simple_edges"]}
-    return TGraph(data["d"], PipelineDepth(data["depth"]), vertices, records,
-                  keys, simple)
 
 
 def graph_to_dot(graph):

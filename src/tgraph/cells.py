@@ -255,16 +255,11 @@ def extremal_ideals(H, g):
     return tops[0], bottoms[0]
 
 
-def _axis_arrow_count(M):
-    """Tangent directions along the two degenerate gradings."""
-    return M.a0 + M.be
-
-
 def tangent_weight_count(M):
     """Total significant arrows over all gradings; always twice the colength."""
     from math import gcd
 
-    total = _axis_arrow_count(M)
+    total = M.a0 + M.be  # arrows of the two degenerate gradings
     bound_a = max(M.be, 1)
     bound_b = max(M.a0, 1)
     for alpha in range(1, bound_a + 1):

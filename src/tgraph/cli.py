@@ -20,7 +20,7 @@ from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        format_monomial, parse_ideal)
-from .poly import _is_prime
+from .poly import _check_char
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -317,8 +317,10 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.char and not _is_prime(args.char):
-        parser.error("--char must be 0 or a prime")
+    try:
+        _check_char(args.char)
+    except ValueError as exc:
+        parser.error(f"--char: {exc}")
     if args.budget < 1:
         parser.error("--budget must be at least 1")
     if args.threads < 1:

@@ -17,7 +17,7 @@ from .cells import edge_ideal
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, buchberger,
                        quotient_dimension)
 from .monomial import Grading, format_ideal, parse_ideal
-from .poly import Ring, _is_prime
+from .poly import Ring, _check_char
 
 
 class EdgeStatus(Enum):
@@ -84,8 +84,7 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     """
     if M == N:
         raise ValueError("edge decision needs two distinct ideals")
-    if char and not _is_prime(char):
-        raise ValueError("characteristic must be 0 or a prime")
+    _check_char(char)
     oriented = oriented_pair(M, N, g)
     if oriented is None:
         return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE, characteristic=char)

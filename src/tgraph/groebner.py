@@ -251,18 +251,6 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     return GroebnerBasis(reduced, stats=stats)
 
 
-def is_trivial(gens, budget=DEFAULT_BUDGET):
-    """True when the ideal is the whole ring; None when the budget ran out."""
-    for g in gens:
-        if g and g.total_degree() == 0:
-            return True
-    try:
-        gb = buchberger(gens, budget=budget)
-    except BudgetExceeded:
-        return None
-    return gb.is_trivial()
-
-
 def _min_hitting_set(supports, best):
     if not supports:
         return 0

@@ -120,22 +120,16 @@ def _swapped(rows):
     return [{(b, a): c for (a, b), c in row.items()} for row in rows]
 
 
-def initial_ideal(gens, g, colength_bound):
-    """Initial monomial ideal of the span of the generators, as a staircase.
-
-    Scans degree classes up to a window determined by the colength bound and
-    rejects inputs that do not define a finite-colength point (rank deficits
-    or pivot patterns that fail to form a monomial staircase).
-    """
+def _initial_slices(gens, g, colength_bound):
+    """The initial ideal, and the reduced slice of every weight it scanned."""
     wmax = (g.alpha + g.beta) * colength_bound
-    slices = []
+    slices = {}
     std_total = 0
     for w in range(wmax + 1):
         columns = g.monomials_of_weight(w)
-        piv = set(rref(_slice_rows(gens, g, w), _desc(columns)))
-        slices.append((columns, piv))
-        std_total += len(columns) - len(piv)
-    pivots_all = [m for _, piv in slices for m in piv]
+        slices[w] = rref(_slice_rows(gens, g, w), _desc(columns))
+        std_total += len(columns) - len(slices[w])
+    pivots_all = [m for piv in slices.values() for m in piv]
     minimal = [m for m in pivots_all
                if not any(u != m and u[0] <= m[0] and u[1] <= m[1]
                           for u in pivots_all)]
@@ -146,10 +140,20 @@ def initial_ideal(gens, g, colength_bound):
         raise ValueError(f"initial monomials do not form a staircase: {exc}")
     if M.colength != std_total:
         raise ValueError("rank pattern does not match a finite-colength point")
-    for columns, piv in slices:
-        if piv != {m for m in columns if M.contains(m)}:
+    for w, piv in slices.items():
+        if set(piv) != {m for m in g.monomials_of_weight(w) if M.contains(m)}:
             raise ValueError("pivot pattern is not an ideal slice")
-    return M
+    return M, slices
+
+
+def initial_ideal(gens, g, colength_bound):
+    """Initial monomial ideal of the span of the generators, as a staircase.
+
+    Scans degree classes up to a window determined by the colength bound and
+    rejects inputs that do not define a finite-colength point (rank deficits
+    or pivot patterns that fail to form a monomial staircase).
+    """
+    return _initial_slices(gens, g, colength_bound)[0]
 
 
 def induced_arrow_map(gens, g, colength_bound):
@@ -159,15 +163,13 @@ def induced_arrow_map(gens, g, colength_bound):
     opposite one.  The witness is re-validated against the map conditions,
     and RuntimeError is raised if it fails them.
     """
-    M = initial_ideal(gens, g, colength_bound)
+    M, slices = _initial_slices(gens, g, colength_bound)
     N = initial_ideal(_swapped(gens), g.swap(), colength_bound).swap()
     classes = active_classes(M, N, g)
     assignment = {}
     for w, mons_m, mons_n in classes:
         columns = _desc(g.monomials_of_weight(w))
-        piv = rref(_slice_rows(gens, g, w), columns)
-        if set(piv) != set(mons_m):
-            raise RuntimeError(f"pivots of weight {w} differ from {M}")
+        piv = slices[w]
         colpos = {c: i for i, c in enumerate(columns)}
         for m in _desc(mons_m):
             below = [piv[m2] for m2 in mons_m if m2[1] < m[1]]

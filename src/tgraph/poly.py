@@ -47,8 +47,7 @@ class Ring:
         self.index = {v: i for i, v in enumerate(self.vars)}
         if len(self.index) != len(self.vars):
             raise ValueError("duplicate variables")
-        if char and not _is_prime(char):
-            raise ValueError("characteristic must be 0 or a prime")
+        _check_char(char)
         self.char = char
 
     @property
@@ -240,15 +239,32 @@ class Poly:
         return f"Poly({self})"
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Miller-Rabin to the prime bases up to 37, exact below 3.18e23."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(s)):
             return False
-        k += 1
     return True
+
+
+def _check_char(char):
+    """Raise ValueError unless char is 0 or a prime below 2**64.
+
+    The bound keeps ``_is_prime`` well inside the range where it is exact.
+    """
+    if char >= 2 ** 64:
+        raise ValueError("characteristic must be below 2**64")
+    if char and not _is_prime(char):
+        raise ValueError("characteristic must be 0 or a prime")
 
 
 def add_into(row, key, value):

@@ -172,6 +172,18 @@ def partition_count(d):
     return table[d]
 
 
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
 def membership_certificate(f, gens, max_degree):
     """Cofactors h_i with f = sum h_i g_i and deg(h_i g_i) <= max_degree.
 

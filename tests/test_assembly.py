@@ -3,7 +3,7 @@ import json
 from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              coprime_gradings, count_row, count_table,
-                             filters_passed, graph_from_json, graph_to_csv,
+                             filters_passed, graph_to_csv,
                              graph_to_dot, graph_to_json, pair_grading_jobs,
                              table_to_csv)
 from tgraph.cells import significant_arrows
@@ -144,6 +144,30 @@ def test_column_monotonicity():
                 <= row.pairs)
 
 
+def test_full_row_under_exhausted_budgets():
+    # an exhausted budget turns an edge into an unknown, never a non-edge
+    pins = {6: [(21, 16), (27, 10), (30, 7), (31, 6)],
+            7: [(34, 18), (41, 11), (43, 9), (45, 7)]}
+    for d, expected in pins.items():
+        got = []
+        for budget in (1, 2, 4, 8):
+            row = count_row(d, PipelineDepth.FULL, budget=budget)
+            got.append((row.edges, row.unknown))
+        assert got == expected
+        full = count_row(d, PipelineDepth.FULL).edges
+        assert {edges + unknown for edges, unknown in got} == {full}
+
+
+def test_table_and_graph_share_cache_records(tmp_path):
+    cache = EdgeCache(str(tmp_path))
+    row = count_row(6, PipelineDepth.FULL, cache=cache)
+    files = sorted(tmp_path.iterdir())
+    graph = build_tgraph(6, PipelineDepth.FULL, cache=cache)
+    assert sorted(tmp_path.iterdir()) == files
+    assert len(files) == len(graph.records)
+    assert row.edges == len(graph.simple_edges)
+
+
 def test_table_csv_shape():
     text = table_to_csv(count_table(4, 5, PipelineDepth.DUAL))
     lines = text.strip().split("\n")
@@ -158,9 +182,9 @@ def test_graph_exports():
     dot = graph_to_dot(graph)
     assert dot.count(" -- ") == 8
     assert dot.count("label=") == 5 + 8
-    text = graph_to_json(graph)
-    back = graph_from_json(text)
-    assert graph_to_json(back) == text
+    data = json.loads(graph_to_json(graph))
+    assert data["simple_edges"] == sorted(map(list, FOUR_POINT_EDGES))
+    assert len(data["records"]) == len(data["keys"]) == len(graph.records)
     csv_text = graph_to_csv(graph)
     assert csv_text.splitlines()[0] == "i,j,alpha,beta,status,dimension"
     assert len(csv_text.splitlines()) == len(graph.records) + 1
@@ -169,8 +193,9 @@ def test_graph_exports():
 def test_empty_graph_export():
     graph = build_tgraph(1, PipelineDepth.FULL)
     assert graph_to_dot(graph).startswith("graph tgraph_d1 {")
-    back = graph_from_json(graph_to_json(graph))
-    assert back.simple_edges == set()
+    data = json.loads(graph_to_json(graph))
+    assert data["simple_edges"] == []
+    assert data["records"] == data["keys"] == []
 
 
 def test_cache_round_trip(tmp_path):

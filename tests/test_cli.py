@@ -92,6 +92,14 @@ def test_char_flag_validation():
     assert info.value.code == 3
 
 
+def test_char_flag_above_the_exact_primality_bound(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--char", str(2 ** 64 + 13), "edge", "<x^2, y>", "<x, y^2>",
+              "--alpha", "1", "--beta", "1"])
+    assert info.value.code == 3
+    assert "2**64" in capsys.readouterr().err
+
+
 def test_threads_flag_validation(monkeypatch):
     import tgraph.assembly
 

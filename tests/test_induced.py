@@ -17,17 +17,9 @@ def quartic_pencil():
             {(0, 4): Fraction(1)}]
 
 
-def test_two_limits_of_the_quartic_pencil():
-    M, N, witness = induced_arrow_map(quartic_pencil(), G11, 8)
-    assert format_ideal(M) == "<x^4, y^2>"
-    assert format_ideal(N) == "<x^2, y^4>"
-    moved = {format_monomial(a): format_monomial(b)
-             for a, b in witness.moved_pairs()}
-    assert moved == {"y^2": "x^2", "y^3": "x^2*y", "x*y^2": "x^3",
-                     "x*y^3": "x^2*y^2", "x^2*y^2": "x^3*y"}
-
-
-def test_initial_ideal_reduces_each_weight_once(monkeypatch):
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """A list that grows by one entry per ``induced.rref`` call."""
     import tgraph.induced
 
     calls = []
@@ -38,10 +30,31 @@ def test_initial_ideal_reduces_each_weight_once(monkeypatch):
         return real(rows, columns)
 
     monkeypatch.setattr(tgraph.induced, "rref", counted)
+    return calls
+
+
+def test_two_limits_of_the_quartic_pencil():
+    M, N, witness = induced_arrow_map(quartic_pencil(), G11, 8)
+    assert format_ideal(M) == "<x^4, y^2>"
+    assert format_ideal(N) == "<x^2, y^4>"
+    moved = {format_monomial(a): format_monomial(b)
+             for a, b in witness.moved_pairs()}
+    assert moved == {"y^2": "x^2", "y^3": "x^2*y", "x*y^2": "x^3",
+                     "x*y^3": "x^2*y^2", "x^2*y^2": "x^3*y"}
+
+
+def test_initial_ideal_reduces_each_weight_once(rref_calls):
     M = initial_ideal(quartic_pencil(), G11, 8)
     assert format_ideal(M) == "<x^4, y^2>"
     # one slice per weight 0 .. (alpha + beta) * colength bound
-    assert len(calls) == (G11.alpha + G11.beta) * 8 + 1
+    assert len(rref_calls) == (G11.alpha + G11.beta) * 8 + 1
+
+
+def test_induced_map_reuses_the_initial_slices(rref_calls):
+    induced_arrow_map(quartic_pencil(), G11, 8)
+    # 17 slices for each initial ideal, then one opposite-side reduction
+    # per member of an active class (7 of them); no slice is reduced twice
+    assert len(rref_calls) == 2 * 17 + 7
 
 
 def test_quartic_pencil_slice_content():

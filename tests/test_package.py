@@ -126,6 +126,24 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_no_memo_decorators():
+    # a key memo keeps every key alive for the life of the process; the
+    # package recomputes instead
+    found = []
+    for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
     # other modules compute through Poly operations and poly.add_into
     # rather than reading ring.coeff or building Poly terms by hand

@@ -6,7 +6,7 @@ import pytest
 from tgraph import poly
 from tgraph.poly import ArrowVar, Poly, Ring, arrow_ring
 
-from oracles import grevlex_key
+from oracles import grevlex_key, trial_division_is_prime
 
 A = ArrowVar(0, 1, 1)
 B = ArrowVar(0, 2, 1)
@@ -104,6 +104,19 @@ def test_composite_characteristic_is_rejected(monkeypatch):
     # characteristic zero, the solver's hot case, runs no primality test
     monkeypatch.setattr(poly, "_is_prime", None)
     assert Ring((A, B)).char == 0
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(-5, 20000) if poly._is_prime(n)] == [
+        n for n in range(-5, 20000) if trial_division_is_prime(n)]
+    assert poly._is_prime(2 ** 31 - 1) and poly._is_prime(2 ** 61 - 1)
+    # a Carmichael number and strong pseudoprimes to the bases 2, 3, 5, 7
+    # (3215031751) and 2 to 23 (3825123056546413051)
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not poly._is_prime(n)
+    assert poly._is_prime(2 ** 64 - 59)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        Ring((A,), char=2 ** 64 + 13)
 
 
 def test_arrow_ring_order():
