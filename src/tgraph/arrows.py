@@ -32,17 +32,28 @@ def active_classes(M, N, g):
 
     Yields (weight, members of M sorted descending, members of N likewise),
     with descending taken in the x-smaller sense (largest y-exponent first).
-    The classes differ exactly where the standard monomials differ, so only
-    those weights are visited.  Raises ValueError when the two ideals have
-    different Hilbert functions, i.e. when some class differs in size.
+    The classes differ exactly where the standard monomials differ, which
+    happens only on the rows where the two thresholds differ: row b
+    contributes the weights of x^a*y^b for a between the two thresholds.
+    Membership in a visited class is read off the rows too.  Raises
+    ValueError when the two ideals have different Hilbert functions, i.e.
+    when some class differs in size.
     """
-    std_m = set(M.standard_monomials())
-    std_n = set(N.standard_monomials())
+    rows_m, rows_n = M.rows, N.rows
+    be_m, be_n = len(rows_m), len(rows_n)
+    weights = set()
+    for b in range(max(be_m, be_n)):
+        tm = rows_m[b] if b < be_m else 0
+        tn = rows_n[b] if b < be_n else 0
+        if tm != tn:
+            w = g.beta * b
+            weights.update(range(w + g.alpha * min(tm, tn),
+                                 w + g.alpha * max(tm, tn), g.alpha))
     out = []
-    for w in sorted({g.weight(s) for s in std_m ^ std_n}):
+    for w in sorted(weights):
         chain = g.monomials_of_weight(w)[::-1]
-        in_m = tuple(m for m in chain if m not in std_m)
-        in_n = tuple(m for m in chain if m not in std_n)
+        in_m = tuple(m for m in chain if m[1] >= be_m or m[0] >= rows_m[m[1]])
+        in_n = tuple(m for m in chain if m[1] >= be_n or m[0] >= rows_n[m[1]])
         if len(in_m) != len(in_n):
             raise ValueError(
                 f"{M} and {N} have different Hilbert functions for {g}")
@@ -105,13 +116,19 @@ def _completed(classes, assignment):
                         for _, mons_m, _ in classes for m in mons_m))
 
 
-def _divisor_bound(m, ideal, dist):
-    """Tightest shift bound inherited from the in-ideal divisors of m."""
+def _divisor_bound(m, rows, dist):
+    """Tightest shift bound inherited from the in-ideal divisors of m.
+
+    ``rows`` are the staircase rows of the ideal the divisors must lie in:
+    x^a*y^b lies in it when b is past the last row or a reaches rows[b].
+    """
+    a, b = m
+    be = len(rows)
     bound = None
-    for u in ((m[0] - 1, m[1]), (m[0], m[1] - 1)):
-        if u[0] < 0 or u[1] < 0 or not ideal.contains(u):
-            continue
-        d = dist.get(u, 0)
+    if a and (b >= be or a > rows[b]):
+        bound = dist.get((a - 1, b), 0)
+    if b and (b > be or a >= rows[b - 1]):
+        d = dist.get((a, b - 1), 0)
         if bound is None or d < bound:
             bound = d
     return bound
@@ -140,7 +157,7 @@ def _distances(classes, g, assignment):
 def _bounded(ideal, dist):
     """Whether no distance exceeds the bound inherited from its divisors."""
     for m, d in dist.items():
-        bound = _divisor_bound(m, ideal, dist)
+        bound = _divisor_bound(m, ideal.rows, dist)
         if bound is not None and d > bound:
             return False
     return True
@@ -173,6 +190,7 @@ def _search(M, N, g, classes, limit):
     dist_n = {}
     chosen = []
     found = 0
+    rows_m, rows_n = M.rows, N.rows
 
     def per_class(ci):
         nonlocal found
@@ -191,7 +209,7 @@ def _search(M, N, g, classes, limit):
                 yield from per_class(ci + 1)
                 return
             m = mons_m[si]
-            cap_m = _divisor_bound(m, M, dist_m)
+            cap_m = _divisor_bound(m, rows_m, dist_m)
             for v in mons_n:
                 if v in used:
                     continue
@@ -200,7 +218,7 @@ def _search(M, N, g, classes, limit):
                 d = g.distance(m, v)
                 if cap_m is not None and d > cap_m:
                     continue
-                cap_n = _divisor_bound(v, N, dist_n)
+                cap_n = _divisor_bound(v, rows_n, dist_n)
                 if cap_n is not None and d > cap_n:
                     continue
                 chosen.append((m, v))

@@ -83,7 +83,8 @@ def _shift_element(elem, delta):
     out = {}
     for (a, b), poly in elem.items():
         a2, b2 = a + da, b + db
-        assert a2 >= 0 and b2 >= 0, "shift left the polynomial ring"
+        if a2 < 0 or b2 < 0:
+            raise RuntimeError("shift left the polynomial ring")
         out[(a2, b2)] = poly
     return out
 

@@ -6,6 +6,12 @@ Two monomials lie in the same degree class exactly when their weights
 alpha*a + beta*b agree, and each class is a finite chain under the shift
 r = x^beta * y^-alpha.
 
+An ideal is represented by its staircase rows, ``MonomialIdeal2.rows``: row b
+holds the standard monomials x^a*y^b with a < rows[b], and every row from
+``be`` on is empty.  Membership, the Hilbert function, the box quotient and
+the arrow layer's active classes all read these thresholds instead of
+building the set of standard monomials.
+
 Every layer of the package orders a class the x-smaller way: of two
 monomials in one class, the larger is the one with the larger y-exponent.
 The y-smaller order is that order after exchanging x and y, which is what
@@ -45,12 +51,14 @@ class Grading:
         return (a, b)
 
     def distance(self, m, m2):
-        """Number of r-shifts between two monomials of equal weight."""
-        if self.weight(m) != self.weight(m2):
+        """Number of r-shifts between two monomials of equal weight.
+
+        Equal weights give alpha*(a - a2) = beta*(b2 - b), and alpha is prime
+        to beta, so beta divides the difference of the x-exponents exactly.
+        """
+        if self.alpha * (m[0] - m2[0]) != self.beta * (m2[1] - m[1]):
             raise ValueError(f"monomials {m} and {m2} are not in one degree class")
-        steps, rem = divmod(abs(m[0] - m2[0]), self.beta)
-        assert rem == 0, (m, m2, self)
-        return steps
+        return abs(m[0] - m2[0]) // self.beta
 
     def monomials_of_weight(self, w):
         """All monomials of weight w, ordered by increasing y-exponent."""
@@ -72,6 +80,12 @@ class MonomialIdeal2:
     Generators are stored with strictly increasing y-exponent and strictly
     decreasing x-exponent; the first is a pure x power and the last a pure
     y power, so the quotient is finite dimensional.
+
+    ``rows`` is the representation every layer reads: a weakly decreasing
+    tuple of length ``be`` whose entry b is the least x-exponent in the
+    ideal on row b, so x^a*y^b is standard exactly when b < be and
+    a < rows[b].  It is the partition of the ideal, and its sum is
+    ``colength``.
     """
 
     gens: tuple
@@ -88,12 +102,11 @@ class MonomialIdeal2:
             raise ValueError("negative exponent in generator")
         if gens[0][1] != 0 or gens[-1][0] != 0:
             raise ValueError("infinite colength: pure powers of x and y required")
-        be = gens[-1][1]
-        thr = []
-        for b in range(be):
-            thr.append(min(a for a, bb in gens if bb <= b))
-        object.__setattr__(self, "_thr", tuple(thr))
-        object.__setattr__(self, "colength", sum(thr))
+        rows = []
+        for (a, b), (_, b2) in zip(gens, gens[1:]):
+            rows.extend([a] * (b2 - b))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "colength", sum(rows))
 
     @classmethod
     def from_partition(cls, parts):
@@ -113,7 +126,7 @@ class MonomialIdeal2:
         return cls(tuple(gens))
 
     def to_partition(self):
-        return list(self._thr)
+        return list(self.rows)
 
     @property
     def a0(self):
@@ -129,12 +142,12 @@ class MonomialIdeal2:
             return False
         if b >= self.be:
             return True
-        return a >= self._thr[b]
+        return a >= self.rows[b]
 
     def standard_monomials(self):
         """All monomials outside the ideal; their count is the colength."""
         return tuple(
-            (a, b) for b in range(self.be) for a in range(self._thr[b])
+            (a, b) for b, t in enumerate(self.rows) for a in range(t)
         )
 
     def j_index(self, m):
@@ -172,11 +185,15 @@ class HilbertFunction:
 
 
 def hilbert_function(M, g):
-    """Count standard monomials of M per degree class."""
+    """Count standard monomials of M per degree class, row by row.
+
+    Row b contributes the weights beta*b + alpha*a for a < rows[b].
+    """
     counts = {}
-    for m in M.standard_monomials():
-        w = g.weight(m)
-        counts[w] = counts.get(w, 0) + 1
+    for b, t in enumerate(M.rows):
+        w = g.beta * b
+        for x in range(w, w + g.alpha * t, g.alpha):
+            counts[x] = counts.get(x, 0) + 1
     return HilbertFunction(tuple(sorted(counts.items())))
 
 
@@ -184,15 +201,14 @@ def colon_box(box, M):
     """Quotient of the complete-intersection box ideal <x^r1, y^r2> by M.
 
     The box exponents must satisfy x^r1, y^r2 in M.  The result is again a
-    finite-colength monomial ideal, of colength r1*r2 - colength(M).
+    finite-colength monomial ideal, of colength r1*r2 - colength(M).  Its
+    rows are M's rows reflected in the box: row b of the quotient has
+    threshold r1 - rows[r2 - 1 - b], where M's rows from ``be`` on are 0.
     """
     r1, r2 = box
     if r1 < M.a0 or r2 < M.be:
         raise ValueError(f"box ({r1},{r2}) does not contain the pure powers of {M}")
-    thr = []
-    for b in range(r2):
-        need = [r1 - ga for ga, gb in M.gens if gb + b < r2]
-        thr.append(max(0, max(need, default=0)))
+    thr = [r1] * (r2 - M.be) + [r1 - t for t in reversed(M.rows)]
     while thr and thr[-1] == 0:
         thr.pop()
     if not thr:

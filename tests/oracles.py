@@ -61,6 +61,33 @@ def brute_arrow_check(M, N, g, assignment, pad=3):
     return True
 
 
+def brute_rows(M):
+    """Staircase rows as the least x-exponent among generators at or below
+    each row."""
+    return tuple(min(a for a, bb in M.gens if bb <= b) for b in range(M.be))
+
+
+def brute_hilbert_function(M, g):
+    """Weight-indexed counts taken over the listed standard monomials."""
+    counts = {}
+    for m in M.standard_monomials():
+        w = g.weight(m)
+        counts[w] = counts.get(w, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def brute_colon_box(box, M):
+    """Row thresholds of the box quotient, scanning the generators per row."""
+    r1, r2 = box
+    thr = []
+    for b in range(r2):
+        need = [r1 - ga for ga, gb in M.gens if gb + b < r2]
+        thr.append(max(0, max(need, default=0)))
+    while thr and thr[-1] == 0:
+        thr.pop()
+    return tuple(thr)
+
+
 def brute_active_classes(M, N, g):
     """Differing degree classes, by walking every class of the support."""
     support = sorted({g.weight(s) for s in M.standard_monomials()}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import gcd
 
@@ -5,9 +7,11 @@ import pytest
 
 from tgraph.arrows import (active_classes, arrow_map_exists, dominates,
                            dual_condition, enumerate_arrow_maps, is_arrow_map,
-                           is_system_of_arrows)
+                           is_system_of_arrows, oriented_pair)
+from tgraph.assembly import pair_grading_jobs
 from tgraph.monomial import (Grading, colon_box, enumerate_ideals,
-                             hilbert_function, parse_ideal, parse_monomial)
+                             hilbert_function, minimal_box, parse_ideal,
+                             parse_monomial)
 
 from oracles import brute_active_classes, brute_arrow_check, brute_dominates
 
@@ -50,6 +54,9 @@ def test_partial_order_requires_equal_hilbert_functions(call, swapped):
 
 
 def test_active_classes_match_the_walk_over_every_class():
+    # every pair, and the box quotients of every comparable pair, whose
+    # active region is only as large as the pair's own
+    boxes = 0
     for d in range(1, 8):
         pool = enumerate_ideals(d)
         gradings = [Grading(a, b) for a in range(1, d + 1)
@@ -57,12 +64,20 @@ def test_active_classes_match_the_walk_over_every_class():
         for M in pool:
             for N in pool:
                 for g in gradings:
-                    if hilbert_function(M, g) == hilbert_function(N, g):
-                        assert (active_classes(M, N, g)
-                                == brute_active_classes(M, N, g))
-                    else:
+                    if hilbert_function(M, g) != hilbert_function(N, g):
                         with pytest.raises(ValueError):
                             active_classes(M, N, g)
+                        continue
+                    assert (active_classes(M, N, g)
+                            == brute_active_classes(M, N, g))
+                    if not dominates(M, N, g):
+                        continue
+                    box = minimal_box(M, N)
+                    qm, qn = colon_box(box, M), colon_box(box, N)
+                    assert (active_classes(qm, qn, g)
+                            == brute_active_classes(qm, qn, g))
+                    boxes += 1
+    assert boxes == 1111
 
 
 def test_order_is_antisymmetric_and_transitive():
@@ -280,3 +295,29 @@ def test_witness_json_schema():
                   ["x*y^2", "x^3"], ["x*y^3", "x^3*y"],
                   ["x*y^4", "x^2*y^3"], ["x^2*y^2", "x^4"],
                   ["x^2*y^3", "x^3*y^2"], ["x^3*y^2", "x^4*y"]]}
+
+
+def test_witnesses_through_colength_9_are_pinned():
+    # which map the search returns, for the pair and for its box quotients,
+    # under every oriented job a graph of its colength examines; recorded
+    # before the search's divisor bounds read the staircase rows
+    def printed(witness):
+        return None if witness is None else witness.to_json()
+
+    digest = hashlib.sha256()
+    count = found = 0
+    for d in range(2, 10):
+        vertices = enumerate_ideals(d)
+        for (i, j), g in pair_grading_jobs(vertices):
+            pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
+            if pair is None:
+                continue
+            witness = arrow_map_exists(*pair, g)
+            dual, box = dual_condition(*pair, g)
+            count += 1
+            found += witness is not None
+            digest.update(json.dumps(
+                [printed(witness), printed(dual), box]).encode())
+    assert (count, found) == (387, 381)
+    assert digest.hexdigest() == (
+        "03c3f0b307a9a03d86ade637d6220c561a68f4f1089029889f4cc975402786b4")

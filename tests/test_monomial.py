@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +8,8 @@ from tgraph.monomial import (Grading, MonomialIdeal2, colon_box,
                              hilbert_function, minimal_box, parse_ideal,
                              parse_monomial, partitions)
 
-from oracles import partition_count
+from oracles import (box_monomials, brute_colon_box, brute_hilbert_function,
+                     brute_rows, partition_count)
 
 G11 = Grading(1, 1)
 G12 = Grading(1, 2)
@@ -51,8 +54,6 @@ def test_grading_validation():
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
        st.integers(0, 12), st.integers(1, 6), st.integers(1, 6))
 def test_weight_equality_is_shift_equivalence(a, b, a2, b2, alpha, beta):
-    from math import gcd
-
     if gcd(alpha, beta) != 1:
         alpha, beta = 1, 1
     g = Grading(alpha, beta)
@@ -113,6 +114,28 @@ def test_colon_examples():
     assert colon_box((5, 5), Q) == parse_ideal("<1>")
     with pytest.raises(ValueError):
         colon_box((4, 5), M)
+
+
+def test_rows_match_the_generator_formulas_through_colength_10():
+    # rows, Hilbert functions and box quotients against the formulas that
+    # scan generators and standard monomials, under every coprime grading
+    # with weights up to the colength and every box up to 3 past the least
+    for d in range(1, 11):
+        gradings = [Grading(a, b) for a in range(1, d + 1)
+                    for b in range(1, d + 1) if gcd(a, b) == 1]
+        for M in enumerate_ideals(d):
+            assert M.rows == brute_rows(M)
+            std = {m for m in box_monomials(M.a0, M.be)
+                   if not any(m[0] >= a and m[1] >= b for a, b in M.gens)}
+            assert set(M.standard_monomials()) == std
+            for g in gradings:
+                assert (hilbert_function(M, g).values
+                        == brute_hilbert_function(M, g))
+            for r1 in range(M.a0, M.a0 + 4):
+                for r2 in range(M.be, M.be + 4):
+                    Q = colon_box((r1, r2), M)
+                    assert Q.rows == brute_colon_box((r1, r2), M)
+                    assert Q.rows == brute_rows(Q)
 
 
 def test_colon_duality_random():

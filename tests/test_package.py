@@ -161,6 +161,37 @@ def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
     assert found == []
 
 
+def test_no_assert_outside_strolls():
+    # python -O strips assert statements, so a check the package relies on
+    # raises instead; strolls is the reference route, kept as written
+    found = []
+    for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
+        if path.name == "strolls.py":
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_hot_path_reads_rows_not_standard_monomial_sets():
+    # the arrow and assembly layers, the Hilbert function and the box
+    # quotient compute from the staircase rows
+    package = pathlib.Path(tgraph.__file__).parent
+    scopes = [ast.parse((package / name).read_text())
+              for name in ("arrows.py", "assembly.py")]
+    scopes += [node for node in ast.walk(
+                   ast.parse((package / "monomial.py").read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("hilbert_function", "colon_box")]
+    assert len(scopes) == 4
+    found = [node.lineno for scope in scopes for node in ast.walk(scope)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "standard_monomials"]
+    assert found == []
+
+
 def test_fixture_replay_without_asserts():
     done = run_python("-O", "-m", "tgraph.cli", "verify-fixtures")
     assert done.returncode == 0, done.stdout + done.stderr
