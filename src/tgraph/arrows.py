@@ -215,7 +215,8 @@ def _search(M, N, g, classes, limit):
                     continue
                 if v[1] > m[1]:
                     continue
-                d = g.distance(m, v)
+                # one class, v[1] <= m[1]: each shift lowers y by alpha
+                d = (m[1] - v[1]) // g.alpha
                 if cap_m is not None and d > cap_m:
                     continue
                 cap_n = _divisor_bound(v, rows_n, dist_n)
@@ -276,8 +277,13 @@ def dual_condition(M, N, g, box=None):
 
     The default box uses the least pure powers lying in both ideals; a caller
     may pass a larger one to probe dependence on that choice.
+
+    The quotients are the pair reflected in the box.  With W the weight of
+    the box's corner x^(r1-1)*y^(r2-1), the quotient q of M has
+    HF_q(w) = HF_box(W - w) - HF_M(W - w), so the two quotients share a
+    Hilbert function exactly when M and N do, and the arrow-map test on
+    them raises ValueError when the pair's Hilbert functions differ.
     """
-    active_classes(M, N, g)  # the Hilbert-function guard on the pair itself
     if box is None:
         box = minimal_box(M, N)
     qm = colon_box(box, M)

@@ -2,7 +2,10 @@
 
 Vertices are the monomial ideals of colength d in partition order.  For every
 unordered pair and every coprime grading under which the two ideals share a
-Hilbert function, one record is produced.  Below full depth it comes from
+Hilbert function, one record is produced.  ``pair_grading_jobs`` finds those
+jobs by grouping the ideals on the first two power sums of their standard
+weights, which equal Hilbert functions always share, and builds Hilbert
+functions only inside groups of two or more.  Below full depth it comes from
 the chain of necessary conditions in ``filters_passed`` (dominance order,
 arrow map, arrow map on the box quotients).  At full depth it comes from
 ``_exact_records``, the one place the exact equation solver runs, with the
@@ -23,6 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from math import comb, gcd
 
 from .arrows import arrow_map_exists, dual_condition, oriented_pair
@@ -129,17 +133,51 @@ class TGraph:
         return out
 
 
+def _power_sums(M):
+    """Sums of a, b, a^2, a*b and b^2 over the standard monomials x^a*y^b.
+
+    Row b with threshold t holds a = 0, ..., t - 1, so each sum is closed
+    form in t.
+    """
+    sa = sb = saa = sab = sbb = 0
+    for b, t in enumerate(M.rows):
+        tri = t * (t - 1) // 2
+        sa += tri
+        sb += b * t
+        saa += (t - 1) * t * (2 * t - 1) // 6
+        sab += b * tri
+        sbb += b * b * t
+    return sa, sb, saa, sab, sbb
+
+
 def pair_grading_jobs(vertices):
-    """All (pair index, grading) jobs with matching Hilbert functions."""
+    """All (pair index, grading) jobs with matching Hilbert functions.
+
+    Under a grading the first two power sums of an ideal's standard weights
+    follow from ``_power_sums``.  Equal Hilbert functions mean equal
+    multisets of weights, hence equal power sums, so the ideals are grouped
+    by those two sums first and ``hilbert_function`` decides the pairs only
+    inside groups of two or more: the jobs are exactly those of bucketing
+    every ideal by its Hilbert function.
+    """
+    sums = [_power_sums(M) for M in vertices]
     jobs = []
     for g in coprime_gradings(vertices[0].colength if vertices else 1):
-        buckets = {}
-        for idx, M in enumerate(vertices):
-            buckets.setdefault(hilbert_function(M, g), []).append(idx)
-        for members in buckets.values():
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    jobs.append(((members[x] + 1, members[y] + 1), g))
+        a, b = g.alpha, g.beta
+        groups = {}
+        for idx, (sa, sb, saa, sab, sbb) in enumerate(sums):
+            key = (a * sa + b * sb,
+                   a * a * saa + 2 * a * b * sab + b * b * sbb)
+            groups.setdefault(key, []).append(idx)
+        for group in groups.values():
+            if len(group) < 2:
+                continue
+            buckets = {}
+            for idx in group:
+                buckets.setdefault(hilbert_function(vertices[idx], g),
+                                   []).append(idx + 1)
+            for members in buckets.values():
+                jobs.extend((pair, g) for pair in combinations(members, 2))
     jobs.sort(key=lambda job: (job[0], (job[1].alpha, job[1].beta)))
     return jobs
 

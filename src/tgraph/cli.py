@@ -2,13 +2,15 @@
 
 Exit codes: 0 for success or a confirmed positive verdict, 1 for a negative
 verdict (no map, no edge, a failed fixture), 2 for an undecided verdict
-(budget exhausted), 3 and up for usage, input or file-system errors.
+(budget exhausted), 3 and up for usage, input or file-system errors, and
+for a pool worker that dies during a threaded build.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .arrows import (arrow_map_exists, dual_condition, enumerate_arrow_maps,
@@ -329,7 +331,7 @@ def main(argv=None):
         parser.error("--limit must be at least 1")
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenProcessPool) as exc:
         sys.stderr.write(f"tgraph: {exc}\n")
         return EXIT_ERROR
 

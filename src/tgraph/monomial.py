@@ -61,13 +61,15 @@ class Grading:
         return abs(m[0] - m2[0]) // self.beta
 
     def monomials_of_weight(self, w):
-        """All monomials of weight w, ordered by increasing y-exponent."""
-        out = []
-        for b in range(w // self.beta + 1):
-            rest = w - self.beta * b
-            if rest % self.alpha == 0:
-                out.append((rest // self.alpha, b))
-        return out
+        """All monomials of weight w, ordered by increasing y-exponent.
+
+        alpha divides w - beta*b exactly when b is w/beta mod alpha, so the
+        y-exponents form one residue class, stepped through directly.
+        """
+        alpha, beta = self.alpha, self.beta
+        first = w * pow(beta, -1, alpha) % alpha
+        return [((w - beta * b) // alpha, b)
+                for b in range(first, w // beta + 1, alpha)]
 
     def swap(self):
         return Grading(self.beta, self.alpha)

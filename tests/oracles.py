@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from tgraph.monomial import Grading, MonomialIdeal2
 
@@ -88,14 +89,45 @@ def brute_colon_box(box, M):
     return tuple(thr)
 
 
+def brute_monomials_of_weight(g, w):
+    """Monomials of weight w, testing every y-exponent up to w // beta."""
+    out = []
+    for b in range(w // g.beta + 1):
+        rest = w - g.beta * b
+        if rest % g.alpha == 0:
+            out.append((rest // g.alpha, b))
+    return out
+
+
+def hf_bucket_jobs(vertices, bound):
+    """(pair, grading) jobs by bucketing every ideal on its Hilbert
+    function, counted over its listed standard monomials."""
+    jobs = []
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            if gcd(a, b) != 1:
+                continue
+            g = Grading(a, b)
+            buckets = {}
+            for idx, M in enumerate(vertices, start=1):
+                buckets.setdefault(brute_hilbert_function(M, g),
+                                   []).append(idx)
+            for members in buckets.values():
+                jobs.extend(((i, j), g) for i in members for j in members
+                            if i < j)
+    return sorted(jobs, key=lambda job: (job[0], (job[1].alpha,
+                                                  job[1].beta)))
+
+
 def brute_active_classes(M, N, g):
     """Differing degree classes, by walking every class of the support."""
     support = sorted({g.weight(s) for s in M.standard_monomials()}
                      | {g.weight(s) for s in N.standard_monomials()})
     out = []
     for w in support:
-        in_m = [m for m in g.monomials_of_weight(w) if M.contains(m)]
-        in_n = [m for m in g.monomials_of_weight(w) if N.contains(m)]
+        chain = brute_monomials_of_weight(g, w)
+        in_m = [m for m in chain if M.contains(m)]
+        in_n = [m for m in chain if N.contains(m)]
         if in_m != in_n:
             out.append((w, tuple(reversed(in_m)), tuple(reversed(in_n))))
     return out

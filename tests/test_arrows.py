@@ -80,6 +80,22 @@ def test_active_classes_match_the_walk_over_every_class():
     assert boxes == 1111
 
 
+def test_box_quotients_share_a_hilbert_function_exactly_when_the_pair_does():
+    # dual_condition relies on this instead of checking the pair itself
+    for d in range(1, 9):
+        pool = enumerate_ideals(d)
+        gradings = [Grading(a, b) for a in range(1, d + 1)
+                    for b in range(1, d + 1) if gcd(a, b) == 1]
+        for x, M in enumerate(pool):
+            for N in pool[x + 1:]:
+                box = minimal_box(M, N)
+                qm, qn = colon_box(box, M), colon_box(box, N)
+                for g in gradings:
+                    assert ((hilbert_function(M, g) == hilbert_function(N, g))
+                            == (hilbert_function(qm, g)
+                                == hilbert_function(qn, g)))
+
+
 def test_order_is_antisymmetric_and_transitive():
     rng = random.Random(5)
     for d in (4, 5, 6):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+from tgraph import assembly
 from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              coprime_gradings, count_row, count_table,
@@ -11,7 +13,7 @@ from tgraph.edges import EdgeStatus, oriented_pair
 from tgraph.groebner import DEFAULT_BUDGET
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
-from oracles import sample_two_sided_edges
+from oracles import hf_bucket_jobs, sample_two_sided_edges
 
 G11 = Grading(1, 1)
 
@@ -32,6 +34,32 @@ def test_candidate_gradings_examples():
                               parse_ideal("<x^2, x*y, y^3>")]) == []
     assert pair_grading_jobs([parse_ideal("<x, y>"),
                               parse_ideal("<x^2, y>")]) == []
+
+
+def test_jobs_match_hilbert_function_buckets():
+    for d in range(1, 13):
+        vertices = enumerate_ideals(d)
+        assert pair_grading_jobs(vertices) == hf_bucket_jobs(vertices, d)
+
+
+def test_jobs_for_colengths_13_to_16_are_pinned(monkeypatch):
+    # the job list was recorded while every ideal got a Hilbert function per
+    # grading (90657 calls); grouping on weight power sums first leaves
+    # 7342, and the count moves only with that grouping
+    calls = []
+    real = assembly.hilbert_function
+
+    def counted(M, g):
+        calls.append(None)
+        return real(M, g)
+
+    monkeypatch.setattr(assembly, "hilbert_function", counted)
+    jobs = [[d, i, j, g.alpha, g.beta] for d in range(13, 17)
+            for (i, j), g in pair_grading_jobs(enumerate_ideals(d))]
+    assert len(jobs) == 9105
+    assert hashlib.sha256(json.dumps(jobs).encode()).hexdigest() == (
+        "9e4c47181508eb465f006e8c5d05d8e8e3f3b8ff898bf806e7543602222782f9")
+    assert len(calls) == 7342
 
 
 def test_candidate_census_totals():

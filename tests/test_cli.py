@@ -1,8 +1,12 @@
 import json
+import os
 
 import pytest
 
+from tgraph import assembly
 from tgraph.cli import main
+from tgraph.edges import EdgeRecord
+from tgraph.monomial import enumerate_ideals
 
 
 def run(capsys, *argv):
@@ -136,6 +140,46 @@ def test_cache_dir_that_is_a_file_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
     assert path.read_text(encoding="utf-8") == "not a directory"
+
+
+def _last_job(d):
+    vertices = enumerate_ideals(d)
+    (i, j), g = assembly.pair_grading_jobs(vertices)[-1]
+    return vertices[i - 1], vertices[j - 1], g
+
+
+_FATAL_JOB = _last_job(7)
+
+
+def _worker_dies_on_one_job(job):
+    # Module level, so the pool can pickle it by name.
+    if job[:3] == _FATAL_JOB:
+        os._exit(1)
+    return assembly._decide(job)
+
+
+def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
+                                                        monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(assembly, "_full_job", _worker_dies_on_one_job)
+    code, out, err = run(capsys, "--cache-dir", str(cache), "--threads", "2",
+                         "tgraph", "7", "--depth", "full", "--format", "csv")
+    monkeypatch.undo()
+    assert code == 3
+    assert out == "" and err.startswith("tgraph: ")
+    assert "Traceback" not in err
+    written = sorted(cache.iterdir())
+    assert written
+    for path in written:
+        assert path.suffix == ".json"
+        EdgeRecord.from_json(json.loads(path.read_text(encoding="utf-8")))
+
+    code, clean, _ = run(capsys, "tgraph", "7", "--format", "csv")
+    assert code == 0
+    code, resumed, _ = run(capsys, "--cache-dir", str(cache), "--threads",
+                           "1", "tgraph", "7", "--format", "csv")
+    assert code == 0
+    assert resumed == clean
 
 
 def test_tgraph_formats(tmp_path, capsys):

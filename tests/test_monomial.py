@@ -9,7 +9,7 @@ from tgraph.monomial import (Grading, MonomialIdeal2, colon_box,
                              parse_monomial, partitions)
 
 from oracles import (box_monomials, brute_colon_box, brute_hilbert_function,
-                     brute_rows, partition_count)
+                     brute_monomials_of_weight, brute_rows, partition_count)
 
 G11 = Grading(1, 1)
 G12 = Grading(1, 2)
@@ -197,6 +197,17 @@ def test_compare_total_order_within_class(weights, w):
     assert all(m[1] < m2[1] for m, m2 in zip(mons, mons[1:]))
     # and exchanging x and y orders it in the opposite direction
     assert [m[::-1] for m in mons] == g.swap().monomials_of_weight(w)[::-1]
+
+
+def test_monomials_of_weight_matches_the_walk_over_every_y_exponent():
+    for alpha in range(1, 17):
+        for beta in range(1, 17):
+            if gcd(alpha, beta) != 1:
+                continue
+            g = Grading(alpha, beta)
+            for w in range(61):
+                assert (g.monomials_of_weight(w)
+                        == brute_monomials_of_weight(g, w))
 
 
 def test_minimal_box():
