@@ -14,6 +14,10 @@ because an order-decreasing bijection of a finite chain onto itself is the
 identity; distance bounds propagating from there are zero, which the checker
 and the search both encode.
 
+The search is one loop over an explicit stack.  The order in which it tries
+sources and targets, fixed in ``_search``, decides which map it finds first;
+every map it finds is checked again, independently, before it is returned.
+
 Every function here works on the x-smaller side, where the larger monomial of
 a class is the one with the larger y-exponent.  The y-smaller side of a pair
 is the x-smaller side of the pair with x and y exchanged: call the same
@@ -35,29 +39,42 @@ def active_classes(M, N, g):
     The classes differ exactly where the standard monomials differ, which
     happens only on the rows where the two thresholds differ: row b
     contributes the weights of x^a*y^b for a between the two thresholds.
-    Membership in a visited class is read off the rows too.  Raises
+    Each such class is stepped through once, from its top y-exponent down,
+    and both ideals' membership is read off their rows in that pass.  Raises
     ValueError when the two ideals have different Hilbert functions, i.e.
     when some class differs in size.
     """
     rows_m, rows_n = M.rows, N.rows
     be_m, be_n = len(rows_m), len(rows_n)
+    alpha, beta = g.alpha, g.beta
     weights = set()
     for b in range(max(be_m, be_n)):
         tm = rows_m[b] if b < be_m else 0
         tn = rows_n[b] if b < be_n else 0
         if tm != tn:
-            w = g.beta * b
-            weights.update(range(w + g.alpha * min(tm, tn),
-                                 w + g.alpha * max(tm, tn), g.alpha))
+            w = beta * b
+            weights.update(range(w + alpha * min(tm, tn),
+                                 w + alpha * max(tm, tn), alpha))
+    inv = pow(beta, -1, alpha)
     out = []
     for w in sorted(weights):
-        chain = g.monomials_of_weight(w)[::-1]
-        in_m = tuple(m for m in chain if m[1] >= be_m or m[0] >= rows_m[m[1]])
-        in_n = tuple(m for m in chain if m[1] >= be_n or m[0] >= rows_n[m[1]])
+        # the class's y-exponents are b = w/beta mod alpha; start at the top
+        top = w // beta
+        b = top - (top - w * inv) % alpha
+        a = (w - beta * b) // alpha
+        in_m = []
+        in_n = []
+        while b >= 0:
+            if b >= be_m or a >= rows_m[b]:
+                in_m.append((a, b))
+            if b >= be_n or a >= rows_n[b]:
+                in_n.append((a, b))
+            a += beta
+            b -= alpha
         if len(in_m) != len(in_n):
             raise ValueError(
                 f"{M} and {N} have different Hilbert functions for {g}")
-        out.append((w, in_m, in_n))
+        out.append((w, tuple(in_m), tuple(in_n)))
     return out
 
 
@@ -116,14 +133,14 @@ def _completed(classes, assignment):
                         for _, mons_m, _ in classes for m in mons_m))
 
 
-def _divisor_bound(m, rows, dist):
+def _divisor_bound(m, rows, be, dist):
     """Tightest shift bound inherited from the in-ideal divisors of m.
 
-    ``rows`` are the staircase rows of the ideal the divisors must lie in:
-    x^a*y^b lies in it when b is past the last row or a reaches rows[b].
+    ``rows`` are the staircase rows of the ideal the divisors must lie in,
+    and ``be`` their count: x^a*y^b lies in it when b >= be or a reaches
+    rows[b].
     """
     a, b = m
-    be = len(rows)
     bound = None
     if a and (b >= be or a > rows[b]):
         bound = dist.get((a - 1, b), 0)
@@ -156,8 +173,10 @@ def _distances(classes, g, assignment):
 
 def _bounded(ideal, dist):
     """Whether no distance exceeds the bound inherited from its divisors."""
+    rows = ideal.rows
+    be = len(rows)
     for m, d in dist.items():
-        bound = _divisor_bound(m, ideal.rows, dist)
+        bound = _divisor_bound(m, rows, be, dist)
         if bound is not None and d > bound:
             return False
     return True
@@ -180,61 +199,70 @@ def is_system_of_arrows(M, N, g, assignment):
 
 
 def _search(M, N, g, classes, limit):
-    """Backtracking enumeration of arrow maps.
+    """Backtracking enumeration of arrow maps, as one loop over a stack.
 
-    Classes are processed by increasing weight; the shift bounds flow from
-    divisors already assigned, so the per-class constraints are exactly the
-    three defining conditions.
+    The active region is flattened into slots (m, N's members of m's
+    class): class by class in increasing weight, each class of M largest
+    first.  Each slot tries N's members largest first.  Those two orders fix
+    the order in which the maps come out.  ``stack[i]`` is the index of the
+    next candidate slot i tries, ``chosen[i]`` its current target and
+    ``caps[i]`` the shift bound its source inherits; a target is taken
+    exactly when it is a key of ``dist_n``.  The divisors of a monomial lie in lighter classes, so their shifts are
+    already fixed when its slot is reached; the checks at a slot are exactly
+    the three defining conditions.
     """
+    if limit == 0:
+        return
+    slots = [(m, mons_n) for _, mons_m, mons_n in classes for m in mons_m]
+    if not slots:
+        yield {}
+        return
+    sources = [m for m, _ in slots]
+    last = len(slots) - 1
+    alpha = g.alpha
+    rows_m, rows_n = M.rows, N.rows
+    be_m, be_n = len(rows_m), len(rows_n)
     dist_m = {}
     dist_n = {}
     chosen = []
+    stack = [0]
+    caps = [_divisor_bound(sources[0], rows_m, be_m, dist_m)]
     found = 0
-    rows_m, rows_n = M.rows, N.rows
-
-    def per_class(ci):
-        nonlocal found
-        if limit is not None and found >= limit:
+    while stack:
+        i = len(stack) - 1
+        m, cands = slots[i]
+        if len(chosen) > i:
+            # back at slot i: release its current target
+            del dist_n[chosen.pop()]
+            del dist_m[m]
+        cap_m = caps[i]
+        for k in range(stack[i], len(cands)):
+            v = cands[k]
+            if v in dist_n or v[1] > m[1]:
+                continue
+            # one class, v[1] <= m[1]: each shift lowers y by alpha
+            d = (m[1] - v[1]) // alpha
+            if cap_m is not None and d > cap_m:
+                continue
+            cap_n = _divisor_bound(v, rows_n, be_n, dist_n)
+            if cap_n is not None and d > cap_n:
+                continue
+            break
+        else:
+            stack.pop()
+            caps.pop()
+            continue
+        stack[i] = k + 1
+        chosen.append(v)
+        dist_m[m] = dist_n[v] = d
+        if i < last:
+            stack.append(0)
+            caps.append(_divisor_bound(sources[i + 1], rows_m, be_m, dist_m))
+            continue
+        found += 1
+        yield dict(zip(sources, chosen))
+        if found == limit:
             return
-        if ci == len(classes):
-            found += 1
-            yield dict(chosen)
-            return
-        _, mons_m, mons_n = classes[ci]
-
-        def assign(si, used):
-            if limit is not None and found >= limit:
-                return
-            if si == len(mons_m):
-                yield from per_class(ci + 1)
-                return
-            m = mons_m[si]
-            cap_m = _divisor_bound(m, rows_m, dist_m)
-            for v in mons_n:
-                if v in used:
-                    continue
-                if v[1] > m[1]:
-                    continue
-                # one class, v[1] <= m[1]: each shift lowers y by alpha
-                d = (m[1] - v[1]) // g.alpha
-                if cap_m is not None and d > cap_m:
-                    continue
-                cap_n = _divisor_bound(v, rows_n, dist_n)
-                if cap_n is not None and d > cap_n:
-                    continue
-                chosen.append((m, v))
-                dist_m[m] = d
-                dist_n[v] = d
-                used.add(v)
-                yield from assign(si + 1, used)
-                used.discard(v)
-                del dist_m[m]
-                del dist_n[v]
-                chosen.pop()
-
-        yield from assign(0, set())
-
-    yield from per_class(0)
 
 
 def find_arrow_maps(M, N, g, limit=1):

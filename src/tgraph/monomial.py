@@ -118,14 +118,23 @@ class MonomialIdeal2:
             p < q for p, q in zip(parts, parts[1:])
         ):
             raise ValueError(f"not a partition: {parts}")
-        thr = parts + [0]
-        gens = []
-        prev = None
-        for b, t in enumerate(thr):
-            if prev is None or t < prev:
-                gens.append((t, b))
-                prev = t
-        return cls(tuple(gens))
+        return cls._from_rows(tuple(parts))
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """Build from rows already known to be a partition, without checks.
+
+        The generators sit at the corners of the staircase: x^t*y^b for
+        each row b whose threshold t drops below the row before, and y^be.
+        """
+        gens = [(t, b) for b, t in enumerate(rows)
+                if b == 0 or t < rows[b - 1]]
+        gens.append((0, len(rows)))
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "gens", tuple(gens))
+        object.__setattr__(ideal, "rows", rows)
+        object.__setattr__(ideal, "colength", sum(rows))
+        return ideal
 
     def to_partition(self):
         return list(self.rows)
@@ -215,7 +224,7 @@ def colon_box(box, M):
         thr.pop()
     if not thr:
         return UNIT_IDEAL
-    return MonomialIdeal2.from_partition(thr)
+    return MonomialIdeal2._from_rows(tuple(thr))
 
 
 def minimal_box(M, N):

@@ -146,6 +146,106 @@ def brute_dominates(M, N, g):
     return True
 
 
+def brute_arrow_maps(M, N, g):
+    """Every arrow map from M onto N, by trying each per-class bijection.
+
+    Walks all permutations of every differing class, found by
+    ``brute_active_classes``, and keeps the assignments that pass the
+    literal check over a padded box.  The two ideals must share a Hilbert
+    function.
+    """
+    classes = brute_active_classes(M, N, g)
+    maps = []
+
+    def rec(i, assignment):
+        if i == len(classes):
+            if brute_arrow_check(M, N, g, dict(assignment)):
+                maps.append(dict(assignment))
+            return
+        _, mm, nn = classes[i]
+        for perm in permutations(range(len(nn))):
+            rec(i + 1, assignment + [(m, nn[k]) for m, k in zip(mm, perm)])
+
+    rec(0, [])
+    return maps
+
+
+def _recursive_divisor_bound(m, rows, dist):
+    """Tightest shift bound inherited from the in-ideal divisors of m.
+
+    ``rows`` are the staircase rows of the ideal the divisors must lie in:
+    x^a*y^b lies in it when b is past the last row or a reaches rows[b].
+    """
+    a, b = m
+    be = len(rows)
+    bound = None
+    if a and (b >= be or a > rows[b]):
+        bound = dist.get((a - 1, b), 0)
+    if b and (b > be or a >= rows[b - 1]):
+        d = dist.get((a, b - 1), 0)
+        if bound is None or d < bound:
+            bound = d
+    return bound
+
+
+def recursive_arrow_search(M, N, g, classes, limit):
+    """The arrow-map search as nested generators, one frame per monomial.
+
+    The reference for the enumeration order of ``arrows._search``: classes
+    by increasing weight, each class of M largest first, each candidate of
+    N largest first.
+    """
+    dist_m = {}
+    dist_n = {}
+    chosen = []
+    found = 0
+    rows_m, rows_n = M.rows, N.rows
+
+    def per_class(ci):
+        nonlocal found
+        if limit is not None and found >= limit:
+            return
+        if ci == len(classes):
+            found += 1
+            yield dict(chosen)
+            return
+        _, mons_m, mons_n = classes[ci]
+
+        def assign(si, used):
+            if limit is not None and found >= limit:
+                return
+            if si == len(mons_m):
+                yield from per_class(ci + 1)
+                return
+            m = mons_m[si]
+            cap_m = _recursive_divisor_bound(m, rows_m, dist_m)
+            for v in mons_n:
+                if v in used:
+                    continue
+                if v[1] > m[1]:
+                    continue
+                # one class, v[1] <= m[1]: each shift lowers y by alpha
+                d = (m[1] - v[1]) // g.alpha
+                if cap_m is not None and d > cap_m:
+                    continue
+                cap_n = _recursive_divisor_bound(v, rows_n, dist_n)
+                if cap_n is not None and d > cap_n:
+                    continue
+                chosen.append((m, v))
+                dist_m[m] = d
+                dist_n[v] = d
+                used.add(v)
+                yield from assign(si + 1, used)
+                used.discard(v)
+                del dist_m[m]
+                del dist_n[v]
+                chosen.pop()
+
+        yield from assign(0, set())
+
+    yield from per_class(0)
+
+
 def grevlex_key(exps):
     """Grevlex sort key written out afresh: degree, then the reversed
     exponents negated, so the smaller last exponent wins a tie."""

@@ -5,15 +5,16 @@ from math import gcd
 
 import pytest
 
-from tgraph.arrows import (active_classes, arrow_map_exists, dominates,
-                           dual_condition, enumerate_arrow_maps, is_arrow_map,
-                           is_system_of_arrows, oriented_pair)
+from tgraph.arrows import (_search, active_classes, arrow_map_exists,
+                           dominates, dual_condition, enumerate_arrow_maps,
+                           is_arrow_map, is_system_of_arrows, oriented_pair)
 from tgraph.assembly import pair_grading_jobs
 from tgraph.monomial import (Grading, colon_box, enumerate_ideals,
                              hilbert_function, minimal_box, parse_ideal,
                              parse_monomial)
 
-from oracles import brute_active_classes, brute_arrow_check, brute_dominates
+from oracles import (brute_active_classes, brute_arrow_check, brute_arrow_maps,
+                     brute_dominates, recursive_arrow_search)
 
 G11 = Grading(1, 1)
 
@@ -169,54 +170,68 @@ def test_enumerate_three_maps():
 
 
 def test_enumerate_matches_exhaustive_bijection_search():
-    from itertools import permutations
-
-    g = Grading(1, 2)
-    M = parse_ideal("<x^8, y>")
-    N = parse_ideal("<x^4, y^2>")
-    if hilbert_function(M, g) != hilbert_function(N, g):
-        g = Grading(1, 4)
-    classes = active_classes(M, N, g)
-    counts = 1
-    choices = []
-    for _, mm, nn in classes:
-        choices.append((mm, nn))
-    total = 0
-
-    def rec(i, assignment):
-        nonlocal total
-        if i == len(choices):
-            if brute_arrow_check(M, N, g, dict(assignment)):
-                total += 1
-            return
-        mm, nn = choices[i]
-        for perm in permutations(range(len(nn))):
-            rec(i + 1, assignment + [(m, nn[k]) for m, k in
-                                     zip(mm, perm)])
-
-    rec(0, [])
-    assert total == len(enumerate_arrow_maps(M, N, g, limit=None))
+    for M, N, g in (("<x^8, y>", "<x^4, y^2>", Grading(1, 4)),
+                    ("<x^5, y^2>", "<x^2, y^5>", G11)):
+        M, N = parse_ideal(M), parse_ideal(N)
+        maps = enumerate_arrow_maps(M, N, g, limit=None)
+        assert (sorted(f.pairs for f in maps)
+                == sorted(tuple(sorted(a.items()))
+                          for a in brute_arrow_maps(M, N, g)))
 
 
 def test_search_agrees_with_brute_force_on_random_pairs():
+    # random comparable pairs, plus two comparable pairs with no arrow map:
+    # the random ones all have one
+    M = parse_ideal("<x^5, x^3*y^2, y^4>")
+    N = parse_ideal("<x^4, x^3*y^3, x*y^4, y^5>")
+    pairs = [(parse_ideal("<x^5, x*y, y^3>"), parse_ideal("<x^3, x*y, y^5>")),
+             (colon_box((5, 5), M), colon_box((5, 5), N))]
     rng = random.Random(23)
     for d in (4, 5, 6):
         pool = enumerate_ideals(d)
         for _ in range(40):
-            A = pool[rng.randrange(len(pool))]
-            B = pool[rng.randrange(len(pool))]
-            g = Grading(1, 1)
-            if A == B or hilbert_function(A, g) != hilbert_function(B, g):
+            pairs.append((pool[rng.randrange(len(pool))],
+                          pool[rng.randrange(len(pool))]))
+    g = Grading(1, 1)
+    misses = 0
+    for A, B in pairs:
+        if A == B or hilbert_function(A, g) != hilbert_function(B, g):
+            continue
+        if not dominates(A, B, g):
+            continue
+        witness = arrow_map_exists(A, B, g)
+        if witness is not None:
+            assert brute_arrow_check(A, B, g, moved(witness))
+        else:
+            # no per-class bijection may pass the literal check
+            assert brute_arrow_maps(A, B, g) == []
+            misses += 1
+    assert misses == 2
+
+
+def test_search_order_matches_the_recursive_reference():
+    # enumerate_arrow_maps sorts only the maps it found, so --limit output
+    # depends on the order the search finds them in
+    def assignments(search, M, N, g, limit):
+        classes = active_classes(M, N, g)
+        return [list(a.items()) for a in search(M, N, g, classes, limit)]
+
+    searches = 0
+    for d in range(2, 9):
+        vertices = enumerate_ideals(d)
+        for (i, j), g in pair_grading_jobs(vertices):
+            pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
+            if pair is None:
                 continue
-            if not dominates(A, B, g):
-                continue
-            witness = arrow_map_exists(A, B, g)
-            if witness is not None:
-                assert brute_arrow_check(A, B, g, moved(witness))
-            else:
-                # no candidate assignment may pass the literal check
-                maps = enumerate_arrow_maps(A, B, g, limit=None)
-                assert maps == []
+            box = minimal_box(*pair)
+            for M, N in (pair, [colon_box(box, X) for X in pair]):
+                every = assignments(recursive_arrow_search, M, N, g, None)
+                assert assignments(_search, M, N, g, None) == every
+                for limit in (0, 1, 2):
+                    assert (assignments(_search, M, N, g, limit)
+                            == every[:limit])
+                searches += 1
+    assert searches == 434
 
 
 def test_arrow_map_implies_order():

@@ -41,6 +41,22 @@ def test_arrowmap_identity_and_enumeration(capsys):
     assert json.loads(out)["count"] == 3
 
 
+def test_arrowmap_limit_keeps_the_search_order(capsys):
+    # --limit keeps the first maps the search finds, then sorts them
+    code, out, _ = run(capsys, "arrowmap", "<x^5, y^2>", "<x^2, y^5>",
+                       "--alpha", "1", "--beta", "1", "--enumerate",
+                       "--limit", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "map 1: y^2 -> x^2, y^3 -> x^2*y, y^4 -> x^2*y^2, x*y^2 -> x^3, "
+        "x*y^3 -> x^3*y, x*y^4 -> x^2*y^3, x^2*y^2 -> x^4, "
+        "x^2*y^3 -> x^4*y",
+        "map 2: y^2 -> x^2, y^3 -> x^2*y, y^4 -> x^2*y^2, x*y^2 -> x^3, "
+        "x*y^3 -> x^3*y, x*y^4 -> x^2*y^3, x^2*y^2 -> x^4, "
+        "x^2*y^3 -> x^3*y^2, x^3*y^2 -> x^4*y",
+    ]
+
+
 def test_arrowmap_negative_verdict(capsys):
     code, out, _ = run(capsys, "arrowmap", "<x^4, x*y, y^3>", "<x^3, y^2>",
                        "--alpha", "1", "--beta", "1")

@@ -125,6 +125,7 @@ def test_rows_match_the_generator_formulas_through_colength_10():
                     for b in range(1, d + 1) if gcd(a, b) == 1]
         for M in enumerate_ideals(d):
             assert M.rows == brute_rows(M)
+            assert MonomialIdeal2(M.gens).rows == M.rows
             std = {m for m in box_monomials(M.a0, M.be)
                    if not any(m[0] >= a and m[1] >= b for a, b in M.gens)}
             assert set(M.standard_monomials()) == std
@@ -136,6 +137,11 @@ def test_rows_match_the_generator_formulas_through_colength_10():
                     Q = colon_box((r1, r2), M)
                     assert Q.rows == brute_colon_box((r1, r2), M)
                     assert Q.rows == brute_rows(Q)
+                    # the generators read off the corners pass the checks
+                    # of the generator constructor and give the same ideal
+                    checked = MonomialIdeal2(Q.gens)
+                    assert (checked.gens, checked.rows, checked.colength) == (
+                        Q.gens, Q.rows, Q.colength)
 
 
 def test_colon_duality_random():
