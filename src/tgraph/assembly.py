@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -88,10 +89,32 @@ def _full_job(job):
     return _decide(job)
 
 
+def _spread_worker(slots):
+    """Pool initializer: start the k-th worker on the k-th allowed CPU.
+
+    Forked workers otherwise start on their parent's CPU, and some kernels
+    leave the whole pool there for seconds while the other CPUs idle, so one
+    build runs in parallel and the next serially.  The worker is moved to
+    its own CPU and then given back its full CPU set, so the scheduler stays
+    free to move it later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = sorted(os.sched_getaffinity(0))
+    k = slots.get()
+    os.sched_setaffinity(0, {allowed[k % len(allowed)]})
+    os.sched_setaffinity(0, allowed)
+
+
 def _solve(todo, threads):
     """Exact records for the jobs, in order, yielded as they are decided."""
     if threads > 1 and todo:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        slots = multiprocessing.SimpleQueue()
+        for k in range(threads):
+            slots.put(k)
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=_spread_worker,
+                                 initargs=(slots,)) as pool:
             yield from pool.map(_full_job, todo, chunksize=8)
     else:
         yield from map(_decide, todo)

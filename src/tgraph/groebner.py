@@ -12,21 +12,32 @@ pseudo-division.  Each element is a nonzero scalar multiple of its monic
 version, so the run forms the same S-pairs and makes the same reduction steps
 as it would over monic elements; the reduced basis is made monic once, at the
 end.  In characteristic p, primitive means monic.
+
+Inside the solver a monomial is one int, packed by ``poly.Packing`` with
+``FIELD_BITS`` bits per variable: grevlex order is integer order, a product
+is an integer sum, and divisibility, lcm and coprimality are a few integer
+operations.  ``buchberger`` packs its generators once and unpacks only the
+reduced basis; ``normal_form`` packs around the same kernel, ``_reduce``.  A
+packed field holds degrees up to ``2**FIELD_BITS - 1``.  No term of a run
+has a larger degree than an input or a pair's lcm, so those are checked when
+they are packed, and one past the cap raises BudgetExceeded: an unknown
+verdict, never a wrong basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, neg, sub
 
-from .poly import Poly
+from .poly import Packing, Poly
 
 DEFAULT_BUDGET = 200_000
+FIELD_BITS = 16  # bits per variable in a packed monomial
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a run needs more S-pair reductions than allowed."""
+    """Raised when a run needs more S-pair reductions than allowed, or a
+    degree past the packed field cap."""
 
 
 @dataclass
@@ -41,41 +52,103 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0].total_degree() == 0
 
 
-def _lcm(e1, e2):
-    return tuple(map(max, e1, e2))
+def _fits(m, packing):
+    """The packed monomial m; a degree past the field cap ends the run."""
+    degree = packing.degree(m)
+    if degree > packing.cap:
+        raise BudgetExceeded(
+            f"degree {degree} exceeds the packed field cap {packing.cap}")
+    return m
 
 
-def _divides(e1, e2):
-    return all(map(le, e1, e2))
+def _pack(p, packing):
+    return {_fits(packing.pack(e), packing): c for e, c in p.terms.items()}
 
 
-def _descending(key):
-    """A grevlex key negated, so that a min-heap pops the largest term first."""
-    return tuple(map(neg, key))
+def _unpack(terms, ring, packing):
+    unpack = packing.unpack
+    return Poly(ring, {unpack(m): c for m, c in terms.items()})
 
 
-def _primitive(p):
-    """The scalar multiple of p that basis elements are kept as.
+def _primitive(terms, char):
+    """The scalar multiple of nonzero packed terms that basis elements are
+    kept as.
 
     In characteristic 0 it has integer coefficients with gcd 1 and a positive
     lead; in characteristic p it is monic.
     """
-    ring = p.ring
-    if ring.char or not p:
-        return p.monic()
-    coeffs = p.terms.values()
+    lead = terms[max(terms)]
+    if char:
+        if lead == 1:
+            return terms
+        inv = pow(lead, -1, char)
+        return {m: c * inv % char for m, c in terms.items()}
+    coeffs = terms.values()
     den = lcm(*(c.denominator for c in coeffs))
     content = gcd(*(c.numerator for c in coeffs))
-    if p.lead()[1] < 0:
+    if lead < 0:
         content = -content
     if den == 1 and content == 1:
-        return p
-    return Poly(ring, {e: (c * den).numerator // content
-                       for e, c in p.terms.items()})
+        return terms
+    return {m: (c * den).numerator // content for m, c in terms.items()}
+
+
+def _reducer(terms, guards):
+    """(lead, lead | guards, lead coefficient, the other terms) of nonzero
+    packed terms: the form the kernel divides by."""
+    lead = max(terms)
+    return (lead, lead | guards, terms[lead],
+            [(m, c) for m, c in terms.items() if m != lead])
+
+
+def _reduce(work, reducers, char, guards):
+    """The kernel: full remainder of packed terms on division by reducers.
+
+    Consumes ``work``, a dict from packed monomials to coefficients, and
+    returns the remainder dict and the number of reduction steps.  The first
+    reducer, in list order, whose lead divides the largest pending term
+    reduces it.  See ``normal_form`` for the rules.
+    """
+    heap = [-m for m in work]
+    heapify(heap)
+    rem = {}
+    steps = 0
+    while heap:
+        e = -heappop(heap)
+        c = work.pop(e)
+        if not c:
+            continue
+        for lead, guarded, a, tail in reducers:
+            if lead <= e and (guarded - e) & guards == guards:
+                steps += 1
+                if a != 1:
+                    q = gcd(a, c)
+                    scale = a // q
+                    if scale != 1:
+                        for m, c3 in work.items():
+                            work[m] = c3 * scale % char if char else c3 * scale
+                        for m, c3 in rem.items():
+                            rem[m] = c3 * scale % char if char else c3 * scale
+                    c //= q
+                shift = e - lead
+                for m, c2 in tail:
+                    m += shift
+                    old = work.get(m)
+                    if old is None:
+                        old = 0
+                        heappush(heap, -m)
+                    work[m] = (old - c * c2) % char if char else old - c * c2
+                break
+        else:
+            rem[e] = c
+    return rem, steps
 
 
 def normal_form(f, basis, stats=None):
     """Full remainder of f on division by basis.
+
+    f and the basis are packed and divided by the solver's one kernel,
+    ``_reduce``; a degree past the field cap raises BudgetExceeded.
 
     The remainder is exact when every reducer is monic, and a nonzero scalar
     multiple of it otherwise.  A term c*x^e met by a reducer g whose lead
@@ -85,111 +158,82 @@ def normal_form(f, basis, stats=None):
     which is what ``buchberger`` works with.
 
     The largest pending term is reduced first.  Pending terms sit in a heap
-    on their negated grevlex key, computed once, when the term enters the
-    work dict.  A term that cancels keeps its entry and a zero coefficient,
-    and is skipped when popped; if it is created again, that entry still
-    stands, because a reduction only creates terms smaller than the one
-    popped.  The key is injective, so the heap yields terms in the grevlex
-    order that taking the maximum of the work dict at every step would: the
-    remainder and the count of reduction steps are those of that loop.
-    Reducers whose lead has a larger degree than the term are passed over
-    before the divisibility test.
+    of negated packed monomials, pushed once, when the term enters the work
+    dict.  A term that cancels keeps its entry and a zero coefficient, and is
+    skipped when popped; if it is created again, that entry still stands,
+    because a reduction only creates terms smaller than the one popped.  So
+    the heap yields terms in the grevlex order that taking the maximum of
+    the work dict at every step would: the remainder and the count of
+    reduction steps are those of that loop.
     """
     if not basis:
         return f
     ring = f.ring
-    key = ring.key
-    coeff = ring.coeff
-    reducers = []
-    for g in basis:
-        lead, a = g.lead()
-        reducers.append((lead, sum(lead), a, g))
-    work = dict(f.terms)
-    heap = [(_descending(key(e)), e) for e in work]
-    heapify(heap)
-    rem = {}
-    steps = 0
-    while heap:
-        order, e = heappop(heap)
-        c = work.pop(e)
-        if not c:
-            continue
-        degree = -order[0]
-        for lead, lead_degree, a, g in reducers:
-            if lead_degree <= degree and _divides(lead, e):
-                steps += 1
-                if a != 1:
-                    q = gcd(a, c)
-                    scale = a // q
-                    if scale != 1:
-                        for e3, c3 in work.items():
-                            work[e3] = coeff(c3 * scale)
-                        for e3, c3 in rem.items():
-                            rem[e3] = coeff(c3 * scale)
-                    c //= q
-                shift = tuple(map(sub, e, lead))
-                for e2, c2 in g.terms.items():
-                    if e2 == lead:
-                        continue
-                    e3 = tuple(map(add, e2, shift))
-                    old = work.get(e3)
-                    if old is None:
-                        work[e3] = coeff(-c * c2)
-                        heappush(heap, (_descending(key(e3)), e3))
-                    else:
-                        work[e3] = coeff(old - c * c2)
-                break
-        else:
-            rem[e] = c
+    packing = Packing(ring.nvars, FIELD_BITS)
+    guards = packing.guards
+    reducers = [_reducer(_pack(g, packing), guards) for g in basis]
+    rem, steps = _reduce(_pack(f, packing), reducers, ring.char, guards)
     if steps and stats is not None:
         stats["reduction_steps"] = stats.get("reduction_steps", 0) + steps
-    return Poly(ring, rem)
+    return _unpack(rem, ring, packing)
 
 
-def _spoly(f, g):
-    ef, cf = f.lead()
-    eg, cg = g.lead()
-    q = gcd(cf, cg)
-    lcm = _lcm(ef, eg)
-    mf = tuple(a - b for a, b in zip(lcm, ef))
-    mg = tuple(a - b for a, b in zip(lcm, eg))
-    return f.mul_term(mf, cg // q) - g.mul_term(mg, cf // q)
+def _spoly(f, g, lcm_fg, char):
+    """S-polynomial of two reducers whose leads have packed lcm ``lcm_fg``.
 
-
-def _update_pairs(basis_leads, pairs, queue, t, ring):
-    """Gebauer-Moeller pair update when generator index t is appended.
-
-    Returns the surviving pairs.  Each new pair (i, t) is also pushed onto
-    the selection heap ``queue`` as (grevlex key of its lcm, i, t).
+    The cofactors are divided by the gcd of the two lead coefficients.  The
+    leads cancel, so only the tails are multiplied out; a term that cancels
+    stays with coefficient 0, which the kernel skips.
     """
-    lm_t = basis_leads[t]
-    lcm = _lcm
-    divides = _divides
+    lf, _, af, tf = f
+    lg, _, ag, tg = g
+    q = gcd(af, ag)
+    cf, cg = ag // q, af // q
+    shift = lcm_fg - lf
+    out = {m + shift: c * cf % char if char else c * cf for m, c in tf}
+    shift = lcm_fg - lg
+    for m, c in tg:
+        m += shift
+        c = out.get(m, 0) - c * cg
+        out[m] = c % char if char else c
+    return out
 
-    kept = set()
-    for (i, j) in pairs:
-        lij = lcm(basis_leads[i], basis_leads[j])
-        if (not divides(lm_t, lij)
-                or lij == lcm(basis_leads[i], lm_t)
-                or lij == lcm(basis_leads[j], lm_t)):
-            kept.add((i, j))
+
+def _update_pairs(basis, pairs, queue, packing):
+    """Gebauer-Moeller pair update when the last basis element is appended.
+
+    ``pairs`` maps each live pair (i, j) to the packed lcm of its leads;
+    returns the surviving pairs.  Each new pair (i, t) is also pushed onto
+    the selection heap ``queue`` as (packed lcm, i, t).
+    """
+    t = len(basis) - 1
+    lead_t = basis[t][0]
+    guards = packing.guards
+    lcms = [packing.lcm(r[0], lead_t) for r in basis[:t]]
+    if lcms:
+        _fits(max(lcms), packing)  # no S-polynomial term has a larger degree
+
+    # Drop (i, j) when lead_t divides its lcm and differs from the lcms of
+    # (i, t) and (j, t).
+    lead_g = lead_t | guards
+    kept = {ij: k for ij, k in pairs.items()
+            if (lead_g - k) & guards != guards
+            or k == lcms[ij[0]] or k == lcms[ij[1]]}
 
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(lcm(basis_leads[i], lm_t), []).append(i)
+    for i, k in enumerate(lcms):
+        by_lcm.setdefault(k, []).append(i)
     minimal = []
-    for k, L in sorted((ring.key(L), L) for L in by_lcm):
-        if all(not divides(L2, L) for _, L2 in minimal):
-            minimal.append((k, L))
-    for k, L in minimal:
-        coprime = any(
-            lcm(basis_leads[i], lm_t)
-            == tuple(a + b for a, b in zip(basis_leads[i], lm_t))
-            for i in by_lcm[L]
-        )
-        if not coprime:
-            i = min(by_lcm[L])
-            kept.add((i, t))
+    for k in sorted(by_lcm):
+        if all(((m | guards) - k) & guards != guards for m in minimal):
+            minimal.append(k)
+    # Skip (i, t) when some i with that lcm has a lead coprime to lead_t:
+    # their lcm is their product.
+    product = lead_t - packing.zero
+    for k in minimal:
+        if all(k != basis[i][0] + product for i in by_lcm[k]):
+            i = min(by_lcm[k])
+            kept[(i, t)] = k
             heappush(queue, (k, i, t))
     return kept
 
@@ -198,57 +242,66 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     """Reduced Groebner basis of the given generators, deterministically.
 
     Raises BudgetExceeded when more than `budget` S-pair reductions would be
-    needed.  The zero ideal yields an empty basis.  The next S-pair is the
-    one whose lcm is grevlex-least, ties going to the smaller index pair; a
-    heap holds every pair ever formed and skips those the updates dropped.
+    needed, or when an input or the lcm of two leads passes the degree cap
+    of the packed form.  The zero ideal yields an empty basis.  The next S-pair is
+    the one whose lcm is grevlex-least, ties going to the smaller index pair;
+    a heap holds every pair ever formed and skips those the updates dropped.
+
+    The generators are packed once; the loop runs on packed terms and only
+    the reduced basis is unpacked.  Every term's degree is at most that of an
+    input or of a pair's lcm, so checking those keeps every term in range.
     """
-    gens = [_primitive(g) for g in gens if g]
+    gens = [g for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
     if not gens:
         return GroebnerBasis([], stats=stats)
     ring = gens[0].ring
-    ordered = sorted(gens, key=lambda g: ring.key(g.lead()[0]))
+    char = ring.char
+    packing = Packing(ring.nvars, FIELD_BITS)
+    guards = packing.guards
+    ordered = sorted((_primitive(_pack(g, packing), char) for g in gens),
+                     key=max)
 
     basis = []
-    leads = []
-    pairs = set()
+    pairs = {}
     queue = []
-    for g in ordered:
-        r = _primitive(normal_form(g, basis, stats))
-        if not r:
-            continue
-        basis.append(r)
-        leads.append(r.lead()[0])
-        pairs = _update_pairs(leads, pairs, queue, len(basis) - 1, ring)
 
+    def extend(work):
+        nonlocal pairs
+        rem, steps = _reduce(work, basis, char, guards)
+        stats["reduction_steps"] += steps
+        if rem:
+            basis.append(_reducer(_primitive(rem, char), guards))
+            pairs = _update_pairs(basis, pairs, queue, packing)
+
+    for terms in ordered:
+        extend(terms)
     while queue:
-        _, i, j = heappop(queue)
-        if (i, j) not in pairs:
+        lcm_ij, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
             continue
-        pairs.discard((i, j))
         stats["s_pairs"] += 1
         if stats["s_pairs"] > budget:
             raise BudgetExceeded(f"S-pair budget {budget} exceeded")
-        r = normal_form(_spoly(basis[i], basis[j]), basis, stats)
-        if not r:
-            continue
-        r = _primitive(r)
-        basis.append(r)
-        leads.append(r.lead()[0])
-        pairs = _update_pairs(leads, pairs, queue, len(basis) - 1, ring)
+        extend(_spoly(basis[i], basis[j], lcm_ij, char))
 
     # Minimalize: drop generators whose lead is a multiple of another lead.
+    # The leads are distinct, so the sort never compares past them, and the
+    # reduced basis keeps the leads and their ascending order.
     minimal = []
-    for idx in sorted(range(len(basis)), key=lambda k: ring.key(leads[k])):
-        if all(not _divides(m.lead()[0], leads[idx]) for m in minimal):
-            minimal.append(basis[idx])
+    for r in sorted(basis):
+        if all((m[1] - r[0]) & guards != guards for m in minimal):
+            minimal.append(r)
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        reduced.append(normal_form(g, others, stats).monic())
-    reduced.sort(key=lambda g: ring.key(g.lead()[0]))
+    for r in minimal:
+        lead, _, a, tail = r
+        others = [m for m in minimal if m is not r]
+        rem, steps = _reduce({lead: a, **dict(tail)}, others, char, guards)
+        stats["reduction_steps"] += steps
+        reduced.append(rem)
     stats["basis_size"] = len(reduced)
-    return GroebnerBasis(reduced, stats=stats)
+    return GroebnerBasis([_unpack(r, ring, packing).monic() for r in reduced],
+                         stats=stats)
 
 
 def _min_hitting_set(supports, best):

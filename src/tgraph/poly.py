@@ -6,9 +6,12 @@ appear in characteristic 0 only where ``monic`` divides by a lead that is not
 +-1; the Groebner solver works on integer multiples and calls ``monic`` once,
 on its final reduced basis.  Exponent vectors are tuples indexed by the ring's
 fixed variable list; the monomial order is graded reverse lexicographic over
-that list, with ``Ring.key`` its one definition.  A polynomial's terms are
-never mutated after construction, so each polynomial computes its lead term
-once and keeps it.
+that list, with ``Ring.key`` its one definition.  ``Packing`` derives the
+solver's form from that key: each exponent vector becomes one int whose fields,
+from the top, are the degree and then ``cap - e_i`` for the last variable down
+to the first, so integer order is the order of ``Ring.key``.  A polynomial's
+terms are never mutated after construction, so each polynomial computes its
+lead term once and keeps it.
 
 ``add_into`` is the package's one sparse-row update: a row is a dict from
 monomials or columns to polynomials or field values, and adding into an entry
@@ -111,6 +114,68 @@ class Ring:
         return "*".join(factors)
 
 
+class Packing:
+    """Exponent vectors of one length as single ints, for monomials of degree
+    at most ``cap``.
+
+    From the top, the fields are the degree, unbounded, and then, last
+    variable first, one field of ``width`` bits per variable holding
+    ``cap - e_i``, each under a guard bit that a packed monomial keeps clear.
+    Integer order is then the order of ``Ring.key``: degree first, then the
+    smaller last exponent.  Within the degree cap, a product is
+    ``a + b - zero``, with ``zero`` the packed exponent vector 0, and ``a``
+    divides ``b`` exactly when ``((a | guards) - b) & guards == guards``: a
+    field of ``b`` larger than that of ``a``, i.e. a smaller exponent,
+    borrows its guard, and no field borrows from the next.  ``a <= b`` is a
+    cheaper necessary test.
+    """
+
+    __slots__ = ("nvars", "width", "cap", "shift", "guards", "zero")
+
+    def __init__(self, nvars, width):
+        self.nvars = nvars
+        self.width = width
+        self.cap = (1 << width) - 1
+        self.shift = nvars * (width + 1)
+        self.guards = sum(1 << (i * (width + 1) + width) for i in range(nvars))
+        self.zero = self.pack((0,) * nvars)
+
+    def pack(self, exps):
+        m = sum(exps)
+        step, cap = self.width + 1, self.cap
+        for e in reversed(exps):
+            m = (m << step) | (cap - e)
+        return m
+
+    def unpack(self, m):
+        step, cap = self.width + 1, self.cap
+        exps = []
+        for _ in range(self.nvars):
+            exps.append(cap - (m & cap))
+            m >>= step
+        return tuple(exps)
+
+    def degree(self, m):
+        return m >> self.shift
+
+    def lcm(self, a, b):
+        """The packed lcm of two packed monomials; its degree may pass the cap.
+
+        Each field takes the smaller of the two, picked through the guards.
+        The fields sit at powers of 2**(width + 1), which are 1 modulo
+        2 * cap + 1, so the field sum, and with it the degree, is known
+        modulo 2 * cap + 1; the degree is at most 2 * cap.
+        """
+        guards, width = self.guards, self.width
+        low = (1 << self.shift) - 1
+        a &= low
+        b &= low
+        smaller = ((a | guards) - b) & guards
+        fields = a ^ ((a ^ b) & (smaller - (smaller >> width)))
+        m = 2 * self.cap + 1
+        return ((self.nvars * self.cap - fields % m) % m) << self.shift | fields
+
+
 class Poly:
     """Immutable sparse polynomial bound to a Ring.
 
@@ -178,18 +243,6 @@ class Poly:
             cc = ring.coeff(c0 * c)
             if cc:
                 out[e] = cc
-        return Poly(ring, out)
-
-    def mul_term(self, exps, c):
-        ring = self.ring
-        c = ring.coeff(c)
-        if not c:
-            return Poly(ring, {})
-        out = {}
-        for e, c0 in self.terms.items():
-            cc = ring.coeff(c0 * c)
-            if cc:
-                out[tuple(map(add, e, exps))] = cc
         return Poly(ring, out)
 
     def lead(self):

@@ -357,7 +357,7 @@ def membership_certificate(f, gens, max_degree):
         if room < 0:
             continue
         for u in _monomials_up_to(ring.nvars, room):
-            columns.append(gen.mul_term(u, 1))
+            columns.append(gen * ring.poly({u: 1}))
             tags.append((gi, u))
     mono_index = {}
     for col in columns + [f]:

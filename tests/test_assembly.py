@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 
 from tgraph import assembly
 from tgraph.arrows import arrow_map_exists, dual_condition
@@ -268,6 +269,23 @@ def test_threaded_build_fills_the_cache(tmp_path):
     warm = build_tgraph(4, PipelineDepth.FULL, with_dimension=True,
                         cache=cache)
     assert graph_to_json(warm) == graph_to_json(par)
+
+
+def test_pool_workers_start_on_distinct_cpus_and_keep_their_cpu_set(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(assembly.os, "sched_getaffinity",
+                        lambda pid: {4, 1, 7}, raising=False)
+    monkeypatch.setattr(assembly.os, "sched_setaffinity",
+                        lambda pid, cpus: calls.append(set(cpus)),
+                        raising=False)
+    slots = multiprocessing.SimpleQueue()
+    for k in range(4):
+        slots.put(k)
+    for _ in range(4):
+        assembly._spread_worker(slots)
+    assert calls == [{1}, {1, 4, 7}, {4}, {1, 4, 7},
+                     {7}, {1, 4, 7}, {1}, {1, 4, 7}]
 
 
 def test_threaded_build_matches_sequential():

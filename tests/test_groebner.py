@@ -8,10 +8,12 @@ from tgraph.arrows import oriented_pair
 from tgraph.assembly import PipelineDepth, build_tgraph
 from tgraph.cells import edge_ideal
 from tgraph import groebner
-from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _primitive, _spoly,
-                             buchberger, normal_form,
-                             quotient_dimension)
-from tgraph.poly import ArrowVar, Ring
+from tgraph.edges import EdgeStatus, decide_edge
+from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
+                             _reducer, _spoly, _unpack, buchberger,
+                             normal_form, quotient_dimension)
+from tgraph.monomial import Grading, parse_ideal
+from tgraph.poly import ArrowVar, Packing, Ring
 
 from oracles import brute_normal_form, membership_certificate
 
@@ -61,6 +63,15 @@ def test_budget_exhaustion_reports_unknown():
     r = ring()
     with pytest.raises(BudgetExceeded):
         buchberger(small_quartic_system(r), budget=1)
+
+
+def packing(r):
+    return Packing(r.nvars, groebner.FIELD_BITS)
+
+
+def primitive(p):
+    pk = packing(p.ring)
+    return _unpack(_primitive(_pack(p, pk), p.ring.char), p.ring, pk)
 
 
 def random_poly(r, rng, terms, degree):
@@ -153,7 +164,7 @@ def test_pseudo_division_matches_the_division_loop_on_monic_reducers():
             g = random_poly(r, rng, 3, 2)
             if g:
                 lead = g.lead()[0]
-                g = _primitive(g + r.poly({lead: rng.choice((1, 2, 5))}))
+                g = primitive(g + r.poly({lead: rng.choice((1, 2, 5))}))
             if g and g.lead()[1] != 1:
                 basis.append(g)
         f = random_poly(r, rng, 8, 4)
@@ -176,7 +187,10 @@ def test_pseudo_division_rescales_the_remainder_already_kept():
     # The S-polynomial's cofactors are divided by the gcd of the leads.
     f = (x * x).scale(4) + y
     g = (x * y).scale(6) + z
-    assert _spoly(f, g) == (y * y).scale(3) - (x * z).scale(2)
+    pk = packing(r)
+    lcm = pk.pack((2, 1, 0))
+    s = _spoly(*(_reducer(_pack(p, pk), pk.guards) for p in (f, g)), lcm, 0)
+    assert _unpack(s, r, pk) == (y * y).scale(3) - (x * z).scale(2)
 
 
 def test_rational_and_non_unit_inputs_keep_their_bases():
@@ -202,18 +216,52 @@ def test_rational_and_non_unit_inputs_keep_their_bases():
 
 def test_solver_reduces_only_integers_in_characteristic_zero(monkeypatch):
     seen = []
-    plain = groebner.normal_form
+    kernel = groebner._reduce
 
-    def checked(f, basis, stats=None):
-        if not f.ring.char:
-            for p in (f, *basis):
-                assert all(type(c) is int for c in p.terms.values()), p
-        seen.append(len(basis))
-        return plain(f, basis, stats)
+    def checked(work, reducers, char, guards):
+        if not char:
+            coeffs = [*work.values()]
+            for _, _, a, tail in reducers:
+                coeffs += [a, *(c for _, c in tail)]
+            assert all(type(c) is int for c in coeffs), coeffs
+        seen.append((char, len(reducers)))
+        return kernel(work, reducers, char, guards)
 
-    monkeypatch.setattr(groebner, "normal_form", checked)
+    monkeypatch.setattr(groebner, "_reduce", checked)
     build_tgraph(7, PipelineDepth.FULL, with_dimension=True)
-    assert len(seen) > 100 and any(seen)
+    assert len(seen) > 100 and any(n for _, n in seen)
+    assert not any(char for char, _ in seen)
+
+
+def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
+    # Fields of 2 bits hold degrees up to 3.  The edge equations of this
+    # pair have degree 2, and the lcm of their leads has degree 4.
+    M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
+    g = Grading(1, 1)
+    gens = edge_ideal(*oriented_pair(M, N, g), g).nonzero_generators()
+    assert decide_edge(M, N, g).status is EdgeStatus.EDGE
+    monkeypatch.setattr(groebner, "FIELD_BITS", 2)
+    assert max(p.total_degree() for p in gens) <= 3
+    with pytest.raises(BudgetExceeded, match="degree 4 exceeds"):
+        buchberger(gens)
+    assert decide_edge(M, N, g).status is EdgeStatus.UNKNOWN
+
+
+def test_verdicts_hold_over_a_large_prime():
+    # A verdict over Q is the verdict mod p for all but finitely many p; a
+    # disagreement is one of those primes or a bug, and names its record.
+    p = 2 ** 31 - 1
+    disagree = []
+    decided = 0
+    for d in range(2, 9):
+        for rec in build_tgraph(d, PipelineDepth.FULL).records:
+            decided += 1
+            mod_p = decide_edge(*rec.pair, rec.grading, char=p)
+            if mod_p.status is not rec.status:
+                disagree.append(f"{rec.pair} {rec.grading}: {rec.status} "
+                                f"over Q, {mod_p.status} mod {p}")
+    assert disagree == []
+    assert decided == 226
 
 
 def test_reduced_basis_properties():
@@ -230,8 +278,8 @@ def test_reduced_basis_properties():
             gi, gj = gb.generators[i], gb.generators[j]
             ei, ej = gi.lead()[0], gj.lead()[0]
             lcm = tuple(max(x, y) for x, y in zip(ei, ej))
-            s = (gi.mul_term(tuple(x - y for x, y in zip(lcm, ei)), 1)
-                 - gj.mul_term(tuple(x - y for x, y in zip(lcm, ej)), 1))
+            s = (gi * r.poly({tuple(x - y for x, y in zip(lcm, ei)): 1})
+                 - gj * r.poly({tuple(x - y for x, y in zip(lcm, ej)): 1}))
             assert not normal_form(s, gb.generators)
 
 

@@ -161,6 +161,17 @@ def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
     assert found == []
 
 
+def test_solver_orders_monomials_only_in_packed_form():
+    # the solver compares packed ints; a Ring.key call there would bring a
+    # second, tuple-keyed monomial order back beside the packed one
+    path = pathlib.Path(tgraph.__file__).parent / "groebner.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "key"]
+    assert found == []
+
+
 def test_no_assert_outside_strolls():
     # python -O strips assert statements, so a check the package relies on
     # raises instead; strolls is the reference route, kept as written

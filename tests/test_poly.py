@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tgraph import poly
-from tgraph.poly import ArrowVar, Poly, Ring, arrow_ring
+from tgraph import groebner, poly
+from tgraph.poly import ArrowVar, Packing, Poly, Ring, arrow_ring
 
 from oracles import grevlex_key, trial_division_is_prime
 
@@ -34,7 +34,7 @@ def test_scale_and_mul_term():
     r = ring()
     p = r.var(A) + r.constant(2)
     assert not p.scale(0)
-    q = p.mul_term((0, 1, 0), 3)
+    q = p * r.poly({(0, 1, 0): 3})
     assert q == r.poly({(1, 1, 0): 3, (0, 1, 0): 6})
 
 
@@ -64,7 +64,7 @@ def test_cached_lead_is_the_largest_term_after_every_operation(char):
         lead_exps, lead_coeff = p.lead()  # fills the cache before deriving
         q.lead()
         results = [p + q, p - q, p * q, p.scale(3), p.scale(Fraction(1, 2)),
-                   p.mul_term((1, 0, 2), -2), p.monic(),
+                   p * r.poly({(1, 0, 2): -2}), p.monic(),
                    p - r.poly({lead_exps: lead_coeff})]
         for s in results:
             if s:
@@ -122,3 +122,44 @@ def test_primality_matches_trial_division():
 def test_arrow_ring_order():
     r = arrow_ring(((2, 1), (1, 1)), ((1, 2),))
     assert [v.label() for v in r.vars] == ["c1^1", "c2^1", "ct1^2"]
+
+
+def random_exponents(rng, nvars, degree):
+    """An exponent vector of the given degree; often all of it sits on one
+    variable, so exponents at the field cap come up."""
+    if rng.random() < 0.3:
+        exps = [0] * nvars
+        exps[rng.randrange(nvars)] = degree
+        return tuple(exps)
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, groebner.FIELD_BITS])
+def test_packing_matches_the_grevlex_key(width):
+    rng = random.Random(20261018 + width)
+    for nvars in range(1, 11):
+        packing = Packing(nvars, width)
+        cap, guards = packing.cap, packing.guards
+        pack = packing.pack
+        zero = pack((0,) * nvars)
+        for _ in range(60):
+            a = random_exponents(rng, nvars, rng.choice((0, cap,
+                                                         rng.randint(0, cap))))
+            b = random_exponents(rng, nvars, rng.randint(0, cap - sum(a)))
+            c = random_exponents(rng, nvars, rng.randint(0, cap))
+            ab = tuple(x + y for x, y in zip(a, b))
+            pa, pb, pc, pab = pack(a), pack(b), pack(c), pack(ab)
+            assert packing.unpack(pa) == a
+            assert packing.unpack(pab) == ab
+            assert pa + pb - zero == pab and packing.zero == zero
+            for u, v, pu, pv in ((a, ab, pa, pab), (b, ab, pb, pab),
+                                 (a, c, pa, pc), (c, a, pc, pa),
+                                 (ab, a, pab, pa)):
+                assert (pu < pv) == (Ring.key(u) < Ring.key(v))
+                assert (pu == pv) == (u == v)
+                divides = ((pu | guards) - pv) & guards == guards
+                assert divides == all(x <= y for x, y in zip(u, v))
+                assert not divides or pu <= pv
+                # the lcm's degree may pass the cap, up to twice it
+                assert packing.lcm(pu, pv) == pack(tuple(map(max, u, v)))
