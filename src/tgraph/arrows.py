@@ -30,6 +30,10 @@ from dataclasses import dataclass
 from .monomial import (Grading, MonomialIdeal2, colon_box, format_monomial,
                        minimal_box)
 
+# The version of every JSON payload the package writes, and of the edge-cache
+# key; this is the lowest module that writes one.
+SCHEMA_VERSION = "1"
+
 
 def active_classes(M, N, g):
     """Degree classes where the two monomial sets differ, ascending weight.
@@ -116,7 +120,7 @@ class ArrowMap:
 
     def to_json(self):
         return {
-            "schema": "tgraph.arrow-map/1",
+            "schema": f"tgraph.arrow-map/{SCHEMA_VERSION}",
             "source": str(self.source),
             "target": str(self.target),
             "grading": {"alpha": self.grading.alpha, "beta": self.grading.beta},

@@ -30,13 +30,12 @@ from enum import Enum
 from itertools import combinations
 from math import comb, gcd
 
-from .arrows import arrow_map_exists, dual_condition, oriented_pair
+from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
+                     oriented_pair)
 from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        hilbert_function)
-
-SCHEMA_VERSION = "1"
 
 
 class PipelineDepth(Enum):

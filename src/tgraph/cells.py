@@ -10,19 +10,19 @@ updated through ``poly.add_into``.
 
 Every function here works on the x-smaller side; the y-smaller side of an
 ideal is the x-smaller side of its swap under the swapped grading, with x and
-y exchanged back.  The edge equations for a comparable pair (M, N) come from
-reducing N's y-smaller cell basis, built that way, modulo the reduced basis
-of M and reading off the coefficients of the standard monomials of M.  All
-coefficients stay integral because every reduction divides only by unit lead
-coefficients.
+y exchanged back.  The negative arrows are reached that way too, as in the
+arrows layer: they are the positive arrows of the swap.  The edge equations
+for a comparable pair (M, N) come from reducing N's y-smaller cell basis,
+built that way, modulo the reduced basis of M and reading off the
+coefficients of the standard monomials of M.  All coefficients stay integral
+because every reduction divides only by unit lead coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomial import (Grading, MonomialIdeal2, format_monomial,
-                       hilbert_function)
-from .poly import ArrowVar, Ring, add_into, arrow_ring
+from .monomial import Grading, MonomialIdeal2, format_monomial
+from .poly import Ring, add_into, arrow_ring
 
 
 @dataclass(frozen=True)
@@ -33,33 +33,34 @@ class SignificantArrowSet:
     negative: tuple
 
 
-def significant_arrows(M, g):
-    """All significant arrows of M for one grading."""
+def _positive_arrows(M, g):
+    """Positive arrows of M under g, by generator index, then by step.
+
+    No shift leaves the quadrant, since l <= b_i // alpha.
+    """
     gens = M.gens
-    e = len(gens) - 1
-    positive = []
-    for i in range(1, e + 1):
+    arrows = []
+    for i in range(1, len(gens)):
         ai, bi = gens[i]
         wi = (gens[i - 1][0], bi)
         for l in range(1, bi // g.alpha + 1):
-            target = g.shift((ai, bi), l)
-            hop = g.shift(wi, l)
-            if target is None or hop is None:
-                continue
-            if not M.contains(target) and M.contains(hop):
-                positive.append((i, l))
-    negative = []
-    for i in range(0, e):
-        ai, bi = gens[i]
-        w_next = (ai, gens[i + 1][1])
-        for k in range(1, ai // g.beta + 1):
-            target = g.shift((ai, bi), -k)
-            hop = g.shift(w_next, -k)
-            if target is None or hop is None:
-                continue
-            if not M.contains(target) and M.contains(hop):
-                negative.append((i, -k))
-    return SignificantArrowSet(tuple(positive), tuple(negative))
+            if (not M.contains(g.shift((ai, bi), l))
+                    and M.contains(g.shift(wi, l))):
+                arrows.append((i, l))
+    return arrows
+
+
+def significant_arrows(M, g):
+    """All significant arrows of M for one grading.
+
+    The negative ones are the positive arrows of the swap, with generator i
+    read as e - i, ordered by generator index, then by step -1, -2, ....
+    """
+    e = len(M.gens) - 1
+    mirrored = sorted((e - i, l) for i, l in
+                      _positive_arrows(M.swap(), g.swap()))
+    return SignificantArrowSet(tuple(_positive_arrows(M, g)),
+                               tuple((i, -l) for i, l in mirrored))
 
 
 @dataclass(frozen=True)
@@ -92,29 +93,30 @@ def _shift_element(elem, delta):
 def cell_generators_f(M, g, ring=None, var_side=0):
     """Recursive cell basis; element i has lead M.gens[i] with coefficient 1.
 
-    When `ring` is given it must contain ArrowVar(var_side, i, l) for every
-    positive arrow (i, l); this lets both sides of a pair share one ring.
-    Without it the ring holds the side-0 variables only.
+    The arrows are read off the ring: a given `ring`'s variables on
+    `var_side` must be exactly M's positive arrows, as `arrow_ring` builds
+    them, which lets both sides of a pair share one ring.  Without it the
+    ring is built from M's positive arrows, on side 0 only.
     """
-    arrows = significant_arrows(M, g).positive
     if ring is None:
-        ring = arrow_ring(arrows)
+        ring = arrow_ring(_positive_arrows(M, g))
     gens = M.gens
     elements = [{gens[0]: ring.one()}]
     by_index = {}
-    for (i, l) in arrows:
-        by_index.setdefault(i, []).append(l)
+    for v in ring.vars:
+        if v.side == var_side:
+            by_index.setdefault(v.index, []).append(v)
     for i in range(1, len(gens)):
         prev = gens[i - 1]
         cur = gens[i]
         acc = _shift_element(elements[i - 1],
                              (cur[0] - prev[0], cur[1] - prev[1]))
         wi = (prev[0], cur[1])
-        for l in by_index.get(i, ()):
-            hop = g.shift(wi, l)
-            target = g.shift(cur, l)
+        for v in by_index.get(i, ()):
+            hop = g.shift(wi, v.step)
+            target = g.shift(cur, v.step)
             j = M.j_index(hop)
-            var = ring.var(ArrowVar(var_side, i, l))
+            var = ring.var(v)
             delta = (target[0] - gens[j][0], target[1] - gens[j][1])
             for m, poly in _shift_element(elements[j], delta).items():
                 add_into(acc, m, var * poly)
@@ -205,8 +207,7 @@ def edge_ideal(M, N, g):
         raise ValueError("first ideal must dominate the second strictly")
 
     n_swap, g_swap = N.swap(), g.swap()
-    ring = arrow_ring(significant_arrows(M, g).positive,
-                      significant_arrows(n_swap, g_swap).positive)
+    ring = arrow_ring(_positive_arrows(M, g), _positive_arrows(n_swap, g_swap))
     gb = cell_generators_g(M, g, ring=ring)
     n_basis = cell_generators_f(n_swap, g_swap, ring=ring, var_side=1)
 
@@ -232,28 +233,6 @@ def edge_ideal(M, N, g):
                     f"{format_monomial(s)}) of {M} over {N} is not integral")
             generators.append((n, s, poly))
     return EdgeIdeal(M, N, g, ring, tuple(generators))
-
-
-def extremal_ideals(H, g):
-    """Unique top and bottom monomial ideals with Hilbert function H.
-
-    Found by exhaustive comparison among all monomial ideals of the right
-    colength; raises when H is not realized.
-    """
-    from .arrows import dominates
-    from .monomial import enumerate_ideals
-
-    d = H.total()
-    pool = [M for M in enumerate_ideals(d) if hilbert_function(M, g) == H]
-    if not pool:
-        raise ValueError("Hilbert function is not realized by a monomial ideal")
-    tops = [M for M in pool
-            if all(dominates(M, other, g) for other in pool)]
-    bottoms = [M for M in pool
-               if all(dominates(other, M, g) for other in pool)]
-    if len(tops) != 1 or len(bottoms) != 1:
-        raise ValueError("poset of ideals lacks a unique top or bottom")
-    return tops[0], bottoms[0]
 
 
 def tangent_weight_count(M):

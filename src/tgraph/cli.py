@@ -13,11 +13,10 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
-from .arrows import (arrow_map_exists, dual_condition, enumerate_arrow_maps,
-                     oriented_pair)
-from .assembly import (SCHEMA_VERSION, EdgeCache, PipelineDepth, build_tgraph,
-                       count_table, graph_to_csv, graph_to_dot, graph_to_json,
-                       table_to_csv)
+from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
+                     enumerate_arrow_maps, oriented_pair)
+from .assembly import (EdgeCache, PipelineDepth, build_tgraph, count_table,
+                       graph_to_csv, graph_to_dot, graph_to_json, table_to_csv)
 from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .arrows import oriented_pair
+from .arrows import SCHEMA_VERSION, oriented_pair
 from .cells import edge_ideal
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, buchberger,
                        quotient_dimension)
@@ -39,7 +39,7 @@ class EdgeRecord:
 
     def to_json(self):
         return {
-            "schema": "tgraph.edge-record/1",
+            "schema": f"tgraph.edge-record/{SCHEMA_VERSION}",
             "pair": [format_ideal(self.pair[0]), format_ideal(self.pair[1])],
             "grading": {"alpha": self.grading.alpha, "beta": self.grading.beta},
             "status": self.status.value,
@@ -63,17 +63,6 @@ class EdgeRecord:
         )
 
 
-def _char_ring(ring, char):
-    if char == 0:
-        return ring, lambda p: p
-    modring = Ring(ring.vars, char=char)
-
-    def convert(p):
-        return modring.poly(p.terms)
-
-    return modring, convert
-
-
 def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     """Tri-state edge decision for one pair and grading.
 
@@ -91,22 +80,23 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     big, small = oriented
     ideal = edge_ideal(big, small, g)
     gens = ideal.nonzero_generators()
-    ring, convert = _char_ring(ideal.ring, char)
-    gens = [convert(p) for p in gens]
+    if char:
+        ring = Ring(ideal.ring.vars, char=char)
+        gens = [ring.poly(p.terms) for p in gens]
     start = time.perf_counter()
     try:
         gb = buchberger(gens, budget=budget)
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
         elapsed = (time.perf_counter() - start) * 1000.0
         return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN,
-                          generator_count=len(gens), s_pairs=budget,
+                          generator_count=len(gens), s_pairs=exc.s_pairs,
                           time_ms=elapsed, characteristic=char)
     elapsed = (time.perf_counter() - start) * 1000.0
     if gb.is_trivial():
         status, dim = EdgeStatus.NO_EDGE, None
     else:
         status = EdgeStatus.EDGE
-        dim = (quotient_dimension(gb, nvars=ring.nvars)
+        dim = (quotient_dimension(gb, nvars=ideal.ring.nvars)
                if with_dimension else None)
     return EdgeRecord((M, N), g, status, dimension=dim,
                       generator_count=len(gens),

@@ -305,20 +305,6 @@ def saturation_label(M):
     raise ValueError("not a two-points fixed ideal")
 
 
-def from_saturation(linear, quad):
-    """Degree-two truncation of <x_linear, quad>: the fixed-point ideal."""
-    gens = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[linear] += 1
-        e[i] += 1
-        gens.append(tuple(e))
-    gens.append(tuple(quad))
-    gens = [g for g in gens
-            if not any(h != g and _divides(h, g) for h in gens)]
-    return NMonomialIdeal(3, tuple(sorted(set(gens))), (1, 1, 1))
-
-
 def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     """Vertices, edges, and edge dimensions for two points in the plane.
 

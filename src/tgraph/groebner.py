@@ -17,7 +17,7 @@ Inside the solver a monomial is one int, packed by ``poly.Packing`` with
 ``FIELD_BITS`` bits per variable: grevlex order is integer order, a product
 is an integer sum, and divisibility, lcm and coprimality are a few integer
 operations.  ``buchberger`` packs its generators once and unpacks only the
-reduced basis; ``normal_form`` packs around the same kernel, ``_reduce``.  A
+reduced basis, and its one kernel, ``_reduce``, divides packed terms.  A
 packed field holds degrees up to ``2**FIELD_BITS - 1``.  No term of a run
 has a larger degree than an input or a pair's lcm, so those are checked when
 they are packed, and one past the cap raises BudgetExceeded: an unknown
@@ -37,7 +37,9 @@ FIELD_BITS = 16  # bits per variable in a packed monomial
 
 class BudgetExceeded(RuntimeError):
     """Raised when a run needs more S-pair reductions than allowed, or a
-    degree past the packed field cap."""
+    degree past the packed field cap; ``s_pairs`` counts those it made."""
+
+    s_pairs = 0
 
 
 @dataclass
@@ -107,7 +109,23 @@ def _reduce(work, reducers, char, guards):
     Consumes ``work``, a dict from packed monomials to coefficients, and
     returns the remainder dict and the number of reduction steps.  The first
     reducer, in list order, whose lead divides the largest pending term
-    reduces it.  See ``normal_form`` for the rules.
+    reduces it.
+
+    The remainder is exact when every reducer is monic, and a nonzero scalar
+    multiple of it otherwise.  A term c*x^e met by a reducer whose lead
+    coefficient a is not 1 is reduced by pseudo-division: with q = gcd(a, c),
+    every pending and remainder coefficient is multiplied by a/q, then
+    (c/q)*x^shift times the reducer is subtracted.  That branch needs integer
+    coefficients, which is what ``buchberger`` works with.
+
+    The largest pending term is reduced first.  Pending terms sit in a heap
+    of negated packed monomials, pushed once, when the term enters the work
+    dict.  A term that cancels keeps its entry and a zero coefficient, and is
+    skipped when popped; if it is created again, that entry still stands,
+    because a reduction only creates terms smaller than the one popped.  So
+    the heap yields terms in the grevlex order that taking the maximum of
+    the work dict at every step would: the remainder and the count of
+    reduction steps are those of that loop.
     """
     heap = [-m for m in work]
     heapify(heap)
@@ -142,40 +160,6 @@ def _reduce(work, reducers, char, guards):
         else:
             rem[e] = c
     return rem, steps
-
-
-def normal_form(f, basis, stats=None):
-    """Full remainder of f on division by basis.
-
-    f and the basis are packed and divided by the solver's one kernel,
-    ``_reduce``; a degree past the field cap raises BudgetExceeded.
-
-    The remainder is exact when every reducer is monic, and a nonzero scalar
-    multiple of it otherwise.  A term c*x^e met by a reducer g whose lead
-    coefficient a is not 1 is reduced by pseudo-division: with q = gcd(a, c),
-    every pending and remainder coefficient is multiplied by a/q, then
-    (c/q)*x^shift*g is subtracted.  That branch needs integer coefficients,
-    which is what ``buchberger`` works with.
-
-    The largest pending term is reduced first.  Pending terms sit in a heap
-    of negated packed monomials, pushed once, when the term enters the work
-    dict.  A term that cancels keeps its entry and a zero coefficient, and is
-    skipped when popped; if it is created again, that entry still stands,
-    because a reduction only creates terms smaller than the one popped.  So
-    the heap yields terms in the grevlex order that taking the maximum of
-    the work dict at every step would: the remainder and the count of
-    reduction steps are those of that loop.
-    """
-    if not basis:
-        return f
-    ring = f.ring
-    packing = Packing(ring.nvars, FIELD_BITS)
-    guards = packing.guards
-    reducers = [_reducer(_pack(g, packing), guards) for g in basis]
-    rem, steps = _reduce(_pack(f, packing), reducers, ring.char, guards)
-    if steps and stats is not None:
-        stats["reduction_steps"] = stats.get("reduction_steps", 0) + steps
-    return _unpack(rem, ring, packing)
 
 
 def _spoly(f, g, lcm_fg, char):
@@ -241,11 +225,12 @@ def _update_pairs(basis, pairs, queue, packing):
 def buchberger(gens, budget=DEFAULT_BUDGET):
     """Reduced Groebner basis of the given generators, deterministically.
 
-    Raises BudgetExceeded when more than `budget` S-pair reductions would be
-    needed, or when an input or the lcm of two leads passes the degree cap
-    of the packed form.  The zero ideal yields an empty basis.  The next S-pair is
-    the one whose lcm is grevlex-least, ties going to the smaller index pair;
-    a heap holds every pair ever formed and skips those the updates dropped.
+    Raises BudgetExceeded, carrying the S-pairs reduced so far, when more
+    than `budget` S-pair reductions would be needed, or when an input or the
+    lcm of two leads passes the degree cap of the packed form.  The zero
+    ideal yields an empty basis.  The next S-pair is the one whose lcm is
+    grevlex-least, ties going to the smaller index pair; a heap holds every
+    pair ever formed and skips those the updates dropped.
 
     The generators are packed once; the loop runs on packed terms and only
     the reduced basis is unpacked.  Every term's degree is at most that of an
@@ -274,16 +259,20 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
             basis.append(_reducer(_primitive(rem, char), guards))
             pairs = _update_pairs(basis, pairs, queue, packing)
 
-    for terms in ordered:
-        extend(terms)
-    while queue:
-        lcm_ij, i, j = heappop(queue)
-        if pairs.pop((i, j), None) is None:
-            continue
-        stats["s_pairs"] += 1
-        if stats["s_pairs"] > budget:
-            raise BudgetExceeded(f"S-pair budget {budget} exceeded")
-        extend(_spoly(basis[i], basis[j], lcm_ij, char))
+    try:
+        for terms in ordered:
+            extend(terms)
+        while queue:
+            lcm_ij, i, j = heappop(queue)
+            if pairs.pop((i, j), None) is None:
+                continue
+            if stats["s_pairs"] >= budget:
+                raise BudgetExceeded(f"S-pair budget {budget} exceeded")
+            stats["s_pairs"] += 1
+            extend(_spoly(basis[i], basis[j], lcm_ij, char))
+    except BudgetExceeded as exc:
+        exc.s_pairs = stats["s_pairs"]
+        raise
 
     # Minimalize: drop generators whose lead is a multiple of another lead.
     # The leads are distinct, so the sort never compares past them, and the

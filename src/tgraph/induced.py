@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
 from .monomial import MonomialIdeal2
-from .poly import ArrowVar, add_into
+from .poly import add_into
 
 
 def _as_field(c):
@@ -81,14 +81,11 @@ def specialize(basis, values):
 
 def cell_point(M, g, values):
     """Rows of the ideal at a point of the cell of M (values per arrow)."""
-    from .cells import cell_generators_f, significant_arrows
+    from .cells import cell_generators_f
 
-    arrows = significant_arrows(M, g).positive
     basis = cell_generators_f(M, g)
-    assignment = {}
-    for (i, l) in arrows:
-        var = ArrowVar(0, i, l)
-        assignment[var] = _as_field(values.get((i, l), 0))
+    assignment = {var: _as_field(values.get((var.index, var.step), 0))
+                  for var in basis.ring.vars}
     return specialize(basis, assignment)
 
 

@@ -191,9 +191,6 @@ class HilbertFunction:
 
     values: tuple  # sorted ((weight, count), ...) with count > 0
 
-    def total(self):
-        return sum(c for _, c in self.values)
-
 
 def hilbert_function(M, g):
     """Count standard monomials of M per degree class, row by row.

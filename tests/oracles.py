@@ -3,7 +3,9 @@
 Nothing here calls the code paths it checks: arrow-map conditions are tested
 literally over a padded box, tangent weights come from arm/leg statistics of
 the partition, ideal membership is certified by explicit cofactors, and small
-fields are implemented from scratch for the slice computations.
+fields are implemented from scratch for the slice computations.  The helpers
+at the end are the exception: they build test inputs from the package, or
+reach the solver's private kernel, and say so.
 """
 from __future__ import annotations
 
@@ -287,6 +289,39 @@ def brute_normal_form(f, basis):
         else:
             rem[e] = c
     return ring.poly(rem), steps, recreated
+
+
+def mirrored_significant_arrows(M, g):
+    """Significant arrows as two loops, the negative one mirroring the other.
+
+    Returns (positive, negative), ordered by generator index, then by step
+    1, 2, ... or -1, -2, ....
+    """
+    gens = M.gens
+    e = len(gens) - 1
+    positive = []
+    for i in range(1, e + 1):
+        ai, bi = gens[i]
+        wi = (gens[i - 1][0], bi)
+        for l in range(1, bi // g.alpha + 1):
+            target = g.shift((ai, bi), l)
+            hop = g.shift(wi, l)
+            if target is None or hop is None:
+                continue
+            if not M.contains(target) and M.contains(hop):
+                positive.append((i, l))
+    negative = []
+    for i in range(0, e):
+        ai, bi = gens[i]
+        w_next = (ai, gens[i + 1][1])
+        for k in range(1, ai // g.beta + 1):
+            target = g.shift((ai, bi), -k)
+            hop = g.shift(w_next, -k)
+            if target is None or hop is None:
+                continue
+            if not M.contains(target) and M.contains(hop):
+                negative.append((i, -k))
+    return tuple(positive), tuple(negative)
 
 
 def hook_tangent_weights(M):
@@ -595,3 +630,67 @@ def sample_two_sided_edges(d, seed=20240811):
                     pair = tuple(sorted((index[M], index[other])))
                     edges.add(pair)
     return edges
+
+
+def kernel_normal_form(f, basis, stats=None):
+    """Full remainder of f on division by basis, through the solver's kernel.
+
+    Packs f and the basis, divides with ``groebner._reduce`` and unpacks the
+    remainder, adding the reduction steps to ``stats``.  A degree past the
+    packed field cap raises BudgetExceeded.
+    """
+    from tgraph import groebner
+    from tgraph.poly import Packing
+
+    if not basis:
+        return f
+    ring = f.ring
+    packing = Packing(ring.nvars, groebner.FIELD_BITS)
+    guards = packing.guards
+    reducers = [groebner._reducer(groebner._pack(g, packing), guards)
+                for g in basis]
+    rem, steps = groebner._reduce(groebner._pack(f, packing), reducers,
+                                  ring.char, guards)
+    if steps and stats is not None:
+        stats["reduction_steps"] = stats.get("reduction_steps", 0) + steps
+    return groebner._unpack(rem, ring, packing)
+
+
+def extremal_ideals(H, g):
+    """Unique top and bottom monomial ideals with Hilbert function H.
+
+    Found by exhaustive comparison, through the package's dominance order,
+    among all monomial ideals of the right colength; raises when H is not
+    realized.
+    """
+    from tgraph.arrows import dominates
+    from tgraph.monomial import enumerate_ideals, hilbert_function
+
+    d = sum(c for _, c in H.values)
+    pool = [M for M in enumerate_ideals(d) if hilbert_function(M, g) == H]
+    if not pool:
+        raise ValueError("Hilbert function is not realized by a monomial ideal")
+    tops = [M for M in pool
+            if all(dominates(M, other, g) for other in pool)]
+    bottoms = [M for M in pool
+               if all(dominates(other, M, g) for other in pool)]
+    if len(tops) != 1 or len(bottoms) != 1:
+        raise ValueError("poset of ideals lacks a unique top or bottom")
+    return tops[0], bottoms[0]
+
+
+def from_saturation(linear, quad):
+    """Degree-two truncation of <x_linear, quad>: a two-points fixed ideal."""
+    from tgraph.general import NMonomialIdeal
+
+    gens = []
+    for i in range(3):
+        e = [0, 0, 0]
+        e[linear] += 1
+        e[i] += 1
+        gens.append(tuple(e))
+    gens.append(tuple(quad))
+    gens = [g for g in gens
+            if not any(h != g and all(a <= b for a, b in zip(h, g))
+                       for h in gens)]
+    return NMonomialIdeal(3, tuple(sorted(set(gens))), (1, 1, 1))

@@ -1,21 +1,25 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tgraph import cells
 from tgraph.arrows import dominates, oriented_pair
-from tgraph.assembly import coprime_gradings, pair_grading_jobs
+from tgraph.assembly import (PipelineDepth, build_tgraph, coprime_gradings,
+                             pair_grading_jobs)
 from tgraph.cells import (cell_generators_f, cell_generators_g, edge_ideal,
-                          extremal_ideals, reduce_monomial,
-                          significant_arrows, tangent_weight_count)
+                          reduce_monomial, significant_arrows,
+                          tangent_weight_count)
 from tgraph.induced import cell_point, initial_ideal, rref, specialize
 from tgraph.monomial import (Grading, enumerate_ideals, format_monomial,
                              hilbert_function, parse_ideal, parse_monomial)
 from tgraph.poly import ArrowVar
 from tgraph.strolls import edge_ideal_hikes, enumerate_paths, walk_polynomials
 
-from oracles import hook_count_for_grading, hook_tangent_weights
+from oracles import (extremal_ideals, hook_count_for_grading,
+                     hook_tangent_weights, mirrored_significant_arrows)
 
 G11 = Grading(1, 1)
 M21 = parse_ideal("<x^8, x^5*y, x^3*y^3, y^4>")
@@ -36,6 +40,45 @@ def test_significant_arrows_opposite_side():
     # the y-smaller side of N21 is the x-smaller side of its swap
     arrows = significant_arrows(N21.swap(), G11.swap())
     assert arrows.positive == ((1, 1), (1, 2), (2, 4))
+
+
+def test_significant_arrows_match_the_mirrored_loops():
+    # the negative arrows are the positive rule on the swap; they must be the
+    # arrows the mirrored negative loop finds, in the same order
+    count = 0
+    for d in range(1, 11):
+        gradings = coprime_gradings(d + 1)
+        for M in enumerate_ideals(d):
+            for g in gradings:
+                arrows = significant_arrows(M, g)
+                assert ((arrows.positive, arrows.negative)
+                        == mirrored_significant_arrows(M, g)), (M, g)
+                count += 1
+    assert count == 7922
+
+
+def test_each_side_of_an_edge_ideal_finds_its_arrows_once(monkeypatch):
+    # a full build reads the positive arrows of each side once per edge
+    # ideal and never asks for the negative ones
+    calls = {"edge_ideal": 0, "_positive_arrows": 0, "significant_arrows": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        real = getattr(cells, name)
+        for module in [m for k, m in sys.modules.items()
+                       if k == "tgraph" or k.startswith("tgraph.")]:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted(name, real))
+    build_tgraph(7, PipelineDepth.FULL)
+    assert calls["edge_ideal"] == 53
+    assert calls["significant_arrows"] == 0
+    assert calls["_positive_arrows"] == 2 * calls["edge_ideal"]
 
 
 def test_arrows_vanish_for_point_stabilizers():
@@ -244,13 +287,20 @@ def test_route_equivalence_highlighted_pair():
         assert (n1, s1) == (n2, s2) and p.terms == q.terms
 
 
-def test_edge_equations_through_colength_6_are_pinned():
-    # every comparable pair under every grading a graph of its colength
-    # examines; the digest was recorded before N's opposite-side family
-    # moved into edge_ideal, so any change in a variable or term shows
+# every comparable pair under every grading a graph of its colength
+# examines; the first digest was recorded before N's opposite-side family
+# moved into edge_ideal, the second before the negative arrows were read off
+# the swap, so any change in a variable or term shows
+@pytest.mark.parametrize("low, high, pairs, sha256", [
+    pytest.param(2, 6, 64, "21abea5f477cead583676fcc1b555d9e"
+                           "2c995c0ba3b5a635c35f542604b6e5ea", id="2-6"),
+    pytest.param(7, 9, 323, "b781fde7793bf11b5ed006e68f2a5373"
+                            "0053241f0f3b120d5d799d2f06b30250", id="7-9"),
+])
+def test_edge_equations_are_pinned(low, high, pairs, sha256):
     digest = hashlib.sha256()
     count = 0
-    for d in range(2, 7):
+    for d in range(low, high + 1):
         vertices = enumerate_ideals(d)
         for (i, j), g in pair_grading_jobs(vertices):
             pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
@@ -263,9 +313,8 @@ def test_edge_equations_through_colength_6_are_pinned():
                 [v.label() for v in E.ring.vars],
                 [(format_monomial(n), format_monomial(s), str(p))
                  for n, s, p in E.generators])).encode())
-    assert count == 64
-    assert digest.hexdigest() == (
-        "21abea5f477cead583676fcc1b555d9e2c995c0ba3b5a635c35f542604b6e5ea")
+    assert count == pairs
+    assert digest.hexdigest() == sha256
 
 
 def test_cell_layer_through_colength_7_is_pinned():

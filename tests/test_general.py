@@ -8,9 +8,10 @@ from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
                             candidate_refinements, chain_positions,
                             class_dominates, degree_classes,
                             edge_scheme_general, fixed_points_two_points_p2,
-                            from_saturation, saturation_label,
-                            two_points_graph)
+                            saturation_label, two_points_graph)
 from tgraph.groebner import buchberger, quotient_dimension
+
+from oracles import from_saturation
 
 
 def test_nine_fixed_points():

@@ -11,11 +11,12 @@ from tgraph import groebner
 from tgraph.edges import EdgeStatus, decide_edge
 from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
                              _reducer, _spoly, _unpack, buchberger,
-                             normal_form, quotient_dimension)
+                             quotient_dimension)
 from tgraph.monomial import Grading, parse_ideal
 from tgraph.poly import ArrowVar, Packing, Ring
 
-from oracles import brute_normal_form, membership_certificate
+from oracles import (brute_normal_form, kernel_normal_form,
+                     membership_certificate)
 
 V = [ArrowVar(0, i, 1) for i in range(1, 5)]
 
@@ -86,7 +87,7 @@ def test_normal_form_handles_a_term_that_cancels_and_returns():
     basis = [x * x * x + z * z * z, y * y * y - z * z * z]
     stats = {}
     # x^3 cancels z^3 out of the work dict; y^3 brings it back.
-    assert normal_form(f, basis, stats) == z * z * z
+    assert kernel_normal_form(f, basis, stats) == z * z * z
     assert stats == {"reduction_steps": 2}
     assert brute_normal_form(f, basis) == (z * z * z, 2, 1)
 
@@ -104,7 +105,7 @@ def test_normal_form_matches_the_division_loop(char):
             basis = [g.monic() for g in gens if g]
         f = random_poly(r, rng, 8, 4)
         stats = {}
-        remainder = normal_form(f, basis, stats)
+        remainder = kernel_normal_form(f, basis, stats)
         want, steps, again = brute_normal_form(f, basis)
         assert remainder == want
         assert stats.get("reduction_steps", 0) == steps
@@ -169,7 +170,7 @@ def test_pseudo_division_matches_the_division_loop_on_monic_reducers():
                 basis.append(g)
         f = random_poly(r, rng, 8, 4)
         stats = {}
-        remainder = normal_form(f, basis, stats)
+        remainder = kernel_normal_form(f, basis, stats)
         want, steps, _ = brute_normal_form(f, [g.monic() for g in basis])
         assert_rational_multiple(remainder, want)
         assert stats.get("reduction_steps", 0) == steps
@@ -182,8 +183,8 @@ def test_pseudo_division_rescales_the_remainder_already_kept():
     x, y, z = (r.var(v) for v in r.vars)
     reducer = y.scale(2) - z
     # x^2 is kept in the remainder before y meets the reducer with lead 2.
-    assert normal_form(x * x + y, [reducer]) == (x * x).scale(2) + z
-    assert normal_form(x * x + y.scale(2), [reducer]) == x * x + z
+    assert kernel_normal_form(x * x + y, [reducer]) == (x * x).scale(2) + z
+    assert kernel_normal_form(x * x + y.scale(2), [reducer]) == x * x + z
     # The S-polynomial's cofactors are divided by the gcd of the leads.
     f = (x * x).scale(4) + y
     g = (x * y).scale(6) + z
@@ -235,7 +236,8 @@ def test_solver_reduces_only_integers_in_characteristic_zero(monkeypatch):
 
 def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
     # Fields of 2 bits hold degrees up to 3.  The edge equations of this
-    # pair have degree 2, and the lcm of their leads has degree 4.
+    # pair have degree 2, and after the first S-pair the lcm of two leads
+    # has degree 4.
     M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
     g = Grading(1, 1)
     gens = edge_ideal(*oriented_pair(M, N, g), g).nonzero_generators()
@@ -245,6 +247,24 @@ def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
     with pytest.raises(BudgetExceeded, match="degree 4 exceeds"):
         buchberger(gens)
     assert decide_edge(M, N, g).status is EdgeStatus.UNKNOWN
+
+
+def test_unknown_records_the_s_pairs_it_reduced(monkeypatch):
+    # Over 1-bit fields the degree-2 inputs overflow as they are packed,
+    # before any S-pair; over 2-bit fields the guard fires after the first.
+    # A run stopped by the S-pair budget has reduced exactly the budget.
+    M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
+    g = Grading(1, 1)
+    assert decide_edge(M, N, g).s_pairs == 2
+    for budget in (0, 1):
+        record = decide_edge(M, N, g, budget=budget)
+        assert record.status is EdgeStatus.UNKNOWN
+        assert record.s_pairs == budget
+    for bits, s_pairs in ((1, 0), (2, 1)):
+        monkeypatch.setattr(groebner, "FIELD_BITS", bits)
+        record = decide_edge(M, N, g)
+        assert record.status is EdgeStatus.UNKNOWN
+        assert record.s_pairs == s_pairs
 
 
 def test_verdicts_hold_over_a_large_prime():
@@ -271,7 +291,7 @@ def test_reduced_basis_properties():
     for i, g in enumerate(gb.generators):
         assert g.lead()[1] == 1
         others = gb.generators[:i] + gb.generators[i + 1:]
-        assert normal_form(g, others) == g
+        assert kernel_normal_form(g, others) == g
     # every S-pair of the completed basis drops to zero
     for i in range(len(gb.generators)):
         for j in range(i + 1, len(gb.generators)):
@@ -280,7 +300,7 @@ def test_reduced_basis_properties():
             lcm = tuple(max(x, y) for x, y in zip(ei, ej))
             s = (gi * r.poly({tuple(x - y for x, y in zip(lcm, ei)): 1})
                  - gj * r.poly({tuple(x - y for x, y in zip(lcm, ej)): 1}))
-            assert not normal_form(s, gb.generators)
+            assert not kernel_normal_form(s, gb.generators)
 
 
 def test_membership_matches_certificate_oracle():
@@ -305,12 +325,12 @@ def test_membership_matches_certificate_oracle():
             continue
         # known members must carry a verified certificate
         member = gens[0] * vars3[0] + gens[-1].scale(3)
-        assert not normal_form(member, gb.generators)
+        assert not kernel_normal_form(member, gb.generators)
         cap = max(p.total_degree() for p in gens) + 3
         assert membership_certificate(member, gens, cap) is not None
         # a nonmember by normal form must have no certificate at the cap
         candidate = vars3[0] + r.one()
-        if normal_form(candidate, gb.generators):
+        if kernel_normal_form(candidate, gb.generators):
             assert membership_certificate(candidate, gens, cap) is None
 
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -142,6 +143,40 @@ def test_no_memo_decorators():
                 if name in ("lru_cache", "cache"):
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_nothing_is_public_just_because_a_test_calls_it():
+    # a public module-level function or class is exported, referenced by
+    # the package or the benchmark, or imported by the acceptance tests
+    package = pathlib.Path(tgraph.__file__).parent
+    perfbench = package.parent.parent / "perfbench"
+    assert perfbench.is_dir()
+    trees = {path: ast.parse(path.read_text())
+             for path in (*sorted(package.rglob("*.py")),
+                          *sorted(perfbench.rglob("*.py")))}
+
+    def references(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.ImportFrom):
+                yield from (alias.name for alias in n.names)
+
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    allowed = set(tgraph.__all__)
+    allowed |= {alias.name for n in ast.walk(ast.parse(acceptance.read_text()))
+                if isinstance(n, ast.ImportFrom) for alias in n.names}
+    total = Counter(name for tree in trees.values()
+                    for name in references(tree))
+    unused = [f"{path.relative_to(package)}:{node.name}"
+              for path, tree in trees.items() if package in path.parents
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in allowed
+              and total[node.name] == Counter(references(node))[node.name]]
+    assert unused == []
 
 
 def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
