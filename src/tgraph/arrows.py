@@ -269,7 +269,7 @@ def _search(M, N, g, classes, limit):
             return
 
 
-def find_arrow_maps(M, N, g, limit=1):
+def find_arrow_maps(M, N, g, limit):
     """Up to `limit` arrow maps from M onto N (None for all), validated.
 
     Raises RuntimeError when the search yields a map that fails the literal

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -28,73 +29,95 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_DEPTHS = sorted(depth.value for depth in PipelineDepth)
+_GRAPH_FORMATS = {"json": graph_to_json, "dot": graph_to_dot,
+                  "csv": graph_to_csv}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _int_option(check):
+    """An argparse type: an int that `check` accepts (it raises ValueError)."""
+    def parse(text):
+        try:
+            check(value := int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
+def _at_least_one(value):
+    if value < 1:
+        raise ValueError("must be at least 1")
+
+
+def _options(*parents):
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
 def build_parser():
+    count = _int_option(_at_least_one)
+    output = _options()
+    output.add_argument("--output", help="write the main result to this path")
+    printed = _options(output)
+    printed.add_argument("--json", action="store_true",
+                         help="machine readable output on stdout")
+    pair = _options()
+    pair.add_argument("M")
+    pair.add_argument("N")
+    pair.add_argument("--alpha", type=int, required=True)
+    pair.add_argument("--beta", type=int, required=True)
+    budget = _options()
+    budget.add_argument("--budget", type=count, default=DEFAULT_BUDGET,
+                        help="S-pair ceiling for the exact solver")
+    cached = _options()
+    cached.add_argument("--cache-dir", help="edge-record cache directory "
+                        "(or set TGRAPH_CACHE_DIR)")
+    cached.add_argument("--depth", default="full",
+                        choices=sorted(depth.value for depth in PipelineDepth))
+
     parser = _Parser(prog="tgraph", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"tgraph {__version__} (schema {SCHEMA_VERSION})")
-    parser.add_argument("--json", action="store_true",
-                        help="machine readable output on stdout")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="S-pair ceiling for the exact solver")
-    parser.add_argument("--char", type=int, default=0,
-                        help="prime characteristic pre-screen (0 = exact)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="edge-record cache directory "
-                             "(or set TGRAPH_CACHE_DIR)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for full graph builds")
-    parser.add_argument("--output", default=None,
-                        help="write the main result to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ideals", help="list the fixed points for colength d")
+    p = sub.add_parser("ideals", parents=[printed],
+                       help="list the fixed points for colength d")
     p.add_argument("d", type=int)
 
-    for name in ("arrowmap", "dual"):
-        p = sub.add_parser(name)
-        p.add_argument("M")
-        p.add_argument("N")
-        p.add_argument("--alpha", type=int, required=True)
-        p.add_argument("--beta", type=int, required=True)
-        if name == "arrowmap":
-            p.add_argument("--enumerate", action="store_true",
-                           dest="enumerate_all")
-            p.add_argument("--limit", type=int, default=None)
-        else:
-            p.add_argument("--r1", type=int, default=None)
-            p.add_argument("--r2", type=int, default=None)
+    p = sub.add_parser("arrowmap", parents=[printed, pair])
+    p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
+    p.add_argument("--limit", type=count)
 
-    p = sub.add_parser("edge-ideal", help="print the edge equations")
-    p.add_argument("M")
-    p.add_argument("N")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    p = sub.add_parser("dual", parents=[printed, pair])
+    p.add_argument("--r1", type=int)
+    p.add_argument("--r2", type=int)
 
-    p = sub.add_parser("edge", help="decide one pair and grading")
-    p.add_argument("M")
-    p.add_argument("N")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    sub.add_parser("edge-ideal", parents=[printed, pair],
+                   help="print the edge equations")
+
+    p = sub.add_parser("edge", parents=[printed, pair, budget],
+                       help="decide one pair and grading")
+    p.add_argument("--char", type=_int_option(_check_char), default=0,
+                   help="prime characteristic pre-screen (0 = exact)")
     p.add_argument("--dimension", action="store_true")
 
-    p = sub.add_parser("tgraph", help="build the graph for colength d")
+    p = sub.add_parser("tgraph", parents=[output, budget, cached],
+                       help="build the graph for colength d")
     p.add_argument("d", type=int)
-    p.add_argument("--depth", choices=_DEPTHS, default="full")
-    p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
+    p.add_argument("--threads", type=count, default=1,
+                   help="parallel workers for full graph builds")
+    p.add_argument("--format", choices=_GRAPH_FORMATS, default="json")
     p.add_argument("--dimension", action="store_true")
 
-    p = sub.add_parser("table", help="summary counts for a colength range")
+    p = sub.add_parser("table", parents=[printed, budget, cached],
+                       help="summary counts for a colength range")
     p.add_argument("dmin", type=int)
     p.add_argument("dmax", type=int)
-    p.add_argument("--depth", choices=_DEPTHS, default="full")
 
     sub.add_parser("verify-fixtures", help="replay the packaged golden runs")
     return parser
@@ -125,8 +148,6 @@ def _oriented_pair(args, incomparable):
 
 
 def _cache(args):
-    import os
-
     path = args.cache_dir or os.environ.get("TGRAPH_CACHE_DIR")
     return EdgeCache(path) if path else None
 
@@ -183,16 +204,16 @@ def cmd_arrowmap(args):
 
 
 def cmd_dual(args):
-    pair = _oriented_pair(args,
-                          "no dual arrow map: the pair is not comparable")
-    if pair is None:
-        return EXIT_NEGATIVE
-    big, small, g = pair
     box = None
     if args.r1 is not None or args.r2 is not None:
         if args.r1 is None or args.r2 is None:
             raise ValueError("give both --r1 and --r2 or neither")
         box = (args.r1, args.r2)
+    pair = _oriented_pair(args,
+                          "no dual arrow map: the pair is not comparable")
+    if pair is None:
+        return EXIT_NEGATIVE
+    big, small, g = pair
     witness, used = dual_condition(big, small, g, box=box)
     if args.json:
         payload = {
@@ -258,23 +279,14 @@ def cmd_edge(args):
 
 
 def cmd_tgraph(args):
-    if args.char:
-        raise ValueError("graph builds are exact; drop --char")
     graph = build_tgraph(args.d, PipelineDepth(args.depth),
                          budget=args.budget, with_dimension=args.dimension,
                          cache=_cache(args), threads=args.threads)
-    if args.format == "json":
-        _emit(args, graph_to_json(graph))
-    elif args.format == "dot":
-        _emit(args, graph_to_dot(graph))
-    else:
-        _emit(args, graph_to_csv(graph))
+    _emit(args, _GRAPH_FORMATS[args.format](graph))
     return EXIT_OK
 
 
 def cmd_table(args):
-    if args.char:
-        raise ValueError("tables are exact; drop --char")
     rows = count_table(args.dmin, args.dmax, PipelineDepth(args.depth),
                        budget=args.budget, cache=_cache(args))
     unknown = sum(row.unknown for row in rows)
@@ -299,8 +311,7 @@ def cmd_table(args):
 def cmd_verify_fixtures(args):
     from .fixtures import run_all
 
-    failures = run_all(print)
-    return EXIT_NEGATIVE if failures else EXIT_OK
+    return EXIT_NEGATIVE if run_all(print) else EXIT_OK
 
 
 _COMMANDS = {
@@ -316,18 +327,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_char(args.char)
-    except ValueError as exc:
-        parser.error(f"--char: {exc}")
-    if args.budget < 1:
-        parser.error("--budget must be at least 1")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
-    if getattr(args, "limit", None) is not None and args.limit < 1:
-        parser.error("--limit must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, BrokenProcessPool) as exc:

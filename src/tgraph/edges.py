@@ -51,15 +51,18 @@ class EdgeRecord:
 
     @classmethod
     def from_json(cls, data):
+        """The record `to_json` wrote; a missing field raises KeyError."""
+        if data["schema"] != f"tgraph.edge-record/{SCHEMA_VERSION}":
+            raise ValueError(f"not an edge record: {data['schema']!r}")
         return cls(
             pair=(parse_ideal(data["pair"][0]), parse_ideal(data["pair"][1])),
             grading=Grading(data["grading"]["alpha"], data["grading"]["beta"]),
             status=EdgeStatus(data["status"]),
-            dimension=data.get("dimension"),
-            generator_count=data.get("generator_count", 0),
-            s_pairs=data.get("groebner", {}).get("s_pairs", 0),
-            time_ms=data.get("groebner", {}).get("time_ms", 0.0),
-            characteristic=data.get("characteristic", 0),
+            dimension=data["dimension"],
+            generator_count=data["generator_count"],
+            s_pairs=data["groebner"]["s_pairs"],
+            time_ms=data["groebner"]["time_ms"],
+            characteristic=data["characteristic"],
         )
 
 

@@ -44,16 +44,10 @@ def _check_edge_ideal(data):
     ideal = edge_ideal(M, N, _grading(data))
     got = {f"{format_monomial(n)};{format_monomial(s)}": str(p)
            for n, s, p in ideal.generators}
-    problems = []
     expected = data["generators"]
-    if data.get("subset_only"):
-        items = expected.items()
-        problems += [f"{k}: {got.get(k)!r} != {v!r}"
-                     for k, v in items if got.get(k) != v]
-    elif got != expected:
-        for k in sorted(set(got) | set(expected)):
-            if got.get(k) != expected.get(k):
-                problems.append(f"{k}: {got.get(k)!r} != {expected.get(k)!r}")
+    problems = [f"{k}: {got.get(k)!r} != {expected.get(k)!r}"
+                for k in sorted(set(got) | set(expected))
+                if got.get(k) != expected.get(k)]
     if "variables" in data:
         labels = [v.label() for v in ideal.ring.vars]
         if labels != data["variables"]:
@@ -91,8 +85,6 @@ def _check_arrow_map(data):
         return ["no arrow map found"]
     got = dict(witness.moved_pairs())
     expected = _pairs(data["pairs"])
-    if data.get("any_witness"):
-        return []
     if got != expected:
         return [f"{got} != {expected}"]
     return []
@@ -219,7 +211,7 @@ def iter_fixtures():
             yield entry.name, json.loads(entry.read_text())
 
 
-def run_all(report=lambda line: None):
+def run_all(report):
     failures = 0
     for name, data in iter_fixtures():
         problems = _CHECKS[data["kind"]](data)

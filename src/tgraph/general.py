@@ -90,13 +90,6 @@ class NMonomialIdeal:
             out[t] = sum(1 for m in mons if not self.contains(m))
         return out
 
-    def permute(self, perm):
-        """Relabel variables: position i receives old variable perm[i]."""
-        gens = tuple(tuple(g[perm[i]] for i in range(self.nvars))
-                     for g in self.gens)
-        weights = tuple(self.weights[perm[i]] for i in range(self.nvars))
-        return NMonomialIdeal(self.nvars, gens, weights)
-
     def __str__(self):
         return "<" + ", ".join(map(_format_monomial, self.gens)) + ">"
 

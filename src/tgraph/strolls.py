@@ -19,29 +19,29 @@ from .monomial import hilbert_function
 from .poly import ArrowVar, arrow_ring
 
 
+_STEP_CAP = 2_000_000  # chain steps one enumeration may take
+
+
 class StrollOverflow(RuntimeError):
-    """Raised when chain enumeration exceeds its step cap."""
+    """Raised when chain enumeration takes more than _STEP_CAP steps."""
 
 
 class _Budget:
-    __slots__ = ("left",)
+    left = _STEP_CAP  # each instance counts down its own copy
 
-    def __init__(self, cap):
-        self.left = cap
-
-    def spend(self, n=1):
-        self.left -= n
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise StrollOverflow("chain enumeration cap exceeded")
 
 
-def enumerate_paths(M, g, cap=2_000_000):
+def enumerate_paths(M, g):
     """Arrow chains starting at each generator index, x-smaller side.
 
     Returns a list over generator indices; entry i is a list of
     (arrow tuple, length) with each arrow a (generator index, step) label.
     """
-    budget = _Budget(cap)
+    budget = _Budget()
     arrows = significant_arrows(M, g).positive
     by_index = {}
     for (i, l) in arrows:
@@ -72,14 +72,15 @@ def _path_poly(ring, var_side, seq):
     return tuple(exps)
 
 
-def walk_polynomials(M, g, ring, var_side=0, cap=2_000_000):
+def walk_polynomials(M, g, ring):
     """Signed sums over walks from each generator, grouped by total length.
 
     Entry i maps a length to the polynomial summing (-1)^(d+1) times the
-    product of arrow variables over all walks of d paths with that length.
+    product of the first ideal's arrow variables (side 0) over all walks of
+    d paths with that length.
     """
-    budget = _Budget(cap)
-    paths = enumerate_paths(M, g, cap=cap)
+    budget = _Budget()
+    paths = enumerate_paths(M, g)
     gens = M.gens
     out = []
     for i in range(len(gens)):
@@ -100,23 +101,23 @@ def walk_polynomials(M, g, ring, var_side=0, cap=2_000_000):
             pos = g.shift(gens[i], total)
             if pos is not None and M.contains(pos):
                 for seq2, len2 in paths[M.j_index(pos)]:
-                    t2 = _path_poly(ring, var_side, seq2)
+                    t2 = _path_poly(ring, 0, seq2)
                     merged = tuple(a + b for a, b in zip(term, t2))
                     extend(merged, npaths + 1, total + len2)
 
         for seq, total in paths[i]:
-            extend(_path_poly(ring, var_side, seq), 1, total)
+            extend(_path_poly(ring, 0, seq), 1, total)
         out.append({l: ring.poly(t) for l, t in acc.items() if t})
     return out
 
 
-def stroll_sums(M, g, ring, var_side=0, cap=2_000_000):
+def stroll_sums(M, g, ring):
     """Memoized signed stroll sums: monomial of M -> {standard monomial: Poly}.
 
     Returns a function; calling it on any monomial of M gives its normal-form
     coefficients computed purely by chain enumeration.
     """
-    walks = walk_polynomials(M, g, ring, var_side, cap=cap)
+    walks = walk_polynomials(M, g, ring)
     memo = {}
 
     def sums(m):
@@ -147,7 +148,7 @@ def stroll_sums(M, g, ring, var_side=0, cap=2_000_000):
     return sums
 
 
-def edge_ideal_hikes(M, N, g, cap=2_000_000):
+def edge_ideal_hikes(M, N, g):
     """Edge equations assembled from chains: the validation route.
 
     Each equation attached to (n, s) sums, over ways of first moving n up
@@ -164,8 +165,8 @@ def edge_ideal_hikes(M, N, g, cap=2_000_000):
     gsw = g.swap()
     ring = arrow_ring(significant_arrows(M, g).positive,
                       significant_arrows(Nsw, gsw).positive)
-    n_paths = enumerate_paths(Nsw, gsw, cap=cap)
-    sums = stroll_sums(M, g, ring, var_side=0, cap=cap)
+    n_paths = enumerate_paths(Nsw, gsw)
+    sums = stroll_sums(M, g, ring)
 
     std_by_weight = {}
     for s in M.standard_monomials():

@@ -694,3 +694,13 @@ def from_saturation(linear, quad):
             if not any(h != g and all(a <= b for a, b in zip(h, g))
                        for h in gens)]
     return NMonomialIdeal(3, tuple(sorted(set(gens))), (1, 1, 1))
+
+
+def permute(ideal, perm):
+    """Relabel variables: position i receives old variable perm[i]."""
+    from tgraph.general import NMonomialIdeal
+
+    gens = tuple(tuple(g[perm[i]] for i in range(ideal.nvars))
+                 for g in ideal.gens)
+    weights = tuple(ideal.weights[perm[i]] for i in range(ideal.nvars))
+    return NMonomialIdeal(ideal.nvars, gens, weights)

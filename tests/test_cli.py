@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
 from tgraph import assembly
-from tgraph.cli import main
+from tgraph.cli import _COMMANDS, build_parser, main
 from tgraph.edges import EdgeRecord
 from tgraph.monomial import enumerate_ideals
 
@@ -25,7 +26,7 @@ def test_ideals_listing(capsys):
         "4: 2+1+1: <x^2, x*y, y^3>",
         "5: 1+1+1+1: <x, y^4>",
     ]
-    code, out, _ = run(capsys, "--json", "ideals", "2")
+    code, out, _ = run(capsys, "ideals", "2", "--json")
     data = json.loads(out)
     assert data["ideals"][0]["ideal"] == "<x^2, y>"
 
@@ -34,9 +35,9 @@ def test_arrowmap_identity_and_enumeration(capsys):
     code, out, _ = run(capsys, "arrowmap", "<x^2, y^2>", "<x^2, y^2>",
                        "--alpha", "1", "--beta", "1")
     assert code == 0 and "identity" in out
-    code, out, _ = run(capsys, "--json", "arrowmap", "<y^5, x^2>",
-                       "<y^2, x^5>", "--alpha", "1", "--beta", "1",
-                       "--enumerate")
+    code, out, _ = run(capsys, "arrowmap", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--enumerate",
+                       "--json")
     assert code == 0
     assert json.loads(out)["count"] == 3
 
@@ -68,10 +69,15 @@ def test_dual_verdicts(capsys):
                        "<x^4, x^3*y^3, x*y^4, y^5>",
                        "--alpha", "1", "--beta", "1")
     assert code == 1 and "does not exist" in out
-    code, out, _ = run(capsys, "--json", "dual", "<y^5, x^2>", "<y^2, x^5>",
-                       "--alpha", "1", "--beta", "1")
+    code, out, _ = run(capsys, "dual", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--json")
     assert code == 0
     assert json.loads(out)["box"] == [5, 5]
+    # half a box is a usage error, even for a pair that is not comparable
+    code, out, err = run(capsys, "dual", "<x^4, x*y, y^3>", "<x^3, y^2>",
+                         "--alpha", "1", "--beta", "1", "--r1", "5")
+    assert code == 3 and out == ""
+    assert "give both --r1 and --r2" in err
 
 
 def test_edge_ideal_output(capsys):
@@ -91,9 +97,90 @@ def test_edge_exit_codes(capsys):
                        "<x^4, x^3*y^3, x*y^4, y^5>",
                        "--alpha", "1", "--beta", "1")
     assert code == 1 and out.strip() == "NO_EDGE"
-    code, out, _ = run(capsys, "--budget", "1", "edge", "<y^5, x^2>",
-                       "<y^2, x^5>", "--alpha", "1", "--beta", "1")
+    code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--budget", "1")
     assert code == 2
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of each attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+_PAIR = ["<x^2, y>", "<x, y^2>", "--alpha", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideals", "1"],
+    ["arrowmap", *_PAIR, "--enumerate"],
+    ["dual", *_PAIR],
+    ["edge-ideal", *_PAIR],
+    ["edge", *_PAIR],
+    ["tgraph", "2"],
+    ["table", "2", "2"],
+    ["verify-fixtures"],
+], ids=lambda argv: argv[0])
+def test_each_command_declares_exactly_what_it_reads(argv, capsys,
+                                                     monkeypatch):
+    import tgraph.fixtures
+
+    monkeypatch.delenv("TGRAPH_CACHE_DIR", raising=False)
+    monkeypatch.setattr(tgraph.fixtures, "run_all", lambda report: 0)
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert {a.dest for a in parser._actions} == {"help", "version",
+                                                 "command"}
+    declared = {a.dest for a in commands.choices[argv[0]]._actions} - {"help"}
+    args = parser.parse_args(argv, namespace=ReadRecorder())
+    args._reads.clear()
+    assert _COMMANDS[argv[0]](args) == 0
+    assert args._reads == declared
+    if argv[0] == "verify-fixtures":
+        assert declared == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "3", "3", "--threads", "2"],
+    ["ideals", "2", "--char", "3"],
+    ["tgraph", "3", "--json"],
+    ["verify-fixtures", "--output", "f"],
+    ["--json", "ideals", "2"],
+])
+def test_a_command_refuses_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tgraph")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge", *_PAIR, "--char", "6"],
+    ["edge", *_PAIR, "--budget", "0"],
+    ["table", "3", "3", "--budget", "0"],
+    ["tgraph", "3", "--threads", "0"],
+    ["arrowmap", *_PAIR, "--enumerate", "--limit", "0"],
+])
+def test_bad_option_values_exit_three_before_any_work(argv, capsys,
+                                                      monkeypatch):
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(_COMMANDS, argv[0], no_work)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    assert f"tgraph {argv[0]}: error: argument --" in capsys.readouterr().err
 
 
 def test_parse_errors_exit_three(capsys):
@@ -107,15 +194,15 @@ def test_parse_errors_exit_three(capsys):
 
 def test_char_flag_validation():
     with pytest.raises(SystemExit) as info:
-        main(["--char", "6", "edge", "<x, y>", "<x, y>",
-              "--alpha", "1", "--beta", "1"])
+        main(["edge", "<x, y>", "<x, y>", "--alpha", "1", "--beta", "1",
+              "--char", "6"])
     assert info.value.code == 3
 
 
 def test_char_flag_above_the_exact_primality_bound(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["--char", str(2 ** 64 + 13), "edge", "<x^2, y>", "<x, y^2>",
-              "--alpha", "1", "--beta", "1"])
+        main(["edge", "<x^2, y>", "<x, y^2>", "--alpha", "1", "--beta", "1",
+              "--char", str(2 ** 64 + 13)])
     assert info.value.code == 3
     assert "2**64" in capsys.readouterr().err
 
@@ -128,7 +215,7 @@ def test_threads_flag_validation(monkeypatch):
 
     monkeypatch.setattr(tgraph.assembly, "ProcessPoolExecutor", no_pool)
     with pytest.raises(SystemExit) as info:
-        main(["--threads", "0", "tgraph", "4"])
+        main(["tgraph", "4", "--threads", "0"])
     assert info.value.code == 3
 
 
@@ -138,12 +225,13 @@ def test_limit_flag_validation(capsys, limit):
         main(["arrowmap", "<y^5, x^2>", "<y^2, x^5>", "--alpha", "1",
               "--beta", "1", "--enumerate", "--limit", limit])
     assert info.value.code == 3
-    assert "--limit must be at least 1" in capsys.readouterr().err
+    assert ("argument --limit: must be at least 1"
+            in capsys.readouterr().err)
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):
     target = tmp_path / "missing" / "ideals.txt"
-    code, out, err = run(capsys, "--output", str(target), "ideals", "3")
+    code, out, err = run(capsys, "ideals", "3", "--output", str(target))
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
     assert not target.exists()
@@ -152,7 +240,7 @@ def test_unwritable_output_exits_three(tmp_path, capsys):
 def test_cache_dir_that_is_a_file_exits_three(tmp_path, capsys):
     path = tmp_path / "cache"
     path.write_text("not a directory", encoding="utf-8")
-    code, out, err = run(capsys, "--cache-dir", str(path), "table", "3", "3")
+    code, out, err = run(capsys, "table", "3", "3", "--cache-dir", str(path))
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
     assert path.read_text(encoding="utf-8") == "not a directory"
@@ -178,8 +266,9 @@ def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
                                                         monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setattr(assembly, "_full_job", _worker_dies_on_one_job)
-    code, out, err = run(capsys, "--cache-dir", str(cache), "--threads", "2",
-                         "tgraph", "7", "--depth", "full", "--format", "csv")
+    code, out, err = run(capsys, "tgraph", "7", "--cache-dir", str(cache),
+                         "--threads", "2", "--depth", "full",
+                         "--format", "csv")
     monkeypatch.undo()
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
@@ -192,8 +281,8 @@ def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
 
     code, clean, _ = run(capsys, "tgraph", "7", "--format", "csv")
     assert code == 0
-    code, resumed, _ = run(capsys, "--cache-dir", str(cache), "--threads",
-                           "1", "tgraph", "7", "--format", "csv")
+    code, resumed, _ = run(capsys, "tgraph", "7", "--cache-dir", str(cache),
+                           "--threads", "1", "--format", "csv")
     assert code == 0
     assert resumed == clean
 
@@ -202,7 +291,7 @@ def test_tgraph_formats(tmp_path, capsys):
     code, out, _ = run(capsys, "tgraph", "4", "--format", "dot")
     assert code == 0 and out.count(" -- ") == 8
     target = tmp_path / "graph.json"
-    code, _, _ = run(capsys, "--output", str(target), "tgraph", "4",
+    code, _, _ = run(capsys, "tgraph", "4", "--output", str(target),
                      "--depth", "dual")
     assert code == 0
     data = json.loads(target.read_text())
@@ -219,7 +308,7 @@ def test_table_csv(capsys):
 
 def test_cache_warm_run_is_byte_identical(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ["--cache-dir", str(cache), "table", "4", "4", "--depth", "full"]
+    args = ["table", "4", "4", "--cache-dir", str(cache), "--depth", "full"]
     code, out1, _ = run(capsys, *args)
     assert code == 0
     files = sorted(p.name for p in cache.iterdir())
@@ -230,7 +319,7 @@ def test_cache_warm_run_is_byte_identical(tmp_path, capsys):
 
 def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ["--cache-dir", str(cache), "table", "3", "4", "--depth", "full"]
+    args = ["table", "3", "4", "--cache-dir", str(cache), "--depth", "full"]
     code, clean, _ = run(capsys, *args)
     assert code == 0
     first, second, third = sorted(cache.iterdir())[:3]
@@ -251,6 +340,32 @@ def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
     assert untimed(first.read_text(encoding="utf-8")) == untimed(intact)
     assert (json.loads(second.read_text(encoding="utf-8"))["pair"]
             != json.loads(third.read_text(encoding="utf-8"))["pair"])
+
+
+def test_cached_record_missing_a_field_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    # csv: the graph's JSON carries each recomputed record's timing
+    args = ["tgraph", "4", "--dimension", "--format", "csv",
+            "--cache-dir", str(cache)]
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    pair = {"<x^3, x*y, y^2>", "<x^2, y^2>"}
+    (path,) = [p for p in cache.iterdir()
+               if set(json.loads(p.read_text(encoding="utf-8"))["pair"])
+               == pair]
+    intact = json.loads(path.read_text(encoding="utf-8"))
+    assert intact["grading"] == {"alpha": 1, "beta": 1}
+    assert intact["dimension"] == 1
+    damaged = dict(intact)
+    del damaged["dimension"]
+    path.write_text(json.dumps(damaged), encoding="utf-8")
+    code, rerun, _ = run(capsys, *args)
+    assert code == 0
+    assert rerun == clean
+    rewritten = json.loads(path.read_text(encoding="utf-8"))
+    assert rewritten["dimension"] == 1
+    del rewritten["groebner"]["time_ms"], intact["groebner"]["time_ms"]
+    assert rewritten == intact
 
 
 def test_verify_fixtures(capsys):

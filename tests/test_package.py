@@ -146,8 +146,9 @@ def test_no_memo_decorators():
 
 
 def test_nothing_is_public_just_because_a_test_calls_it():
-    # a public module-level function or class is exported, referenced by
-    # the package or the benchmark, or imported by the acceptance tests
+    # a public module-level function or class, or a public method of a
+    # public class, is exported, referenced by the package or the benchmark,
+    # or referenced by the acceptance tests
     package = pathlib.Path(tgraph.__file__).parent
     perfbench = package.parent.parent / "perfbench"
     assert perfbench.is_dir()
@@ -166,15 +167,22 @@ def test_nothing_is_public_just_because_a_test_calls_it():
 
     acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
     allowed = set(tgraph.__all__)
-    allowed |= {alias.name for n in ast.walk(ast.parse(acceptance.read_text()))
-                if isinstance(n, ast.ImportFrom) for alias in n.names}
+    allowed |= set(references(ast.parse(acceptance.read_text())))
     total = Counter(name for tree in trees.values()
                     for name in references(tree))
-    unused = [f"{path.relative_to(package)}:{node.name}"
+
+    def public(body, prefix):
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield f"{prefix}{node.name}", node
+                if isinstance(node, ast.ClassDef) and not prefix:
+                    yield from public(node.body, f"{node.name}.")
+
+    unused = [f"{path.relative_to(package)}:{name}"
               for path, tree in trees.items() if package in path.parents
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in allowed
+              for name, node in public(tree.body, "")
+              if node.name not in allowed
               and total[node.name] == Counter(references(node))[node.name]]
     assert unused == []
 
