@@ -19,10 +19,9 @@ from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
 from .assembly import (EdgeCache, PipelineDepth, build_tgraph, count_table,
                        graph_to_csv, graph_to_dot, graph_to_json, table_to_csv)
 from .edges import EdgeStatus, decide_edge
-from .groebner import DEFAULT_BUDGET
+from .groebner import DEFAULT_BUDGET, _check_char
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        format_monomial, parse_ideal)
-from .poly import _check_char
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -3,21 +3,21 @@
 The verdict is exact over characteristic zero: the pair is joined exactly
 when the integer edge equations have a common zero over the algebraic
 closure, i.e. when their reduced Groebner basis is not the unit ideal.
-A finite characteristic can be requested as a fast pre-screen; such records
+A finite characteristic can be requested as a fast pre-screen: it is handed
+to the solver, which reduces the same integer equations mod p.  Such records
 are labeled and never merged with the characteristic-zero graph.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .arrows import SCHEMA_VERSION, oriented_pair
 from .cells import edge_ideal
-from .groebner import (DEFAULT_BUDGET, BudgetExceeded, buchberger,
-                       quotient_dimension)
+from .groebner import (DEFAULT_BUDGET, BudgetExceeded, _check_char,
+                       buchberger, quotient_dimension)
 from .monomial import Grading, format_ideal, parse_ideal
-from .poly import Ring, _check_char
 
 
 class EdgeStatus(Enum):
@@ -34,7 +34,8 @@ class EdgeRecord:
     dimension: object = None  # int when computed
     generator_count: int = 0
     s_pairs: int = 0
-    time_ms: float = 0.0
+    # solver wall time: not written by to_json, not compared
+    time_ms: float = field(default=0.0, compare=False)
     characteristic: int = 0
 
     def to_json(self):
@@ -45,7 +46,7 @@ class EdgeRecord:
             "status": self.status.value,
             "dimension": self.dimension,
             "generator_count": self.generator_count,
-            "groebner": {"s_pairs": self.s_pairs, "time_ms": self.time_ms},
+            "groebner": {"s_pairs": self.s_pairs},
             "characteristic": self.characteristic,
         }
 
@@ -61,7 +62,6 @@ class EdgeRecord:
             dimension=data["dimension"],
             generator_count=data["generator_count"],
             s_pairs=data["groebner"]["s_pairs"],
-            time_ms=data["groebner"]["time_ms"],
             characteristic=data["characteristic"],
         )
 
@@ -83,12 +83,9 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     big, small = oriented
     ideal = edge_ideal(big, small, g)
     gens = ideal.nonzero_generators()
-    if char:
-        ring = Ring(ideal.ring.vars, char=char)
-        gens = [ring.poly(p.terms) for p in gens]
     start = time.perf_counter()
     try:
-        gb = buchberger(gens, budget=budget)
+        gb = buchberger(gens, budget=budget, char=char)
     except BudgetExceeded as exc:
         elapsed = (time.perf_counter() - start) * 1000.0
         return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN,

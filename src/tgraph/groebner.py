@@ -5,6 +5,9 @@ BudgetExceeded, which callers convert to an explicit unknown rather than a
 guess.  Output is deterministic: fixed pair selection, fixed reducer order,
 fully interreduced monic result.
 
+The characteristic is an argument of ``buchberger`` alone: polynomials are
+exact, and a run mod p reduces their coefficients as it packs them.
+
 In characteristic 0 a run is fraction-free: the inputs are cleared of
 denominators, every intermediate basis element is kept primitive over the
 integers (content 1, positive lead), and reduction is integer
@@ -63,8 +66,17 @@ def _fits(m, packing):
     return m
 
 
-def _pack(p, packing):
-    return {_fits(packing.pack(e), packing): c for e, c in p.terms.items()}
+def _pack(p, packing, char):
+    """The packed terms of p, mod char if nonzero; zero residues drop."""
+    out = {}
+    for e, c in p.terms.items():
+        if char:
+            if c.denominator % char == 0:
+                raise ZeroDivisionError("denominator vanishes mod p")
+            c = c.numerator * pow(c.denominator, -1, char) % char
+        if c:
+            out[_fits(packing.pack(e), packing)] = c
+    return out
 
 
 def _unpack(terms, ring, packing):
@@ -116,7 +128,8 @@ def _reduce(work, reducers, char, guards):
     coefficient a is not 1 is reduced by pseudo-division: with q = gcd(a, c),
     every pending and remainder coefficient is multiplied by a/q, then
     (c/q)*x^shift times the reducer is subtracted.  That branch needs integer
-    coefficients, which is what ``buchberger`` works with.
+    coefficients, which is what ``buchberger`` works with in characteristic
+    0; mod p every reducer is monic, so only the subtraction reduces mod p.
 
     The largest pending term is reduced first.  Pending terms sit in a heap
     of negated packed monomials, pushed once, when the term enters the work
@@ -144,9 +157,9 @@ def _reduce(work, reducers, char, guards):
                     scale = a // q
                     if scale != 1:
                         for m, c3 in work.items():
-                            work[m] = c3 * scale % char if char else c3 * scale
+                            work[m] = c3 * scale
                         for m, c3 in rem.items():
-                            rem[m] = c3 * scale % char if char else c3 * scale
+                            rem[m] = c3 * scale
                     c //= q
                 shift = e - lead
                 for m, c2 in tail:
@@ -165,16 +178,17 @@ def _reduce(work, reducers, char, guards):
 def _spoly(f, g, lcm_fg, char):
     """S-polynomial of two reducers whose leads have packed lcm ``lcm_fg``.
 
-    The cofactors are divided by the gcd of the two lead coefficients.  The
-    leads cancel, so only the tails are multiplied out; a term that cancels
-    stays with coefficient 0, which the kernel skips.
+    The cofactors are divided by the gcd of the two lead coefficients, so
+    they are 1 mod p, where every lead is 1.  The leads cancel, so only the
+    tails are multiplied out; a term that cancels stays with coefficient 0,
+    which the kernel skips.
     """
     lf, _, af, tf = f
     lg, _, ag, tg = g
     q = gcd(af, ag)
     cf, cg = ag // q, af // q
     shift = lcm_fg - lf
-    out = {m + shift: c * cf % char if char else c * cf for m, c in tf}
+    out = {m + shift: c * cf for m, c in tf}
     shift = lcm_fg - lg
     for m, c in tg:
         m += shift
@@ -222,8 +236,11 @@ def _update_pairs(basis, pairs, queue, packing):
     return kept
 
 
-def buchberger(gens, budget=DEFAULT_BUDGET):
+def buchberger(gens, budget=DEFAULT_BUDGET, char=0):
     """Reduced Groebner basis of the given generators, deterministically.
+
+    ``char`` is 0 or a prime below 2**64, else ValueError; mod p, a
+    generator that vanishes is dropped.
 
     Raises BudgetExceeded, carrying the S-pairs reduced so far, when more
     than `budget` S-pair reductions would be needed, or when an input or the
@@ -236,16 +253,16 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     the reduced basis is unpacked.  Every term's degree is at most that of an
     input or of a pair's lcm, so checking those keeps every term in range.
     """
+    _check_char(char)
     gens = [g for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
     if not gens:
         return GroebnerBasis([], stats=stats)
     ring = gens[0].ring
-    char = ring.char
     packing = Packing(ring.nvars, FIELD_BITS)
     guards = packing.guards
-    ordered = sorted((_primitive(_pack(g, packing), char) for g in gens),
-                     key=max)
+    packed = (_pack(g, packing, char) for g in gens)
+    ordered = sorted((_primitive(t, char) for t in packed if t), key=max)
 
     basis = []
     pairs = {}
@@ -291,6 +308,34 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     stats["basis_size"] = len(reduced)
     return GroebnerBasis([_unpack(r, ring, packing).monic() for r in reduced],
                          stats=stats)
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Miller-Rabin to the prime bases up to 37, exact below 3.18e23."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+def _check_char(char):
+    """Raise ValueError unless char is 0 or a prime below 2**64.
+
+    The bound keeps ``_is_prime`` well inside the range where it is exact.
+    """
+    if char >= 2 ** 64:
+        raise ValueError("characteristic must be below 2**64")
+    if char and not _is_prime(char):
+        raise ValueError("characteristic must be 0 or a prime")
 
 
 def _min_hitting_set(supports, best):

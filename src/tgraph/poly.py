@@ -1,17 +1,18 @@
 """Sparse multivariate polynomials over exact coefficients in arrow variables.
 
-Coefficients are Python ints in characteristic 0, or ints reduced mod p when
-the ring carries a prime characteristic.  Fractions are accepted as input, and
-appear in characteristic 0 only where ``monic`` divides by a lead that is not
-+-1; the Groebner solver works on integer multiples and calls ``monic`` once,
-on its final reduced basis.  Exponent vectors are tuples indexed by the ring's
-fixed variable list; the monomial order is graded reverse lexicographic over
-that list, with ``Ring.key`` its one definition.  ``Packing`` derives the
-solver's form from that key: each exponent vector becomes one int whose fields,
-from the top, are the degree and then ``cap - e_i`` for the last variable down
-to the first, so integer order is the order of ``Ring.key``.  A polynomial's
-terms are never mutated after construction, so each polynomial computes its
-lead term once and keeps it.
+Coefficients are Python ints, or Fractions where ``monic`` divides by a lead
+that is not +-1: the arithmetic is exact, over the rationals.  A ring has no
+characteristic; the Groebner solver takes one as an argument and reduces
+coefficients mod p as it packs its generators.  The solver works on integer
+multiples and calls ``monic`` once, on its final reduced basis.  Exponent
+vectors are tuples indexed by the ring's fixed variable list; the monomial
+order is graded reverse lexicographic over that list, with ``Ring.key`` its
+one definition.  ``Packing`` derives the solver's form from that key: each
+exponent vector becomes one int whose fields, from the top, are the degree
+and then ``cap - e_i`` for the last variable down to the first, so integer
+order is the order of ``Ring.key``.  A polynomial's terms are never mutated
+after construction, so each polynomial computes its lead term once and keeps
+it.
 
 ``add_into`` is the package's one sparse-row update: a row is a dict from
 monomials or columns to polynomials or field values, and adding into an entry
@@ -41,17 +42,15 @@ class ArrowVar:
 
 
 class Ring:
-    """A fixed variable list plus characteristic; orders and prints terms."""
+    """A fixed variable list; orders and prints terms."""
 
-    __slots__ = ("vars", "index", "char")
+    __slots__ = ("vars", "index")
 
-    def __init__(self, variables, char=0):
+    def __init__(self, variables):
         self.vars = tuple(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
         if len(self.index) != len(self.vars):
             raise ValueError("duplicate variables")
-        _check_char(char)
-        self.char = char
 
     @property
     def nvars(self):
@@ -65,20 +64,6 @@ class Ring:
         """
         return (sum(exps), *map(neg, reversed(exps)))
 
-    def coeff(self, c):
-        if self.char:
-            if isinstance(c, Fraction):
-                if c.denominator % self.char == 0:
-                    raise ZeroDivisionError("denominator vanishes mod p")
-                return c.numerator * pow(c.denominator, -1, self.char) % self.char
-            return c % self.char
-        return c
-
-    def inv(self, c):
-        if self.char:
-            return pow(c, -1, self.char)
-        return Fraction(1) / Fraction(c)
-
     def zero(self):
         return Poly(self, {})
 
@@ -86,7 +71,6 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c):
-        c = self.coeff(c)
         if not c:
             return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
@@ -94,12 +78,11 @@ class Ring:
     def var(self, v):
         exps = [0] * self.nvars
         exps[self.index[v]] = 1
-        return Poly(self, {tuple(exps): self.coeff(1)})
+        return Poly(self, {tuple(exps): 1})
 
     def poly(self, terms):
         out = {}
         for exps, c in terms.items():
-            c = self.coeff(c)
             if c:
                 out[tuple(exps)] = c
         return Poly(self, out)
@@ -206,12 +189,12 @@ class Poly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        _accumulate(out, other.terms, 1, self.ring)
+        _accumulate(out, other.terms, 1)
         return Poly(self.ring, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
-        _accumulate(out, other.terms, -1, self.ring)
+        _accumulate(out, other.terms, -1)
         return Poly(self.ring, out)
 
     def __neg__(self):
@@ -225,7 +208,6 @@ class Poly:
                 for e2, c2 in other.terms.items():
                     e = tuple(map(add, e1, e2))
                     c = out.get(e, 0) + c1 * c2
-                    c = ring.coeff(c)
                     if c:
                         out[e] = c
                     else:
@@ -234,16 +216,9 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        ring = self.ring
-        c = ring.coeff(c)
         if not c:
-            return Poly(ring, {})
-        out = {}
-        for e, c0 in self.terms.items():
-            cc = ring.coeff(c0 * c)
-            if cc:
-                out[e] = cc
-        return Poly(ring, out)
+            return Poly(self.ring, {})
+        return Poly(self.ring, {e: c0 * c for e, c0 in self.terms.items()})
 
     def lead(self):
         """(exponents, coefficient) of the grevlex-largest term; cached."""
@@ -260,9 +235,8 @@ class Poly:
         _, c = self.lead()
         if c == 1:
             return self
-        ring = self.ring
-        inv = ring.inv(c)
-        return Poly(ring, {e: ring.coeff(c0 * inv) for e, c0 in self.terms.items()})
+        inv = 1 / Fraction(c)
+        return Poly(self.ring, {e: c0 * inv for e, c0 in self.terms.items()})
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
@@ -292,34 +266,6 @@ class Poly:
         return f"Poly({self})"
 
 
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    """Miller-Rabin to the prime bases up to 37, exact below 3.18e23."""
-    if n < 2 or any(n % a == 0 for a in _WITNESSES):
-        return n in _WITNESSES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(s)):
-            return False
-    return True
-
-
-def _check_char(char):
-    """Raise ValueError unless char is 0 or a prime below 2**64.
-
-    The bound keeps ``_is_prime`` well inside the range where it is exact.
-    """
-    if char >= 2 ** 64:
-        raise ValueError("characteristic must be below 2**64")
-    if char and not _is_prime(char):
-        raise ValueError("characteristic must be 0 or a prime")
-
-
 def add_into(row, key, value):
     """Add value into row[key], dropping the entry when the sum cancels."""
     merged = row[key] + value if key in row else value
@@ -329,9 +275,9 @@ def add_into(row, key, value):
         row.pop(key, None)
 
 
-def _accumulate(target, terms, sign, ring):
+def _accumulate(target, terms, sign):
     for e, c in terms.items():
-        c2 = ring.coeff(target.get(e, 0) + sign * c)
+        c2 = target.get(e, 0) + sign * c
         if c2:
             target[e] = c2
         else:

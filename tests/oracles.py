@@ -254,16 +254,23 @@ def grevlex_key(exps):
     return (sum(exps), [-e for e in reversed(exps)])
 
 
-def brute_normal_form(f, basis):
+def brute_normal_form(f, basis, char=0):
     """The plain division loop: each step scans the work dict with ``max``.
 
-    Reducer leads are found by scanning their terms too.  Returns the
-    remainder, the number of reduction steps, and how many times a term
-    that had cancelled out of the work dict entered it again.
+    Reducer leads are found by scanning their terms too.  With a prime
+    ``char`` every coefficient is taken mod char, and the basis must be
+    monic mod char.  Returns the remainder, the number of reduction steps,
+    and how many times a term that had cancelled out of the work dict
+    entered it again.
     """
+    def coeff(c):
+        if char:
+            return c.numerator * pow(c.denominator, -1, char) % char
+        return c
+
     ring = f.ring
     leads = [max(g.terms, key=grevlex_key) for g in basis]
-    work = dict(f.terms)
+    work = {e: r for e, c in f.terms.items() if (r := coeff(c))}
     rem = {}
     steps = recreated = 0
     cancelled = set()
@@ -278,7 +285,7 @@ def brute_normal_form(f, basis):
                     if e2 == lead:
                         continue
                     e3 = tuple(a + b for a, b in zip(e2, shift))
-                    c3 = ring.coeff(work.get(e3, 0) - c * c2)
+                    c3 = coeff(work.get(e3, 0) - c * coeff(c2))
                     if c3:
                         recreated += e3 in cancelled and e3 not in work
                         work[e3] = c3
@@ -632,25 +639,24 @@ def sample_two_sided_edges(d, seed=20240811):
     return edges
 
 
-def kernel_normal_form(f, basis, stats=None):
+def kernel_normal_form(f, basis, stats=None, char=0):
     """Full remainder of f on division by basis, through the solver's kernel.
 
-    Packs f and the basis, divides with ``groebner._reduce`` and unpacks the
+    Packs f and the basis, mod a prime ``char`` if given (the basis must then
+    be monic mod char), divides with ``groebner._reduce`` and unpacks the
     remainder, adding the reduction steps to ``stats``.  A degree past the
     packed field cap raises BudgetExceeded.
     """
     from tgraph import groebner
     from tgraph.poly import Packing
 
-    if not basis:
-        return f
     ring = f.ring
     packing = Packing(ring.nvars, groebner.FIELD_BITS)
     guards = packing.guards
-    reducers = [groebner._reducer(groebner._pack(g, packing), guards)
+    reducers = [groebner._reducer(groebner._pack(g, packing, char), guards)
                 for g in basis]
-    rem, steps = groebner._reduce(groebner._pack(f, packing), reducers,
-                                  ring.char, guards)
+    rem, steps = groebner._reduce(groebner._pack(f, packing, char), reducers,
+                                  char, guards)
     if steps and stats is not None:
         stats["reduction_steps"] = stats.get("reduction_steps", 0) + steps
     return groebner._unpack(rem, ring, packing)

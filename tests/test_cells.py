@@ -259,6 +259,28 @@ def test_edge_ideal_coefficients_are_integers():
                                    for c in p.terms.values())
 
 
+def test_cell_bases_divide_only_by_units():
+    # Every element has lead coefficient 1 and integer coefficients, on both
+    # sides of every ideal, so reducing by a cell basis divides only by
+    # units and the edge equations mod p are the equations built over F_p.
+    count = 0
+    for d in range(1, 11):
+        gradings = coprime_gradings(d)
+        for M in enumerate_ideals(d):
+            for g in gradings:
+                for ideal, grading in ((M, g), (M.swap(), g.swap())):
+                    for basis in (cell_generators_f(ideal, grading),
+                                  cell_generators_g(ideal, grading)):
+                        one = basis.ring.one()
+                        for lead, elem in zip(ideal.gens, basis.elements):
+                            assert elem[lead] == one, (ideal, grading)
+                            assert all(type(c) is int
+                                       for poly in elem.values()
+                                       for c in poly.terms.values())
+                            count += 1
+    assert count == 79176
+
+
 def test_route_equivalence_small_colengths():
     for d in (3, 4, 5):
         pool = enumerate_ideals(d)

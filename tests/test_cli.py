@@ -331,22 +331,15 @@ def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
     assert code == 0
     assert rerun == clean
 
-    # Both records were rewritten; only their timings may differ.
-    def untimed(text):
-        data = json.loads(text)
-        del data["groebner"]["time_ms"]
-        return data
-
-    assert untimed(first.read_text(encoding="utf-8")) == untimed(intact)
+    # Both records were rewritten; the first as it was, byte for byte.
+    assert first.read_text(encoding="utf-8") == intact
     assert (json.loads(second.read_text(encoding="utf-8"))["pair"]
             != json.loads(third.read_text(encoding="utf-8"))["pair"])
 
 
 def test_cached_record_missing_a_field_is_recomputed(tmp_path, capsys):
     cache = tmp_path / "cache"
-    # csv: the graph's JSON carries each recomputed record's timing
-    args = ["tgraph", "4", "--dimension", "--format", "csv",
-            "--cache-dir", str(cache)]
+    args = ["tgraph", "4", "--dimension", "--cache-dir", str(cache)]
     code, clean, _ = run(capsys, *args)
     assert code == 0
     pair = {"<x^3, x*y, y^2>", "<x^2, y^2>"}
@@ -364,8 +357,15 @@ def test_cached_record_missing_a_field_is_recomputed(tmp_path, capsys):
     assert rerun == clean
     rewritten = json.loads(path.read_text(encoding="utf-8"))
     assert rewritten["dimension"] == 1
-    del rewritten["groebner"]["time_ms"], intact["groebner"]["time_ms"]
     assert rewritten == intact
+
+
+def test_cold_graph_runs_print_the_same_bytes(capsys, monkeypatch):
+    # records carry no timings, so a recomputed record prints as a cached one
+    monkeypatch.delenv("TGRAPH_CACHE_DIR", raising=False)
+    first = run(capsys, "tgraph", "3")
+    assert first[0] == 0 and json.loads(first[1])["records"]
+    assert run(capsys, "tgraph", "3") == first
 
 
 def test_verify_fixtures(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from tgraph.edges import EdgeStatus, decide_edge
 from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
                              _reducer, _spoly, _unpack, buchberger,
                              quotient_dimension)
-from tgraph.monomial import Grading, parse_ideal
+from tgraph.monomial import Grading, format_ideal, parse_ideal
 from tgraph.poly import ArrowVar, Packing, Ring
 
 from oracles import (brute_normal_form, kernel_normal_form,
@@ -21,8 +22,8 @@ from oracles import (brute_normal_form, kernel_normal_form,
 V = [ArrowVar(0, i, 1) for i in range(1, 5)]
 
 
-def ring(n=4, char=0):
-    return Ring(tuple(V[:n]), char=char)
+def ring(n=4):
+    return Ring(tuple(V[:n]))
 
 
 def small_quartic_system(r):
@@ -72,7 +73,7 @@ def packing(r):
 
 def primitive(p):
     pk = packing(p.ring)
-    return _unpack(_primitive(_pack(p, pk), p.ring.char), p.ring, pk)
+    return _unpack(_primitive(_pack(p, pk, 0), 0), p.ring, pk)
 
 
 def random_poly(r, rng, terms, degree):
@@ -95,18 +96,18 @@ def test_normal_form_handles_a_term_that_cancels_and_returns():
 @pytest.mark.parametrize("char", [0, 5])
 def test_normal_form_matches_the_division_loop(char):
     rng = random.Random(20261018 + char)
-    r = ring(3, char=char)
+    r = ring(3)
     recreated = 0
     for trial in range(120):
         gens = [random_poly(r, rng, 3, 2) for _ in range(rng.randint(1, 4))]
         if trial % 4 == 0:
-            basis = buchberger(gens).generators
+            basis = buchberger(gens, char=char).generators
         else:
             basis = [g.monic() for g in gens if g]
         f = random_poly(r, rng, 8, 4)
         stats = {}
-        remainder = kernel_normal_form(f, basis, stats)
-        want, steps, again = brute_normal_form(f, basis)
+        remainder = kernel_normal_form(f, basis, stats, char=char)
+        want, steps, again = brute_normal_form(f, basis, char=char)
         assert remainder == want
         assert stats.get("reduction_steps", 0) == steps
         recreated += again
@@ -190,7 +191,7 @@ def test_pseudo_division_rescales_the_remainder_already_kept():
     g = (x * y).scale(6) + z
     pk = packing(r)
     lcm = pk.pack((2, 1, 0))
-    s = _spoly(*(_reducer(_pack(p, pk), pk.guards) for p in (f, g)), lcm, 0)
+    s = _spoly(*(_reducer(_pack(p, pk, 0), pk.guards) for p in (f, g)), lcm, 0)
     assert _unpack(s, r, pk) == (y * y).scale(3) - (x * z).scale(2)
 
 
@@ -206,11 +207,7 @@ def test_rational_and_non_unit_inputs_keep_their_bases():
     assert [str(g) for g in buchberger(gens).generators] == [
         "c3^1**2 - 4/9*c3^1", "c2^1*c3^1 - 2/3*c3^1", "c1^1*c3^1 - c3^1",
         "c2^1**2 - c3^1", "c1^1*c2^1 - 3/2*c3^1", "c1^1**2 - 3/2*c2^1"]
-    r5 = ring(3, char=5)
-    x, y, z = (r5.var(v) for v in r5.vars)
-    gens = [(x * x).scale(2) - y.scale(3), (x * y).scale(4) - z.scale(6),
-            y * y - z]
-    assert [str(g) for g in buchberger(gens).generators] == [
+    assert [str(g) for g in buchberger(gens, char=5).generators] == [
         "c3^1**2 + 4*c3^1", "c2^1*c3^1 + c3^1", "c1^1*c3^1 + 4*c3^1",
         "c2^1**2 + 4*c3^1", "c1^1*c2^1 + c3^1", "c1^1**2 + c2^1"]
 
@@ -232,6 +229,49 @@ def test_solver_reduces_only_integers_in_characteristic_zero(monkeypatch):
     build_tgraph(7, PipelineDepth.FULL, with_dimension=True)
     assert len(seen) > 100 and any(n for _, n in seen)
     assert not any(char for char, _ in seen)
+
+
+def test_prime_characteristic_runs_only_monic_reducers(monkeypatch):
+    # Mod p every basis element is kept monic, so the kernel's
+    # pseudo-division branch, which rescales, runs only in characteristic 0.
+    records = [rec for d in range(2, 8)
+               for rec in build_tgraph(d, PipelineDepth.FULL).records]
+    reducers = Counter()
+    kernel = groebner._reduce
+
+    def checked(work, basis, char, guards):
+        assert all(a == 1 for _, _, a, _ in basis), char
+        reducers[char] += len(basis)
+        return kernel(work, basis, char, guards)
+
+    monkeypatch.setattr(groebner, "_reduce", checked)
+    primes = (2, 3, 2 ** 31 - 1)
+    for p in primes:
+        for rec in records:
+            decide_edge(*rec.pair, rec.grading, char=p)
+    assert set(reducers) == set(primes) and all(reducers.values())
+
+
+# Recorded while the characteristic was still a property of the ring, and the
+# edge equations were converted into a ring mod p before the solver ran.
+CHAR_P_SHA256 = (
+    "9d98ea1ccfbf943c3f880f654a9ab284a1ffb17d00156d57212fe1220b195aa3")
+
+
+def test_prime_characteristic_records_are_pinned():
+    records = [rec for d in range(2, 9)
+               for rec in build_tgraph(d, PipelineDepth.FULL).records]
+    digest = hashlib.sha256()
+    for p in (2, 3):
+        for rec in records:
+            M, N = rec.pair
+            g = rec.grading
+            mod_p = decide_edge(M, N, g, with_dimension=True, char=p)
+            digest.update(f"{p} {format_ideal(M)} {format_ideal(N)} "
+                          f"{g.alpha} {g.beta} {mod_p.status.value} "
+                          f"{mod_p.dimension} {mod_p.s_pairs}\n".encode())
+    assert len(records) == 226
+    assert digest.hexdigest() == CHAR_P_SHA256
 
 
 def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
@@ -358,9 +398,9 @@ def test_specialization_soundness():
 
 
 def test_prime_field_mode():
-    r = ring(2, char=7)
+    r = ring(2)
     a, b = r.var(V[0]), r.var(V[1])
-    gb = buchberger([a * a - b.scale(3), a * b - r.one()])
+    gb = buchberger([a * a - b.scale(3), a * b - r.one()], char=7)
     assert not gb.is_trivial()
     for g in gb.generators:
         assert all(0 < c < 7 for c in g.terms.values())

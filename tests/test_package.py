@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import tgraph
 from tgraph.general import two_points_graph
 from tgraph.groebner import BudgetExceeded
+from tgraph.poly import Ring
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
 
@@ -189,7 +191,7 @@ def test_nothing_is_public_just_because_a_test_calls_it():
 
 def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
     # other modules compute through Poly operations and poly.add_into
-    # rather than reading ring.coeff or building Poly terms by hand
+    # rather than calling a coeff helper or building Poly terms by hand
     found = []
     for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
         if path.name in ("poly.py", "groebner.py"):
@@ -201,6 +203,40 @@ def test_coefficient_arithmetic_stays_in_poly_and_the_solver():
             if ((isinstance(f, ast.Attribute) and f.attr == "coeff")
                     or (isinstance(f, ast.Name) and f.id == "Poly")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_solver_holds_a_characteristic():
+    # Polynomials are exact.  A characteristic is an argument of
+    # buchberger; decide_edge and the command line may only pass one on, as
+    # a call argument, and nothing else may name one.
+    assert list(inspect.signature(Ring).parameters) == ["variables"]
+
+    def named(tree):
+        for n in ast.walk(tree):
+            if ((isinstance(n, ast.Name) and n.id == "char")
+                    or (isinstance(n, ast.Attribute) and n.attr == "char")
+                    or (isinstance(n, (ast.arg, ast.keyword))
+                        and n.arg == "char")):
+                yield n
+
+    found = []
+    for path in sorted(pathlib.Path(tgraph.__file__).parent.rglob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [node for node in tree.body
+                  if path.name == "cli.py"
+                  or (path.name == "edges.py"
+                      and getattr(node, "name", None) == "decide_edge")]
+        passed = {id(arg) for scope in scopes for call in ast.walk(scope)
+                  if isinstance(call, ast.Call)
+                  for arg in (*call.args, *(k.value for k in call.keywords))}
+        allowed = {id(n) for scope in scopes for n in named(scope)}
+        found += [f"{path.name}:{n.lineno}" for n in named(tree)
+                  if id(n) not in allowed
+                  or (isinstance(getattr(n, "ctx", None), ast.Load)
+                      and id(n) not in passed)]
     assert found == []
 
 

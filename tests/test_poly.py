@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tgraph import groebner, poly
+from tgraph import groebner
+from tgraph.groebner import buchberger
 from tgraph.poly import ArrowVar, Packing, Poly, Ring, arrow_ring
 
 from oracles import grevlex_key, trial_division_is_prime
@@ -50,8 +51,10 @@ def test_lead_and_monic_grevlex():
 
 @pytest.mark.parametrize("char", [0, 7])
 def test_cached_lead_is_the_largest_term_after_every_operation(char):
+    # Poly arithmetic is exact whatever the characteristic; mod p, the
+    # solver's basis is checked as well
     rng = random.Random(11 + char)
-    r = Ring((A, B, C), char=char)
+    r = Ring((A, B, C))
 
     def random_poly():
         return r.poly({(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
@@ -66,6 +69,8 @@ def test_cached_lead_is_the_largest_term_after_every_operation(char):
         results = [p + q, p - q, p * q, p.scale(3), p.scale(Fraction(1, 2)),
                    p * r.poly({(1, 0, 2): -2}), p.monic(),
                    p - r.poly({lead_exps: lead_coeff})]
+        if char:
+            results += buchberger([p, q], char=char).generators
         for s in results:
             if s:
                 e = max(s.terms, key=grevlex_key)
@@ -88,35 +93,45 @@ def test_evaluation_order_deterministic():
 
 
 def test_charp_ring():
-    r = Ring((A, B), char=5)
+    # a ring has no characteristic: the solver reduces coefficients mod p
+    # as it packs the generators
+    r = Ring((A, B))
+    a, b = r.var(A), r.var(B)
     p = r.poly({(1, 0): 7, (0, 1): 5})
-    assert p == r.poly({(1, 0): 2})
-    assert r.constant(Fraction(1, 2)) == r.constant(3)
+    assert buchberger([p], char=5).generators == [a]
+    assert not buchberger([r.constant(Fraction(1, 2)) - r.constant(3)],
+                          char=5).generators
     with pytest.raises(ZeroDivisionError):
-        Ring((A,), char=5).constant(Fraction(1, 5))
+        buchberger([r.constant(Fraction(1, 5))], char=5)
+    # a term, or a whole generator, that vanishes mod p is dropped
+    assert buchberger([a.scale(2) + b], char=2).generators == [b]
+    assert buchberger([a.scale(2)], char=2).generators == []
+    with pytest.raises(ZeroDivisionError):
+        buchberger([a.scale(Fraction(1, 2)) + b], char=2)
 
 
 def test_composite_characteristic_is_rejected(monkeypatch):
+    gens = [Ring((A, B)).var(A)]
     for char in (-3, 1, 4, 6, 8, 9):
         with pytest.raises(ValueError):
-            Ring((A, B), char=char)
-    assert Ring((A,), char=2).char == 2
+            buchberger(gens, char=char)
+    assert buchberger(gens, char=2).generators == gens
     # characteristic zero, the solver's hot case, runs no primality test
-    monkeypatch.setattr(poly, "_is_prime", None)
-    assert Ring((A, B)).char == 0
+    monkeypatch.setattr(groebner, "_is_prime", None)
+    assert buchberger(gens).generators == gens
 
 
 def test_primality_matches_trial_division():
-    assert [n for n in range(-5, 20000) if poly._is_prime(n)] == [
+    assert [n for n in range(-5, 20000) if groebner._is_prime(n)] == [
         n for n in range(-5, 20000) if trial_division_is_prime(n)]
-    assert poly._is_prime(2 ** 31 - 1) and poly._is_prime(2 ** 61 - 1)
+    assert groebner._is_prime(2 ** 31 - 1) and groebner._is_prime(2 ** 61 - 1)
     # a Carmichael number and strong pseudoprimes to the bases 2, 3, 5, 7
     # (3215031751) and 2 to 23 (3825123056546413051)
     for n in (561, 3215031751, 3825123056546413051):
-        assert not poly._is_prime(n)
-    assert poly._is_prime(2 ** 64 - 59)
+        assert not groebner._is_prime(n)
+    assert groebner._is_prime(2 ** 64 - 59)
     with pytest.raises(ValueError, match=r"2\*\*64"):
-        Ring((A,), char=2 ** 64 + 13)
+        buchberger([], char=2 ** 64 + 13)
 
 
 def test_arrow_ring_order():
