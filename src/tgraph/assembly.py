@@ -32,7 +32,7 @@ from math import comb, gcd
 
 from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
                      oriented_pair)
-from .edges import EdgeRecord, EdgeStatus, decide_edge
+from .edges import ENGINE, EdgeRecord, EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET
 from .monomial import (Grading, enumerate_ideals, format_ideal,
                        hilbert_function)
@@ -351,6 +351,7 @@ class EdgeCache:
             "grading": [g.alpha, g.beta],
             "budget": budget,
             "with_dimension": bool(with_dimension),
+            "engine": ENGINE,
         }, sort_keys=True)
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
         return os.path.join(self.directory, f"{digest}.json")

@@ -6,6 +6,14 @@ closure, i.e. when their reduced Groebner basis is not the unit ideal.
 A finite characteristic can be requested as a fast pre-screen: it is handed
 to the solver, which reduces the same integer equations mod p.  Such records
 are labeled and never merged with the characteristic-zero graph.
+
+The solver runs on the edge ring's variable list reversed, the opposite
+side's ``ct`` coordinates first.  Whether a common zero exists, and the
+Krull dimension, do not depend on the monomial order, but the work does: at
+colengths 9 to 11 the reversed order needs a half to two thirds of the
+S-pairs of the printed one, and its slowest job is 3 to 30 times faster.
+A record's ``s_pairs`` counts the run in that order, and ``ENGINE`` names it
+in the edge cache key.
 """
 from __future__ import annotations
 
@@ -18,6 +26,7 @@ from .cells import edge_ideal
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, _check_char,
                        buchberger, quotient_dimension)
 from .monomial import Grading, format_ideal, parse_ideal
+from .poly import Ring
 
 
 class EdgeStatus(Enum):
@@ -66,23 +75,38 @@ class EdgeRecord:
         )
 
 
+# The solver order, part of the edge cache key: a change here changes the
+# work a record counts, so records solved in another order become misses.
+ENGINE = "groebner/reversed-variables"
+
+
+def _solver_generators(ideal):
+    """The edge ideal's nonzero generators on its variable list reversed."""
+    ring = Ring(reversed(ideal.ring.vars))
+    return [p.onto(ring) for p in ideal.nonzero_generators()]
+
+
 def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     """Tri-state edge decision for one pair and grading.
 
     The pair must be distinct with equal Hilbert functions (the dominance
     test raises ValueError otherwise).  When neither
     ideal dominates the other no equations are formed and the verdict is
-    immediate.
+    immediate.  Otherwise ``buchberger`` decides the edge equations in
+    reversed variable order (see the module docstring).
+
+    ``char`` is 0 or a prime, else ValueError, on either path: the solver
+    checks it, and an immediate verdict checks it here.
     """
     if M == N:
         raise ValueError("edge decision needs two distinct ideals")
-    _check_char(char)
     oriented = oriented_pair(M, N, g)
     if oriented is None:
+        _check_char(char)
         return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE, characteristic=char)
     big, small = oriented
     ideal = edge_ideal(big, small, g)
-    gens = ideal.nonzero_generators()
+    gens = _solver_generators(ideal)
     start = time.perf_counter()
     try:
         gb = buchberger(gens, budget=budget, char=char)

@@ -8,6 +8,12 @@ fully interreduced monic result.
 The characteristic is an argument of ``buchberger`` alone: polynomials are
 exact, and a run mod p reduces their coefficients as it packs them.
 
+The monomial order is grevlex over the generators' ring, in its variable
+order.  Whether the basis is the unit ideal, and the Krull dimension, do not
+depend on that order; the S-pairs and reduction steps can differ by orders
+of magnitude.  ``edges.decide_edge`` picks the order for the edge equations
+by handing over generators on a reordered ring.
+
 In characteristic 0 a run is fraction-free: the inputs are cleared of
 denominators, every intermediate basis element is kept primitive over the
 integers (content 1, positive lead), and reduction is integer

@@ -238,6 +238,15 @@ class Poly:
         inv = 1 / Fraction(c)
         return Poly(self.ring, {e: c0 * inv for e, c0 in self.terms.items()})
 
+    def onto(self, ring):
+        """The same polynomial in ``ring``, whose variables are this ring's
+        in another order; ValueError if they are not."""
+        order = [*map(self.ring.index.get, ring.vars)]
+        if len(order) != self.ring.nvars or None in order:
+            raise ValueError("not a reordering of this ring's variables")
+        return Poly(ring, {tuple([e[i] for i in order]): c
+                           for e, c in self.terms.items()})
+
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 
+import pytest
+
 from tgraph import assembly
 from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
@@ -175,8 +177,8 @@ def test_column_monotonicity():
 
 def test_full_row_under_exhausted_budgets():
     # an exhausted budget turns an edge into an unknown, never a non-edge
-    pins = {6: [(21, 16), (27, 10), (30, 7), (31, 6)],
-            7: [(34, 18), (41, 11), (43, 9), (45, 7)]}
+    pins = {6: [(21, 16), (29, 8), (30, 7), (32, 5)],
+            7: [(34, 18), (41, 11), (44, 8), (48, 4)]}
     for d, expected in pins.items():
         got = []
         for budget in (1, 2, 4, 8):
@@ -185,6 +187,31 @@ def test_full_row_under_exhausted_budgets():
         assert got == expected
         full = count_row(d, PipelineDepth.FULL).edges
         assert {edges + unknown for edges, unknown in got} == {full}
+
+
+def test_records_of_another_solver_order_are_misses(tmp_path, monkeypatch):
+    cache = EdgeCache(str(tmp_path))
+    cold = graph_to_json(build_tgraph(6, PipelineDepth.FULL, cache=cache))
+    written = len(list(tmp_path.iterdir()))
+    decided = []
+    decide = assembly._decide
+    monkeypatch.setattr(assembly, "_decide",
+                        lambda job: decided.append(job) or decide(job))
+    monkeypatch.setattr(assembly, "ENGINE", "another solver order")
+    warm = build_tgraph(6, PipelineDepth.FULL, cache=cache)
+    assert len(decided) == len(warm.records) == written
+    assert len(list(tmp_path.iterdir())) == 2 * written
+    assert graph_to_json(warm) == cold
+    decided.clear()
+    build_tgraph(6, PipelineDepth.FULL, cache=cache)
+    assert decided == []
+
+
+@pytest.mark.slow
+def test_colength_ten_graph_is_exact():
+    graph = build_tgraph(10, PipelineDepth.FULL)
+    assert len(graph.simple_edges) == 280
+    assert not any(rec.status is EdgeStatus.UNKNOWN for rec in graph.records)
 
 
 def test_table_and_graph_share_cache_records(tmp_path):

@@ -1,6 +1,11 @@
 import pytest
 
+from tgraph import groebner
+from tgraph.arrows import oriented_pair
+from tgraph.assembly import PipelineDepth, build_tgraph
+from tgraph.cells import edge_ideal
 from tgraph.edges import EdgeRecord, EdgeStatus, decide_edge
+from tgraph.groebner import BudgetExceeded, buchberger, quotient_dimension
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
 G11 = Grading(1, 1)
@@ -130,3 +135,51 @@ def test_composite_characteristic_is_rejected():
         for char in (4, 6):
             with pytest.raises(ValueError):
                 decide_edge(M, N, G11, char=char)
+
+
+def test_one_primality_test_per_decision(monkeypatch):
+    calls = []
+    is_prime = groebner._is_prime
+    monkeypatch.setattr(groebner, "_is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    p = 2 ** 31 - 1
+    settled = (parse_ideal("<x^4, x*y, y^3>"), parse_ideal("<x^3, y^2>"))
+    assert decide_edge(*settled, G11, char=p).generator_count == 0
+    assert calls == [p]
+    calls.clear()
+    solved = (parse_ideal("<y^5, x^2>"), parse_ideal("<y^2, x^5>"))
+    assert decide_edge(*solved, G11, char=p).generator_count > 0
+    assert calls == [p]
+
+
+def test_solver_order_keeps_every_verdict_and_dimension():
+    # a direct buchberger run in the printed variable order is the oracle
+    # for the records decided in the solver's reversed order
+    compared = 0
+    for d in range(2, 9):
+        for rec in build_tgraph(d, PipelineDepth.FULL,
+                                with_dimension=True).records:
+            oriented = oriented_pair(*rec.pair, rec.grading)
+            if oriented is None:
+                continue
+            ideal = edge_ideal(*oriented, rec.grading)
+            gb = buchberger(ideal.nonzero_generators())
+            if gb.is_trivial():
+                assert rec.status is EdgeStatus.NO_EDGE
+            else:
+                assert rec.status is EdgeStatus.EDGE
+                assert rec.dimension == quotient_dimension(gb,
+                                                           ideal.ring.nvars)
+            compared += 1
+    assert compared == 217
+
+
+def test_colength_ten_tail_fits_a_budget_the_printed_order_exceeds():
+    # the slowest colength-10 job in the printed order, 1122 S-pairs there
+    M = parse_ideal("<x^5, x^3*y, x^2*y^2, y^3>")
+    N = parse_ideal("<x^3, x^2*y^2, x*y^3, y^5>")
+    record = decide_edge(M, N, G11, budget=420)
+    assert record.status is EdgeStatus.EDGE and record.s_pairs == 420
+    ideal = edge_ideal(*oriented_pair(M, N, G11), G11)
+    with pytest.raises(BudgetExceeded):
+        buchberger(ideal.nonzero_generators(), budget=420)

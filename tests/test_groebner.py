@@ -9,7 +9,7 @@ from tgraph.arrows import oriented_pair
 from tgraph.assembly import PipelineDepth, build_tgraph
 from tgraph.cells import edge_ideal
 from tgraph import groebner
-from tgraph.edges import EdgeStatus, decide_edge
+from tgraph.edges import EdgeStatus, _solver_generators, decide_edge
 from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
                              _reducer, _spoly, _unpack, buchberger,
                              quotient_dimension)
@@ -114,19 +114,20 @@ def test_normal_form_matches_the_division_loop(char):
     assert recreated > 0
 
 
-# The digests, over the printed generators of every reduced basis, were
-# recorded while the solver still made every basis element monic over the
-# rationals.
+# The digests, over the printed generators of every reduced basis in the
+# solver's reversed variable order, were recorded when decide_edge moved to
+# that order.
 BASES_SHA256 = {
-    7: "c222e468cda1eee246b7bc997d38b51943b4471625052e35c45d6e0a0d16535d",
-    8: "0694f1aa9ed39d1a4df5f13621cb01f6858a70b7b73a9f2dacbb9b717ab4b47b",
+    7: "b45571da0b6b261470be6d48a9559847002e71029a479d9aee71c256d0e2f1e6",
+    8: "57dc4ac79b06a6819cc114b6af6e4b313e92b8f2bf9c5c4a8a452747bee3aaaa",
 }
 
 
-# Recorded before reduction and pair selection were moved onto heaps: any
-# change in the order of S-pairs or of reduction steps moves these sums.
+# Recorded when decide_edge moved to the reversed variable order (the
+# printed order gave 143/123/140 and 605/335/1773): any change in the order
+# of S-pairs or of reduction steps moves these sums.
 @pytest.mark.parametrize("d, s_pairs, basis_size, reduction_steps",
-                         [(7, 143, 123, 140), (8, 605, 335, 1773)])
+                         [(7, 120, 123, 113), (8, 402, 305, 829)])
 def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
                                                  reduction_steps):
     graph = build_tgraph(d, PipelineDepth.FULL, with_dimension=True)
@@ -137,7 +138,7 @@ def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
         oriented = oriented_pair(*rec.pair, rec.grading)
         if oriented is not None:
             ideal = edge_ideal(*oriented, rec.grading)
-            gb = buchberger(ideal.nonzero_generators())
+            gb = buchberger(_solver_generators(ideal))
             stats.append(gb.stats)
             for g in gb.generators:
                 bases.update(f"{g}\n".encode())
@@ -252,10 +253,11 @@ def test_prime_characteristic_runs_only_monic_reducers(monkeypatch):
     assert set(reducers) == set(primes) and all(reducers.values())
 
 
-# Recorded while the characteristic was still a property of the ring, and the
-# edge equations were converted into a ring mod p before the solver ran.
+# Recorded when decide_edge moved to the reversed variable order; only the
+# s_pairs in it moved, every status and dimension is the one recorded while
+# the characteristic was still a property of the ring.
 CHAR_P_SHA256 = (
-    "9d98ea1ccfbf943c3f880f654a9ab284a1ffb17d00156d57212fe1220b195aa3")
+    "97ca59aa49f70b216eaec6aedd0dd620785dc896aab313fd63fb209b80738ec0")
 
 
 def test_prime_characteristic_records_are_pinned():
