@@ -338,13 +338,44 @@ def graph_to_csv(graph):
 
 
 class EdgeCache:
-    """Content-addressed store of edge records for resumable table runs."""
+    """Exact edge records in append-only journals, shared between runs.
+
+    Each instance writes at most one journal, ``<random>.jsonl``, created on
+    its first ``put``.  A line is the key digest, a tab, the record's JSON
+    and a newline, appended with a single ``os.write`` on a descriptor that
+    ``put`` opens and closes, so concurrent writers never share a file and a
+    killed writer leaves at most a truncated last line.  On creation every
+    journal in the directory is loaded as raw line bytes under their
+    digests; ``get`` parses only the lines of the key it is asked for.  A
+    run therefore sees another run's records only if their journal existed
+    when its cache was created, and recomputes the rest.  Other files in the
+    directory, such as the per-record ``.json`` files of earlier versions,
+    are neither read nor touched.
+    """
 
     def __init__(self, directory):
-        self.directory = directory
         os.makedirs(directory, exist_ok=True)
+        self._journal = os.path.join(directory,
+                                     f"{os.urandom(8).hex()}.jsonl")
+        self._lines = {}  # key digest -> candidate record json, as bytes
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".jsonl"):
+                self._load(os.path.join(directory, name))
 
-    def _path(self, M, N, g, budget, with_dimension):
+    def _load(self, path):
+        # Bytes line by line, so one bad byte costs only its own line; a
+        # writer's unfinished last line fails to parse in ``get`` like any
+        # other damaged line.
+        try:
+            with open(path, "rb") as fh:
+                for line in fh:
+                    digest, _, text = line.partition(b"\t")
+                    self._lines.setdefault(digest, []).append(text)
+        except OSError:
+            pass  # an unreadable journal holds no usable records
+
+    @staticmethod
+    def _digest(M, N, g, budget, with_dimension):
         key = json.dumps({
             "schema": f"tgraph.edge-record/{SCHEMA_VERSION}",
             "pair": sorted([format_ideal(M), format_ideal(N)]),
@@ -353,32 +384,35 @@ class EdgeCache:
             "with_dimension": bool(with_dimension),
             "engine": ENGINE,
         }, sort_keys=True)
-        digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return os.path.join(self.directory, f"{digest}.json")
+        return hashlib.sha256(key.encode()).hexdigest()[:32].encode()
 
     def get(self, M, N, g, budget, with_dimension):
-        """The stored record, or None when it is missing or unusable.
+        """The first usable stored record, or None.
 
-        A record that cannot be read or parsed, or that belongs to another
-        pair or grading, is a miss: the caller recomputes and rewrites it.
+        A line that cannot be parsed, lacks a field, belongs to another pair
+        or grading, or holds a record of a nonzero characteristic is a miss:
+        the caller recomputes the record and appends it again.
         """
-        path = self._path(M, N, g, budget, with_dimension)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = EdgeRecord.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, IndexError, TypeError,
-                AttributeError):
-            return None
-        if set(record.pair) != {M, N} or record.grading != g:
-            return None
-        return record
+        for text in self._lines.get(
+                self._digest(M, N, g, budget, with_dimension), ()):
+            try:
+                record = EdgeRecord.from_json(json.loads(text))
+            except (ValueError, KeyError, IndexError, TypeError,
+                    AttributeError):
+                continue
+            if (set(record.pair) == {M, N} and record.grading == g
+                    and record.characteristic == 0):
+                return record
+        return None
 
     def put(self, record, budget, with_dimension):
         M, N = record.pair
-        path = self._path(M, N, record.grading, budget, with_dimension)
-        # A temp name of its own per writer: two writers of one record must
-        # not truncate or rename each other's half-written file.
-        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-        with open(tmp, "x", encoding="utf-8") as fh:
-            json.dump(record.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        digest = self._digest(M, N, record.grading, budget, with_dimension)
+        text = json.dumps(record.to_json(), sort_keys=True).encode() + b"\n"
+        fd = os.open(self._journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                     0o644)
+        try:
+            os.write(fd, digest + b"\t" + text)
+        finally:
+            os.close(fd)
+        self._lines.setdefault(digest, []).append(text)

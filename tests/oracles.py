@@ -9,6 +9,8 @@ reach the solver's private kernel, and say so.
 """
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -710,3 +712,27 @@ def permute(ideal, perm):
                  for g in ideal.gens)
     weights = tuple(ideal.weights[perm[i]] for i in range(ideal.nvars))
     return NMonomialIdeal(ideal.nvars, gens, weights)
+
+
+def journal_lines(directory):
+    """Every line of the edge-cache journals in ``directory``, as bytes.
+
+    Journals (``*.jsonl``) are read in name order, each line with its
+    newline if it has one; the format is read here from the outside, not
+    through ``EdgeCache``.
+    """
+    return [line for path in sorted(pathlib.Path(directory).glob("*.jsonl"))
+            for line in path.read_bytes().splitlines(keepends=True)]
+
+
+def journal_record(line):
+    """The record JSON of one journal line ``<digest>\\t<json>\\n``."""
+    return json.loads(line.partition(b"\t")[2])
+
+
+def rewrite_journal(directory, edit):
+    """Replace the one journal's lines by ``edit(lines)``; return the old."""
+    (path,) = pathlib.Path(directory).glob("*.jsonl")
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(edit(lines)))
+    return lines

@@ -12,11 +12,12 @@ from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              graph_to_dot, graph_to_json, pair_grading_jobs,
                              table_to_csv)
 from tgraph.cells import significant_arrows
-from tgraph.edges import EdgeStatus, oriented_pair
+from tgraph.edges import EdgeRecord, EdgeStatus, oriented_pair
 from tgraph.groebner import DEFAULT_BUDGET
 from tgraph.monomial import Grading, enumerate_ideals, parse_ideal
 
-from oracles import hf_bucket_jobs, sample_two_sided_edges
+from oracles import (hf_bucket_jobs, journal_lines, journal_record,
+                     rewrite_journal, sample_two_sided_edges)
 
 G11 = Grading(1, 1)
 
@@ -189,18 +190,16 @@ def test_full_row_under_exhausted_budgets():
         assert {edges + unknown for edges, unknown in got} == {full}
 
 
-def test_records_of_another_solver_order_are_misses(tmp_path, monkeypatch):
+def test_records_of_another_solver_order_are_misses(tmp_path, monkeypatch,
+                                                   decided):
     cache = EdgeCache(str(tmp_path))
     cold = graph_to_json(build_tgraph(6, PipelineDepth.FULL, cache=cache))
-    written = len(list(tmp_path.iterdir()))
-    decided = []
-    decide = assembly._decide
-    monkeypatch.setattr(assembly, "_decide",
-                        lambda job: decided.append(job) or decide(job))
+    written = len(journal_lines(tmp_path))
+    decided.clear()
     monkeypatch.setattr(assembly, "ENGINE", "another solver order")
     warm = build_tgraph(6, PipelineDepth.FULL, cache=cache)
     assert len(decided) == len(warm.records) == written
-    assert len(list(tmp_path.iterdir())) == 2 * written
+    assert len(journal_lines(tmp_path)) == 2 * written
     assert graph_to_json(warm) == cold
     decided.clear()
     build_tgraph(6, PipelineDepth.FULL, cache=cache)
@@ -218,9 +217,11 @@ def test_table_and_graph_share_cache_records(tmp_path):
     cache = EdgeCache(str(tmp_path))
     row = count_row(6, PipelineDepth.FULL, cache=cache)
     files = sorted(tmp_path.iterdir())
+    lines = journal_lines(tmp_path)
     graph = build_tgraph(6, PipelineDepth.FULL, cache=cache)
     assert sorted(tmp_path.iterdir()) == files
-    assert len(files) == len(graph.records)
+    assert journal_lines(tmp_path) == lines
+    assert len(lines) == len(graph.records)
     assert row.edges == len(graph.simple_edges)
 
 
@@ -257,45 +258,128 @@ def test_empty_graph_export():
 def test_cache_round_trip(tmp_path):
     cache = EdgeCache(str(tmp_path))
     row1 = count_row(4, PipelineDepth.FULL, cache=cache)
-    files = list(tmp_path.iterdir())
-    assert files
-    row2 = count_row(4, PipelineDepth.FULL, cache=cache)
+    files = sorted(tmp_path.iterdir())
+    lines = journal_lines(tmp_path)
+    assert lines
+    row2 = count_row(4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
     assert row1 == row2
-    assert list(tmp_path.iterdir()) == files
+    assert sorted(tmp_path.iterdir()) == files
+    assert journal_lines(tmp_path) == lines
 
 
-def test_cache_writers_of_one_record_do_not_collide(tmp_path, monkeypatch):
-    cache = EdgeCache(str(tmp_path))
+def test_cache_writers_of_one_record_do_not_collide(tmp_path):
     record = build_tgraph(2, PipelineDepth.FULL).records[0]
-    real_dump = json.dump
-    entered = []
-
-    def dump_with_a_second_writer(obj, fh, **kwargs):
-        # The second writer of the same record runs to completion while the
-        # first is between opening its temp file and renaming it.
-        if not entered:
-            entered.append(True)
-            cache.put(record, DEFAULT_BUDGET, False)
-        real_dump(obj, fh, **kwargs)
-
-    monkeypatch.setattr(json, "dump", dump_with_a_second_writer)
-    cache.put(record, DEFAULT_BUDGET, False)
-    monkeypatch.undo()
-    assert entered
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".json"
     M, N = record.pair
-    assert cache.get(M, N, record.grading, DEFAULT_BUDGET, False) == record
+    first, second = EdgeCache(str(tmp_path)), EdgeCache(str(tmp_path))
+    first.put(record, DEFAULT_BUDGET, False)
+    second.put(record, DEFAULT_BUDGET, False)
+    journals = sorted(tmp_path.iterdir())
+    assert len(journals) == 2 and {p.suffix for p in journals} == {".jsonl"}
+    for path in journals:
+        (line,) = path.read_bytes().splitlines(keepends=True)
+        assert journal_record(line) == record.to_json()
+    for cache in (first, second, EdgeCache(str(tmp_path))):
+        assert cache.get(M, N, record.grading, DEFAULT_BUDGET, False) == record
 
 
 def test_threaded_build_fills_the_cache(tmp_path):
     cache = EdgeCache(str(tmp_path))
     par = build_tgraph(4, PipelineDepth.FULL, with_dimension=True,
                        cache=cache, threads=2)
-    assert len(list(tmp_path.iterdir())) == len(par.records)
+    assert len(journal_lines(tmp_path)) == len(par.records)
     warm = build_tgraph(4, PipelineDepth.FULL, with_dimension=True,
-                        cache=cache)
+                        cache=EdgeCache(str(tmp_path)))
     assert graph_to_json(warm) == graph_to_json(par)
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The (M, N, grading) of every job the serial solver decides."""
+    jobs = []
+    decide = assembly._decide
+    monkeypatch.setattr(assembly, "_decide",
+                        lambda job: jobs.append(job[:3]) or decide(job))
+    return jobs
+
+
+def test_cold_build_writes_one_journal_and_a_warm_one_none(tmp_path, decided):
+    cold = build_tgraph(7, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
+    assert [p.suffix for p in tmp_path.iterdir()] == [".jsonl"]
+    assert len(journal_lines(tmp_path)) == len(decided) == len(cold.records)
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    decided.clear()
+    warm = build_tgraph(7, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
+    assert decided == []
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+    assert graph_to_json(warm) == graph_to_json(cold)
+
+
+def test_truncated_last_line_is_recomputed(tmp_path, decided):
+    clean = graph_to_json(build_tgraph(
+        4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path))))
+    # A writer killed mid-append leaves its last line without a newline.
+    lines = rewrite_journal(
+        tmp_path, lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]])
+    decided.clear()
+    rerun = build_tgraph(4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
+    assert graph_to_json(rerun) == clean
+    assert len(decided) == 1
+    rewritten = journal_lines(tmp_path)
+    assert len(rewritten) == len(lines) + 1 and lines[-1] in rewritten
+
+
+def test_invalid_utf8_costs_only_its_own_line(tmp_path, decided):
+    clean = graph_to_json(build_tgraph(
+        4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path))))
+    lines = rewrite_journal(
+        tmp_path, lambda lines: [lines[0].replace(b"<", b"\xff", 1)]
+        + lines[1:])
+    decided.clear()
+    rerun = build_tgraph(4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
+    assert graph_to_json(rerun) == clean
+    assert len(decided) == 1
+    rewritten = journal_lines(tmp_path)
+    assert len(rewritten) == len(lines) + 1 and lines[0] in rewritten
+
+
+def test_records_of_a_nonzero_characteristic_are_misses(tmp_path, decided):
+    clean = graph_to_json(build_tgraph(
+        4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path))))
+    # A hand-written char-2 record that, if served, would flip a verdict.
+    line = next(line for line in journal_lines(tmp_path)
+                if journal_record(line)["status"] == "EDGE")
+    digest = line.partition(b"\t")[0]
+    forged = dict(journal_record(line), status="NO_EDGE", characteristic=2)
+    for path in tmp_path.iterdir():
+        path.unlink()
+    (tmp_path / "char2.jsonl").write_bytes(
+        digest + b"\t" + json.dumps(forged).encode() + b"\n")
+    decided.clear()
+    cache = EdgeCache(str(tmp_path))
+    record = EdgeRecord.from_json(forged)
+    M, N = record.pair
+    assert cache.get(M, N, record.grading, DEFAULT_BUDGET, False) is None
+    rerun = build_tgraph(4, PipelineDepth.FULL, cache=cache)
+    assert graph_to_json(rerun) == clean
+    assert len(decided) == len(rerun.records)
+
+
+def test_old_per_record_files_are_ignored_and_kept(tmp_path, decided):
+    graph = build_tgraph(4, PipelineDepth.FULL)
+    old = {}
+    for ((i, j), g), rec in zip(graph.keys, graph.records):
+        digest = EdgeCache._digest(graph.vertices[i - 1],
+                                   graph.vertices[j - 1], g,
+                                   DEFAULT_BUDGET, False)
+        old[tmp_path / f"{digest.decode()}.json"] = json.dumps(
+            rec.to_json(), sort_keys=True).encode()
+    for path, data in old.items():
+        path.write_bytes(data)
+    decided.clear()
+    rerun = build_tgraph(4, PipelineDepth.FULL, cache=EdgeCache(str(tmp_path)))
+    assert graph_to_json(rerun) == graph_to_json(graph)
+    assert len(decided) == len(graph.records)
+    assert {p: p.read_bytes() for p in tmp_path.glob("*.json")} == old
 
 
 def test_pool_workers_start_on_distinct_cpus_and_keep_their_cpu_set(

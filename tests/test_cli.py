@@ -9,6 +9,8 @@ from tgraph.cli import _COMMANDS, build_parser, main
 from tgraph.edges import EdgeRecord
 from tgraph.monomial import enumerate_ideals
 
+from oracles import journal_lines, journal_record, rewrite_journal
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -273,11 +275,12 @@ def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
     assert "Traceback" not in err
-    written = sorted(cache.iterdir())
+    assert [p.suffix for p in cache.iterdir()] == [".jsonl"]
+    written = journal_lines(cache)
     assert written
-    for path in written:
-        assert path.suffix == ".json"
-        EdgeRecord.from_json(json.loads(path.read_text(encoding="utf-8")))
+    for line in written:
+        assert line.endswith(b"\n")
+        EdgeRecord.from_json(journal_record(line))
 
     code, clean, _ = run(capsys, "tgraph", "7", "--format", "csv")
     assert code == 0
@@ -312,9 +315,15 @@ def test_cache_warm_run_is_byte_identical(tmp_path, capsys):
     code, out1, _ = run(capsys, *args)
     assert code == 0
     files = sorted(p.name for p in cache.iterdir())
+    lines = journal_lines(cache)
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert sorted(p.name for p in cache.iterdir()) == files
+    assert journal_lines(cache) == lines
+
+
+def _digest(line):
+    return line.partition(b"\t")[0]
 
 
 def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
@@ -322,19 +331,28 @@ def test_damaged_cache_records_are_recomputed(tmp_path, capsys):
     args = ["table", "3", "4", "--cache-dir", str(cache), "--depth", "full"]
     code, clean, _ = run(capsys, *args)
     assert code == 0
-    first, second, third = sorted(cache.iterdir())[:3]
-    intact = first.read_text(encoding="utf-8")
-    first.write_text(intact[:len(intact) // 2], encoding="utf-8")
-    # A readable record stored under another pair's name is stale.
-    second.write_text(third.read_text(encoding="utf-8"), encoding="utf-8")
+
+    def damage(lines):
+        first, second, third = lines[:3]
+        # A readable record stored under another pair's digest is stale.
+        return ([first[:len(first) // 2] + b"\n",
+                 _digest(second) + b"\t" + third.partition(b"\t")[2]]
+                + lines[2:])
+
+    first, second, third = rewrite_journal(cache, damage)[:3]
     code, rerun, _ = run(capsys, *args)
     assert code == 0
     assert rerun == clean
 
-    # Both records were rewritten; the first as it was, byte for byte.
-    assert first.read_text(encoding="utf-8") == intact
-    assert (json.loads(second.read_text(encoding="utf-8"))["pair"]
-            != json.loads(third.read_text(encoding="utf-8"))["pair"])
+    # Both records were appended again; the first as it was, byte for byte,
+    # and the second under its own pair next to the stale line.
+    after = journal_lines(cache)
+    assert first in after
+    again = [journal_record(line) for line in after
+             if _digest(line) == _digest(second)]
+    assert len(again) == 2
+    assert journal_record(second) in again and journal_record(third) in again
+    assert journal_record(second)["pair"] != journal_record(third)["pair"]
 
 
 def test_cached_record_missing_a_field_is_recomputed(tmp_path, capsys):
@@ -343,19 +361,23 @@ def test_cached_record_missing_a_field_is_recomputed(tmp_path, capsys):
     code, clean, _ = run(capsys, *args)
     assert code == 0
     pair = {"<x^3, x*y, y^2>", "<x^2, y^2>"}
-    (path,) = [p for p in cache.iterdir()
-               if set(json.loads(p.read_text(encoding="utf-8"))["pair"])
-               == pair]
-    intact = json.loads(path.read_text(encoding="utf-8"))
+    (line,) = [line for line in journal_lines(cache)
+               if set(journal_record(line)["pair"]) == pair]
+    intact = journal_record(line)
     assert intact["grading"] == {"alpha": 1, "beta": 1}
     assert intact["dimension"] == 1
     damaged = dict(intact)
     del damaged["dimension"]
-    path.write_text(json.dumps(damaged), encoding="utf-8")
+    rewrite_journal(cache, lambda lines: [
+        _digest(old) + b"\t" + json.dumps(damaged).encode() + b"\n"
+        if old == line else old for old in lines])
     code, rerun, _ = run(capsys, *args)
     assert code == 0
     assert rerun == clean
-    rewritten = json.loads(path.read_text(encoding="utf-8"))
+    rewritten = [journal_record(new) for new in journal_lines(cache)
+                 if _digest(new) == _digest(line)]
+    assert len(rewritten) == 2 and damaged in rewritten
+    (rewritten,) = [r for r in rewritten if r != damaged]
     assert rewritten["dimension"] == 1
     assert rewritten == intact
 
