@@ -154,6 +154,15 @@ class TGraph:
                 out.append(g)
         return out
 
+    def undecided_pairs(self):
+        """How many pairs a full build left undecided: an UNKNOWN record and
+        no EDGE record.  Below full depth UNKNOWN means the pair passed the
+        filters, so the count is 0."""
+        if self.depth is not PipelineDepth.FULL:
+            return 0
+        return len({pair for (pair, _), rec in zip(self.keys, self.records)
+                    if rec.status is EdgeStatus.UNKNOWN} - self.simple_edges)
+
 
 def _power_sums(M):
     """Sums of a, b, a^2, a*b and b^2 over the standard monomials x^a*y^b.
@@ -258,8 +267,7 @@ def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None):
     most conditions ``filters_passed`` finds under any of its gradings.  At
     full depth the edge count is the number of simple edges of
     ``build_tgraph`` (a confirmed nonempty edge scheme under some grading),
-    and ``unknown`` the number of pairs with an UNKNOWN record and no EDGE
-    record.
+    and ``unknown`` its ``TGraph.undecided_pairs``.
     """
     vertices = enumerate_ideals(d)
     passed = {}
@@ -273,10 +281,7 @@ def count_row(d, depth=PipelineDepth.FULL, budget=DEFAULT_BUDGET, cache=None):
     if depth is PipelineDepth.FULL:
         graph = build_tgraph(d, depth, budget, cache=cache)
         edges = len(graph.simple_edges)
-        unknown = len({pair for (pair, _), rec
-                       in zip(graph.keys, graph.records)
-                       if rec.status is EdgeStatus.UNKNOWN}
-                      - graph.simple_edges)
+        unknown = graph.undecided_pairs()
     return CountRow(d, len(vertices), comb(len(vertices), 2), ordered,
                     arrow, dual, edges, unknown)
 

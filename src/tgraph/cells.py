@@ -20,7 +20,9 @@ because every reduction divides only by unit lead coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
+from .arrows import dominates
 from .monomial import Grading, MonomialIdeal2, format_monomial
 from .poly import Ring, add_into, arrow_ring
 
@@ -201,8 +203,6 @@ def edge_ideal(M, N, g):
     g.swap(), with x and y exchanged back.  Raises RuntimeError if an
     equation comes out with a non-integral coefficient.
     """
-    from .arrows import dominates
-
     if M == N or not dominates(M, N, g):
         raise ValueError("first ideal must dominate the second strictly")
 
@@ -237,8 +237,6 @@ def edge_ideal(M, N, g):
 
 def tangent_weight_count(M):
     """Total significant arrows over all gradings; always twice the colength."""
-    from math import gcd
-
     total = M.a0 + M.be  # arrows of the two degenerate gradings
     bound_a = max(M.be, 1)
     bound_b = max(M.a0, 1)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success or a confirmed positive verdict, 1 for a negative
 verdict (no map, no edge, a failed fixture), 2 for an undecided verdict
-(budget exhausted), 3 and up for usage, input or file-system errors, and
-for a pool worker that dies during a threaded build.
+(budget exhausted), also when a full graph or table build leaves a pair
+undecided, 3 and up for usage, input or file-system errors, and for a pool
+worker that dies during a threaded build.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
                      enumerate_arrow_maps, oriented_pair)
 from .assembly import (EdgeCache, PipelineDepth, build_tgraph, count_table,
                        graph_to_csv, graph_to_dot, graph_to_json, table_to_csv)
+from .cells import edge_ideal
 from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET, _check_char
 from .monomial import (Grading, enumerate_ideals, format_ideal,
@@ -147,6 +149,10 @@ def _oriented_pair(args, incomparable):
 
 
 def _cache(args):
+    """The edge cache of a full build; below full depth nothing reads one,
+    so none is opened and its directory is left as it is."""
+    if PipelineDepth(args.depth) is not PipelineDepth.FULL:
+        return None
     path = args.cache_dir or os.environ.get("TGRAPH_CACHE_DIR")
     return EdgeCache(path) if path else None
 
@@ -243,8 +249,6 @@ def _edge_ideal_payload(ideal):
 
 
 def cmd_edge_ideal(args):
-    from .cells import edge_ideal
-
     pair = _oriented_pair(args, "the pair is not comparable for this grading")
     if pair is None:
         return EXIT_NEGATIVE
@@ -282,7 +286,7 @@ def cmd_tgraph(args):
                          budget=args.budget, with_dimension=args.dimension,
                          cache=_cache(args), threads=args.threads)
     _emit(args, _GRAPH_FORMATS[args.format](graph))
-    return EXIT_OK
+    return EXIT_UNKNOWN if graph.undecided_pairs() else EXIT_OK
 
 
 def cmd_table(args):

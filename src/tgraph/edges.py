@@ -111,18 +111,19 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     try:
         gb = buchberger(gens, budget=budget, char=char)
     except BudgetExceeded as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return EdgeRecord((M, N), g, EdgeStatus.UNKNOWN,
-                          generator_count=len(gens), s_pairs=exc.s_pairs,
-                          time_ms=elapsed, characteristic=char)
+        gb, s_pairs = None, exc.s_pairs
+    else:
+        s_pairs = gb.stats["s_pairs"]
     elapsed = (time.perf_counter() - start) * 1000.0
-    if gb.is_trivial():
-        status, dim = EdgeStatus.NO_EDGE, None
+    dim = None
+    if gb is None:
+        status = EdgeStatus.UNKNOWN
+    elif gb.is_trivial():
+        status = EdgeStatus.NO_EDGE
     else:
         status = EdgeStatus.EDGE
-        dim = (quotient_dimension(gb, nvars=ideal.ring.nvars)
-               if with_dimension else None)
+        if with_dimension:
+            dim = quotient_dimension(gb, nvars=ideal.ring.nvars)
     return EdgeRecord((M, N), g, status, dimension=dim,
-                      generator_count=len(gens),
-                      s_pairs=gb.stats["s_pairs"], time_ms=elapsed,
-                      characteristic=char)
+                      generator_count=len(gens), s_pairs=s_pairs,
+                      time_ms=elapsed, characteristic=char)

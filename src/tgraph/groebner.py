@@ -19,22 +19,25 @@ denominators, every intermediate basis element is kept primitive over the
 integers (content 1, positive lead), and reduction is integer
 pseudo-division.  Each element is a nonzero scalar multiple of its monic
 version, so the run forms the same S-pairs and makes the same reduction steps
-as it would over monic elements; the reduced basis is made monic once, at the
-end.  In characteristic p, primitive means monic.
+as it would over monic elements; each element of the reduced basis is divided
+by its lead coefficient once, at the end.  In characteristic p, primitive
+means monic.
 
 Inside the solver a monomial is one int, packed by ``poly.Packing`` with
 ``FIELD_BITS`` bits per variable: grevlex order is integer order, a product
 is an integer sum, and divisibility, lcm and coprimality are a few integer
-operations.  ``buchberger`` packs its generators once and unpacks only the
-reduced basis, and its one kernel, ``_reduce``, divides packed terms.  A
-packed field holds degrees up to ``2**FIELD_BITS - 1``.  No term of a run
-has a larger degree than an input or a pair's lcm, so those are checked when
-they are packed, and one past the cap raises BudgetExceeded: an unknown
-verdict, never a wrong basis.
+operations.  ``buchberger`` packs its generators once, and its one kernel,
+``_reduce``, divides packed terms.  The reduced basis is unpacked once,
+monic, with each element's lead, its largest packed int; nothing outside the
+solver computes a lead.  A packed field holds degrees up to
+``2**FIELD_BITS - 1``.  No term of a run has a larger degree than an input
+or a pair's lcm, so those are checked when they are packed, and one past the
+cap raises BudgetExceeded: an unknown verdict, never a wrong basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -53,14 +56,17 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class GroebnerBasis:
+    """A reduced basis: monic generators in ascending grevlex order of their
+    leads, and ``leads``, the exponent vector of each one's lead term, as the
+    solver found it."""
+
     generators: list
+    leads: list
     stats: dict = field(default_factory=dict)
 
-    def leads(self):
-        return [g.lead()[0] for g in self.generators]
-
     def is_trivial(self):
-        return len(self.generators) == 1 and self.generators[0].total_degree() == 0
+        """Whether the basis is {1}, the only reduced basis with a constant."""
+        return len(self.leads) == 1 and not any(self.leads[0])
 
 
 def _fits(m, packing):
@@ -88,6 +94,15 @@ def _pack(p, packing, char):
 def _unpack(terms, ring, packing):
     unpack = packing.unpack
     return Poly(ring, {unpack(m): c for m, c in terms.items()})
+
+
+def _monic(terms, lead):
+    """Packed terms divided by the coefficient of ``lead``, exactly; the
+    terms themselves when it is 1, as it always is mod p."""
+    a = terms[lead]
+    if a == 1:
+        return terms
+    return {m: Fraction(c, a) for m, c in terms.items()}
 
 
 def _primitive(terms, char):
@@ -256,14 +271,15 @@ def buchberger(gens, budget=DEFAULT_BUDGET, char=0):
     pair ever formed and skips those the updates dropped.
 
     The generators are packed once; the loop runs on packed terms and only
-    the reduced basis is unpacked.  Every term's degree is at most that of an
-    input or of a pair's lcm, so checking those keeps every term in range.
+    the reduced basis is unpacked, monic, with its leads.  Every term's
+    degree is at most that of an input or of a pair's lcm, so checking those
+    keeps every term in range.
     """
     _check_char(char)
     gens = [g for g in gens if g]
     stats = {"s_pairs": 0, "reduction_steps": 0, "basis_size": 0}
     if not gens:
-        return GroebnerBasis([], stats=stats)
+        return GroebnerBasis([], [], stats=stats)
     ring = gens[0].ring
     packing = Packing(ring.nvars, FIELD_BITS)
     guards = packing.guards
@@ -304,15 +320,15 @@ def buchberger(gens, budget=DEFAULT_BUDGET, char=0):
     for r in sorted(basis):
         if all((m[1] - r[0]) & guards != guards for m in minimal):
             minimal.append(r)
-    reduced = []
+    generators = []
     for r in minimal:
         lead, _, a, tail = r
         others = [m for m in minimal if m is not r]
         rem, steps = _reduce({lead: a, **dict(tail)}, others, char, guards)
         stats["reduction_steps"] += steps
-        reduced.append(rem)
-    stats["basis_size"] = len(reduced)
-    return GroebnerBasis([_unpack(r, ring, packing).monic() for r in reduced],
+        generators.append(_unpack(_monic(rem, lead), ring, packing))
+    stats["basis_size"] = len(generators)
+    return GroebnerBasis(generators, [packing.unpack(r[0]) for r in minimal],
                          stats=stats)
 
 
@@ -366,7 +382,7 @@ def quotient_dimension(gb, nvars):
     via the complementary minimum hitting set.
     """
     supports = set()
-    for e in gb.leads():
+    for e in gb.leads:
         s = frozenset(i for i, x in enumerate(e) if x)
         if not s:
             raise ValueError("the unit ideal has no quotient dimension")

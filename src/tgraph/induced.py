@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
+from .cells import cell_generators_f
 from .monomial import MonomialIdeal2
 from .poly import add_into
 
@@ -81,8 +82,6 @@ def specialize(basis, values):
 
 def cell_point(M, g, values):
     """Rows of the ideal at a point of the cell of M (values per arrow)."""
-    from .cells import cell_generators_f
-
     basis = cell_generators_f(M, g)
     assignment = {var: _as_field(values.get((var.index, var.step), 0))
                   for var in basis.ring.vars}

@@ -111,16 +111,6 @@ class MonomialIdeal2:
         object.__setattr__(self, "colength", sum(rows))
 
     @classmethod
-    def from_partition(cls, parts):
-        """Build from a weakly decreasing list of row lengths."""
-        parts = list(parts)
-        if any(p <= 0 for p in parts) or any(
-            p < q for p, q in zip(parts, parts[1:])
-        ):
-            raise ValueError(f"not a partition: {parts}")
-        return cls._from_rows(tuple(parts))
-
-    @classmethod
     def _from_rows(cls, rows):
         """Build from rows already known to be a partition, without checks.
 
@@ -255,7 +245,7 @@ def enumerate_ideals(d):
     """All monomial ideals of colength d, one per partition, deterministic."""
     if d < 1:
         raise ValueError("colength must be at least 1")
-    return [MonomialIdeal2.from_partition(p) for p in partitions(d)]
+    return [MonomialIdeal2._from_rows(p) for p in partitions(d)]
 
 
 _MONO_FACTOR = re.compile(r"(x|y)(?:\^(\d+))?")

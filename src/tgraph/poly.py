@@ -1,18 +1,17 @@
 """Sparse multivariate polynomials over exact coefficients in arrow variables.
 
-Coefficients are Python ints, or Fractions where ``monic`` divides by a lead
-that is not +-1: the arithmetic is exact, over the rationals.  A ring has no
-characteristic; the Groebner solver takes one as an argument and reduces
-coefficients mod p as it packs its generators.  The solver works on integer
-multiples and calls ``monic`` once, on its final reduced basis.  Exponent
-vectors are tuples indexed by the ring's fixed variable list; the monomial
-order is graded reverse lexicographic over that list, with ``Ring.key`` its
-one definition.  ``Packing`` derives the solver's form from that key: each
-exponent vector becomes one int whose fields, from the top, are the degree
-and then ``cap - e_i`` for the last variable down to the first, so integer
-order is the order of ``Ring.key``.  A polynomial's terms are never mutated
-after construction, so each polynomial computes its lead term once and keeps
-it.
+Coefficients are Python ints, or Fractions, which the package makes only
+when the Groebner solver divides a reduced basis element by a lead
+coefficient that is not 1: the arithmetic is exact, over the rationals.  A
+ring has no characteristic; the solver takes one as an argument and reduces
+coefficients mod p as it packs its generators.  Exponent vectors are tuples
+indexed by the ring's fixed variable list; the monomial order is graded
+reverse lexicographic over that list, with ``Ring.key`` its one definition,
+which printing reads.  ``Packing`` derives the solver's form from that key:
+each exponent vector becomes one int whose fields, from the top, are the
+degree and then ``cap - e_i`` for the last variable down to the first, so
+integer order is the order of ``Ring.key``.  Lead terms exist only in that
+packed form, inside the solver.
 
 ``add_into`` is the package's one sparse-row update: a row is a dict from
 monomials or columns to polynomials or field values, and adding into an entry
@@ -21,7 +20,6 @@ drops the entry when it cancels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, neg
 
 
@@ -163,16 +161,15 @@ class Poly:
     """Immutable sparse polynomial bound to a Ring.
 
     Nothing mutates ``terms`` after construction: every operation builds a
-    new dict.  That is what lets ``lead`` be computed once, on first use, and
-    kept in a slot.
+    new dict.  Coefficients are exact: ints, or Fractions from the caller or
+    from the solver's monic basis.
     """
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -220,24 +217,6 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {e: c0 * c for e, c0 in self.terms.items()})
 
-    def lead(self):
-        """(exponents, coefficient) of the grevlex-largest term; cached."""
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no lead term")
-            e = max(self.terms, key=self.ring.key)
-            self._lead = e, self.terms[e]
-        return self._lead
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.lead()
-        if c == 1:
-            return self
-        inv = 1 / Fraction(c)
-        return Poly(self.ring, {e: c0 * inv for e, c0 in self.terms.items()})
-
     def onto(self, ring):
         """The same polynomial in ``ring``, whose variables are this ring's
         in another order; ValueError if they are not."""
@@ -246,9 +225,6 @@ class Poly:
             raise ValueError("not a reordering of this ring's variables")
         return Poly(ring, {tuple([e[i] for i in order]): c
                            for e, c in self.terms.items()})
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def sorted_terms(self):
         key = self.ring.key

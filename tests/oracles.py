@@ -256,6 +256,26 @@ def grevlex_key(exps):
     return (sum(exps), [-e for e in reversed(exps)])
 
 
+def lead_term(p):
+    """(exponents, coefficient) of the grevlex-largest term of nonzero p,
+    found by scanning its terms with ``grevlex_key``."""
+    e = max(p.terms, key=grevlex_key)
+    return e, p.terms[e]
+
+
+def monic(p):
+    """p divided by its lead coefficient; p itself when that is 1."""
+    c = lead_term(p)[1]
+    if c == 1:
+        return p
+    return p.scale(1 / Fraction(c))
+
+
+def total_degree(p):
+    """The largest degree of a term of p; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def brute_normal_form(f, basis, char=0):
     """The plain division loop: each step scans the work dict with ``max``.
 
@@ -397,7 +417,7 @@ def membership_certificate(f, gens, max_degree):
     columns = []
     tags = []
     for gi, gen in enumerate(gens):
-        room = max_degree - gen.total_degree()
+        room = max_degree - total_degree(gen)
         if room < 0:
             continue
         for u in _monomials_up_to(ring.nvars, room):

@@ -301,6 +301,37 @@ def test_tgraph_formats(tmp_path, capsys):
     assert data["d"] == 4 and data["depth"] == "dual"
 
 
+def test_tgraph_exits_two_when_a_full_build_leaves_pairs_undecided(capsys):
+    code, out, _ = run(capsys, "tgraph", "9", "--budget", "3",
+                       "--format", "csv")
+    assert code == 2
+    assert out.count(",UNKNOWN,") == 42
+    # the table reads the same build and agrees
+    code, _, _ = run(capsys, "table", "9", "9", "--budget", "3")
+    assert code == 2
+
+
+def test_tgraph_below_full_depth_exits_zero(capsys):
+    # below full depth UNKNOWN means the pair passed the filters
+    code, out, _ = run(capsys, "tgraph", "9", "--budget", "3",
+                       "--depth", "dual", "--format", "csv")
+    assert code == 0 and ",UNKNOWN," in out
+
+
+def test_below_full_depth_no_cache_is_opened(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    code, plain, _ = run(capsys, "tgraph", "7", "--depth", "dual")
+    assert code == 0
+    code, out, _ = run(capsys, "tgraph", "7", "--depth", "dual",
+                       "--cache-dir", str(cache))
+    assert code == 0 and out == plain
+    code, plain, _ = run(capsys, "table", "5", "6", "--depth", "order")
+    monkeypatch.setenv("TGRAPH_CACHE_DIR", str(cache))
+    code, out, _ = run(capsys, "table", "5", "6", "--depth", "order")
+    assert code == 0 and out == plain
+    assert not cache.exists()
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "4", "5", "--depth", "dual")
     assert code == 0

@@ -16,8 +16,8 @@ from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
 from tgraph.monomial import Grading, format_ideal, parse_ideal
 from tgraph.poly import ArrowVar, Packing, Ring
 
-from oracles import (brute_normal_form, kernel_normal_form,
-                     membership_certificate)
+from oracles import (brute_normal_form, kernel_normal_form, lead_term,
+                     membership_certificate, monic, total_degree)
 
 V = [ArrowVar(0, i, 1) for i in range(1, 5)]
 
@@ -48,7 +48,7 @@ def test_quartic_system_is_consistent():
 
 def test_zero_ideal_dimension():
     assert quotient_dimension(buchberger([]), nvars=3) == 3
-    assert quotient_dimension(GroebnerBasis([]), nvars=2) == 2
+    assert quotient_dimension(GroebnerBasis([], []), nvars=2) == 2
     with pytest.raises(ValueError):
         quotient_dimension(buchberger([ring(2).one()]), nvars=2)
 
@@ -103,7 +103,7 @@ def test_normal_form_matches_the_division_loop(char):
         if trial % 4 == 0:
             basis = buchberger(gens, char=char).generators
         else:
-            basis = [g.monic() for g in gens if g]
+            basis = [monic(g) for g in gens if g]
         f = random_poly(r, rng, 8, 4)
         stats = {}
         remainder = kernel_normal_form(f, basis, stats, char=char)
@@ -153,7 +153,7 @@ def assert_rational_multiple(got, want):
     if not want:
         assert not got
         return
-    ratio = Fraction(got.lead()[1]) / Fraction(want.lead()[1])
+    ratio = Fraction(lead_term(got)[1]) / Fraction(lead_term(want)[1])
     assert ratio and want.scale(ratio) == got
 
 
@@ -166,14 +166,14 @@ def test_pseudo_division_matches_the_division_loop_on_monic_reducers():
         for _ in range(rng.randint(1, 4)):
             g = random_poly(r, rng, 3, 2)
             if g:
-                lead = g.lead()[0]
+                lead = lead_term(g)[0]
                 g = primitive(g + r.poly({lead: rng.choice((1, 2, 5))}))
-            if g and g.lead()[1] != 1:
+            if g and lead_term(g)[1] != 1:
                 basis.append(g)
         f = random_poly(r, rng, 8, 4)
         stats = {}
         remainder = kernel_normal_form(f, basis, stats)
-        want, steps, _ = brute_normal_form(f, [g.monic() for g in basis])
+        want, steps, _ = brute_normal_form(f, [monic(g) for g in basis])
         assert_rational_multiple(remainder, want)
         assert stats.get("reduction_steps", 0) == steps
         steps_seen += steps
@@ -285,7 +285,7 @@ def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
     gens = edge_ideal(*oriented_pair(M, N, g), g).nonzero_generators()
     assert decide_edge(M, N, g).status is EdgeStatus.EDGE
     monkeypatch.setattr(groebner, "FIELD_BITS", 2)
-    assert max(p.total_degree() for p in gens) <= 3
+    assert max(total_degree(p) for p in gens) <= 3
     with pytest.raises(BudgetExceeded, match="degree 4 exceeds"):
         buchberger(gens)
     assert decide_edge(M, N, g).status is EdgeStatus.UNKNOWN
@@ -326,19 +326,68 @@ def test_verdicts_hold_over_a_large_prime():
     assert decided == 226
 
 
+def assert_leads_are_recorded(gb):
+    """The solver's recorded leads are the grevlex-largest terms of its
+    generators, found afresh, and each of those terms has coefficient 1."""
+    found = [lead_term(g) for g in gb.generators]
+    assert gb.leads == [e for e, _ in found]
+    assert all(c == 1 for _, c in found)
+
+
+@pytest.mark.parametrize("char", [0, 2 ** 31 - 1])
+def test_recorded_leads_match_the_oracle_on_the_exact_graphs(char):
+    runs = 0
+    for d in range(2, 9):
+        for rec in build_tgraph(d, PipelineDepth.FULL).records:
+            oriented = oriented_pair(*rec.pair, rec.grading)
+            if oriented is not None:
+                ideal = edge_ideal(*oriented, rec.grading)
+                assert_leads_are_recorded(
+                    buchberger(_solver_generators(ideal), char=char))
+                runs += 1
+    assert runs == 217
+
+
+def test_recorded_leads_match_the_oracle_on_two_points(monkeypatch):
+    from tgraph import general
+
+    bases = []
+
+    def recorded(*args, **kwargs):
+        bases.append(buchberger(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(general, "buchberger", recorded)
+    general.two_points_graph(verify_window=True)
+    assert len(bases) == 36
+    for gb in bases:
+        assert_leads_are_recorded(gb)
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_recorded_leads_on_random_inputs(char):
+    rng = random.Random(11 + char)
+    r = ring(3)
+    for _ in range(60):
+        gens = [random_poly(r, rng, 5, 3) for _ in range(2)]
+        gb = buchberger(gens, char=char)
+        assert_leads_are_recorded(gb)
+        assert len(gb.leads) == gb.stats["basis_size"]
+
+
 def test_reduced_basis_properties():
     r = ring(3)
     a, b, c = (r.var(v) for v in r.vars)
     gb = buchberger([a * a - b, a * b - c, b * b - a * c])
     for i, g in enumerate(gb.generators):
-        assert g.lead()[1] == 1
+        assert lead_term(g)[1] == 1
         others = gb.generators[:i] + gb.generators[i + 1:]
         assert kernel_normal_form(g, others) == g
     # every S-pair of the completed basis drops to zero
     for i in range(len(gb.generators)):
         for j in range(i + 1, len(gb.generators)):
             gi, gj = gb.generators[i], gb.generators[j]
-            ei, ej = gi.lead()[0], gj.lead()[0]
+            ei, ej = lead_term(gi)[0], lead_term(gj)[0]
             lcm = tuple(max(x, y) for x, y in zip(ei, ej))
             s = (gi * r.poly({tuple(x - y for x, y in zip(lcm, ei)): 1})
                  - gj * r.poly({tuple(x - y for x, y in zip(lcm, ej)): 1}))
@@ -368,7 +417,7 @@ def test_membership_matches_certificate_oracle():
         # known members must carry a verified certificate
         member = gens[0] * vars3[0] + gens[-1].scale(3)
         assert not kernel_normal_form(member, gb.generators)
-        cap = max(p.total_degree() for p in gens) + 3
+        cap = max(total_degree(p) for p in gens) + 3
         assert membership_certificate(member, gens, cap) is not None
         # a nonmember by normal form must have no certificate at the cap
         candidate = vars3[0] + r.one()

@@ -173,6 +173,17 @@ def test_partition_enumeration_order_and_counts():
             assert M.colength == d
 
 
+def test_enumerated_ideals_pass_the_validating_constructor():
+    # enumerate_ideals builds from its own partitions without checks
+    for d in range(1, 11):
+        ideals = enumerate_ideals(d)
+        assert len(ideals) == partition_count(d)
+        for M in ideals:
+            checked = MonomialIdeal2(M.gens)
+            assert M == checked
+            assert (M.rows, M.colength) == (checked.rows, checked.colength)
+
+
 def test_swap_involution():
     for d in range(1, 8):
         for M in enumerate_ideals(d):

@@ -11,7 +11,7 @@ import pytest
 import tgraph
 from tgraph.general import two_points_graph
 from tgraph.groebner import BudgetExceeded
-from tgraph.poly import Ring
+from tgraph.poly import Poly, Ring
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
 
@@ -243,11 +243,24 @@ def test_only_the_solver_holds_a_characteristic():
 def test_solver_orders_monomials_only_in_packed_form():
     # the solver compares packed ints; a Ring.key call there would bring a
     # second, tuple-keyed monomial order back beside the packed one
-    path = pathlib.Path(tgraph.__file__).parent / "groebner.py"
+    package = pathlib.Path(tgraph.__file__).parent
+    path = package / "groebner.py"
     found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "key"]
+    assert found == []
+    # leads exist only in the solver's packed form: a polynomial keeps no
+    # lead, and nothing outside the solver asks one for its lead or its
+    # monic multiple
+    assert Poly.__slots__ == ("ring", "terms")
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             if path.name != "groebner.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("lead", "monic")]
     assert found == []
 
 
