@@ -10,9 +10,11 @@ zero against the family, and each generator of the N-side family must reduce
 to zero as well.  Everything happens inside a finite degree window, declared
 by the caller and re-checkable one degree higher.
 
-A direction's chains on a window are built once and passed down; each ideal
-is then described by its positions on those chains, and dominance is read
-off two such position lists.
+A direction's chains on a window are built once per direction to orient
+the pairs, and again inside each edge-scheme computation on its own window;
+each ideal is described by its positions on those chains, and dominance is
+read off two such position lists.  An ideal stores each membership answer it
+gives, so the same question costs one dict lookup the next time.
 
 This is enough for the Hilbert scheme of two points in the projective plane,
 and for colength-d ideals in two variables it must agree with the staircase
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import add, le, sub
 
 from .groebner import DEFAULT_BUDGET, buchberger, quotient_dimension
 from .poly import ArrowVar, Ring, add_into
@@ -47,7 +50,7 @@ def _monomials_of_degree(nvars, weights, t):
 
 
 def _divides(u, v):
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def _format_monomial(m):
@@ -69,14 +72,39 @@ class NMonomialIdeal:
     weights: tuple
 
     def __post_init__(self):
+        nvars, weights = self.nvars, tuple(self.weights)
         gens = tuple(sorted(tuple(g) for g in self.gens))
+        if not isinstance(nvars, int) or nvars < 1:
+            raise ValueError("nvars must be a positive int")
+        if len(weights) != nvars:
+            raise ValueError("weights must have nvars entries")
+        if not all(isinstance(w, int) and w > 0 for w in weights):
+            raise ValueError("weights must be positive ints")
+        if not all(len(g) == nvars and all(isinstance(e, int) and e >= 0
+                                           for e in g) for g in gens):
+            raise ValueError("generators must have nvars nonnegative int "
+                             "entries")
         for u, v in combinations(gens, 2):
             if _divides(u, v) or _divides(v, u):
                 raise ValueError("generators are not minimal")
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "weights", weights)
+        # membership answers; not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_member", {})
 
     def contains(self, m):
+        """Whether the exponent tuple m lies in the ideal.
+
+        The answer is decided once by a generator test and stored on the
+        instance, so asking again is a dict lookup.
+        """
+        try:
+            return self._member[m]
+        except KeyError:
+            found = self._member[m] = self._generated(m)
+            return found
+
+    def _generated(self, m):
         return any(_divides(g, m) for g in self.gens)
 
     def degree(self, m):
@@ -99,26 +127,27 @@ def degree_classes(nvars, weights, c, degrees):
 
     Chains come in degree order.  Each is listed from the large end downward:
     index 0 is the monomial with the most room to move against c, and each
-    later entry adds one copy of c.
+    later entry adds one copy of c.  Raises ValueError unless c has `nvars`
+    entries of both signs.
     """
+    if len(c) != nvars:
+        raise ValueError(f"direction {c} does not have {nvars} entries")
+    if not (any(x > 0 for x in c) and any(x < 0 for x in c)):
+        raise ValueError("direction must have entries of both signs")
     classes = []
     for t in degrees:
-        mons = set(_monomials_of_degree(nvars, weights, t))
+        mons = _monomials_of_degree(nvars, weights, t)
+        # a shift with a negative entry is never in the set
+        present = set(mons)
         seen = set()
-        for m in sorted(mons):
+        for m in mons:
             if m in seen:
                 continue
             top = m
-            while True:
-                up = tuple(a - b for a, b in zip(top, c))
-                if any(x < 0 for x in up) or up not in mons:
-                    break
+            while (up := tuple(map(sub, top, c))) in present:
                 top = up
             chain = [top]
-            while True:
-                down = tuple(a + b for a, b in zip(chain[-1], c))
-                if any(x < 0 for x in down) or down not in mons:
-                    break
+            while (down := tuple(map(add, chain[-1], c))) in present:
                 chain.append(down)
             seen.update(chain)
             classes.append(tuple(chain))
@@ -220,8 +249,6 @@ def edge_scheme_general(M, N, c, window_degrees):
         raise ValueError("the two ideals must differ")
     if (M.nvars, M.weights) != (N.nvars, N.weights):
         raise ValueError("the two ideals must share variables and weights")
-    if not (any(x > 0 for x in c) and any(x < 0 for x in c)):
-        raise ValueError("direction must have entries of both signs")
     # Equal counts on every chain also mean equal Hilbert values on the window.
     chains = degree_classes(M.nvars, M.weights, c, window_degrees)
     if not class_dominates(chain_positions(M, chains),

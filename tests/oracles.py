@@ -13,7 +13,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 from tgraph.monomial import Grading, MonomialIdeal2
@@ -705,6 +705,44 @@ def extremal_ideals(H, g):
     if len(tops) != 1 or len(bottoms) != 1:
         raise ValueError("poset of ideals lacks a unique top or bottom")
     return tops[0], bottoms[0]
+
+
+def _weighted_monomials(weights, t):
+    """Exponent tuples of weighted degree t, by a search over a box."""
+    return [m for m in product(*(range(t // w + 1) for w in weights))
+            if sum(w * e for w, e in zip(weights, m)) == t]
+
+
+def sorted_degree_classes(nvars, weights, c, degrees):
+    """The chain partition as first written, one sorted pass per degree.
+
+    The reference for the chains and their order in
+    ``general.degree_classes``.  The body is that function's earlier one,
+    with this module's box search in place of the package's monomial list.
+    It never returns on a zero direction.
+    """
+    classes = []
+    for t in degrees:
+        mons = set(_weighted_monomials(weights, t))
+        seen = set()
+        for m in sorted(mons):
+            if m in seen:
+                continue
+            top = m
+            while True:
+                up = tuple(a - b for a, b in zip(top, c))
+                if any(x < 0 for x in up) or up not in mons:
+                    break
+                top = up
+            chain = [top]
+            while True:
+                down = tuple(a + b for a, b in zip(chain[-1], c))
+                if any(x < 0 for x in down) or down not in mons:
+                    break
+                chain.append(down)
+            seen.update(chain)
+            classes.append(tuple(chain))
+    return classes
 
 
 def from_saturation(linear, quad):

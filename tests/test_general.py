@@ -1,8 +1,13 @@
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
 
+import tgraph
 from tgraph import general
 from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
                             candidate_refinements, chain_positions,
@@ -11,7 +16,7 @@ from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
                             saturation_label, two_points_graph)
 from tgraph.groebner import buchberger, quotient_dimension
 
-from oracles import from_saturation, permute
+from oracles import from_saturation, permute, sorted_degree_classes
 
 
 def test_nine_fixed_points():
@@ -57,6 +62,55 @@ def test_degree_classes_are_chains():
             assert tuple(a - b for a, b in zip(v, u)) == (1, -1, 0)
     flattened = [m for chain in classes for m in chain]
     assert len(flattened) == len(set(flattened)) == 6
+
+
+@pytest.mark.parametrize("weights, top", [((1, 1, 1), 5), ((1, 2), 5),
+                                          ((2, 3), 12)])
+def test_degree_classes_match_the_sorted_oracle(weights, top):
+    # same chains in the same order, both orientations of every candidate
+    # direction, on every window from degree 0 up to `top` and reversed;
+    # (2, 3) has its first direction in degree 6, so its windows go further
+    nvars = len(weights)
+    directions = []
+    for degrees in ((1, 2), range(1, top + 1)):
+        directions += [c for c in candidate_refinements(nvars, weights,
+                                                        degrees)
+                       if c not in directions]
+    assert directions
+    windows = [tuple(range(k + 1)) for k in range(top + 1)]
+    windows.append(tuple(range(top, -1, -1)))
+    longest = 0
+    for c in directions:
+        for d in (c, tuple(-x for x in c)):
+            for window in windows:
+                got = degree_classes(nvars, weights, d, window)
+                assert got == sorted_degree_classes(nvars, weights, d,
+                                                    window), (d, window)
+                longest = max(longest, *map(len, got))
+    assert longest > 2
+
+
+def test_degree_classes_rejects_a_zero_direction():
+    # it looped forever once, so it runs in a child with a time limit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from tgraph.general import degree_classes\n"
+         "try:\n"
+         "    degree_classes(2, (1, 1), (0, 0), (1,))\n"
+         "except ValueError as exc:\n"
+         "    print('raised', exc)\n"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised"), done.stdout
+
+
+@pytest.mark.parametrize("c", [(1, -1), (1, -1, 0, 0), (1, 1, 0),
+                               (0, 0, -1)])
+def test_degree_classes_rejects_bad_directions(c):
+    with pytest.raises(ValueError, match="entries"):
+        degree_classes(3, (1, 1, 1), c, (2,))
 
 
 def test_candidate_refinements_are_primitive_two_signed():
@@ -147,8 +201,9 @@ def test_rejects_equal_ideals_and_bad_directions():
     with pytest.raises(ValueError):
         edge_scheme_general(M, M, (0, 1, -1), TWO_POINTS_WINDOW)
     N = from_saturation(0, (0, 2, 0))
-    with pytest.raises(ValueError):
-        edge_scheme_general(M, N, (0, 1, 1), TWO_POINTS_WINDOW)
+    for c in ((0, 1, 1), (0, 0, 0), (0, 1, -1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="entries"):
+            edge_scheme_general(M, N, c, TWO_POINTS_WINDOW)
     # different Hilbert values on the window fail the chain counts
     line = NMonomialIdeal(3, ((1, 0, 0),), (1, 1, 1))
     with pytest.raises(ValueError, match="dominate"):
@@ -244,3 +299,67 @@ def test_chain_dominance_matches_the_plane_engine():
                 assert class_dominates(pos_b, pos_a) == dominates(B, A, g)
                 compared += 2
     assert compared == 120
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, ((1, 0),), (1, 1, 1)), "generators must have nvars nonnegative"),
+    ((2, ((1, 0, 0),), (1, 1)), "generators must have nvars nonnegative"),
+    ((2, ((0, -1),), (1, 1)), "generators must have nvars nonnegative"),
+    ((2, ((1, 0), (0, 1)), (0, 1)), "weights must be positive"),
+    ((2, ((1, 0),), (1, 1.5)), "weights must be positive"),
+    ((2, ((1, 0),), (1, 1, 1)), "weights must have nvars entries"),
+    ((0, (), ()), "nvars must be a positive int"),
+], ids=["short-generator", "long-generator", "negative-exponent",
+        "zero-weight", "fractional-weight", "weights-length", "no-variables"])
+def test_malformed_ideals_are_rejected(args, message):
+    # before the checks, a short generator read as a prefix, a zero weight
+    # divided by zero and a negative exponent read as "not minimal"
+    with pytest.raises(ValueError, match=message):
+        NMonomialIdeal(*args)
+
+
+def test_each_membership_question_is_decided_once(monkeypatch):
+    decided = []
+    ideals = []
+    real = NMonomialIdeal._generated
+
+    def counted(self, m):
+        ideals.append(self)  # keeps every id unique while the run lasts
+        decided.append((id(self), m))
+        return real(self, m)
+
+    monkeypatch.setattr(NMonomialIdeal, "_generated", counted)
+    two_points_graph(verify_window=True)
+    assert len(decided) == len(set(decided)) == 435
+
+
+def test_stored_answers_leave_equality_hash_repr_and_pickle():
+    asked = from_saturation(0, (0, 0, 2))
+    fresh = from_saturation(0, (0, 0, 2))
+    for m in ((0, 0, 2), (0, 1, 1), (1, 0, 0), (0, 0, 0)):
+        asked.contains(m)
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert repr(asked) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(asked))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert repr(copy) == repr(fresh)
+    assert [copy.contains(m) for m in ((0, 0, 2), (0, 1, 1), (0, 0, 0))] == [
+        True, False, False]
+
+
+def test_two_points_solver_work_is_pinned(monkeypatch):
+    stats = []
+    real = general.buchberger
+
+    def recorded(*args, **kwargs):
+        gb = real(*args, **kwargs)
+        stats.append(gb.stats)
+        return gb
+
+    monkeypatch.setattr(general, "buchberger", recorded)
+    two_points_graph(verify_window=True)
+    assert len(stats) == 36
+    totals = {key: sum(s[key] for s in stats)
+              for key in ("s_pairs", "reduction_steps", "basis_size")}
+    assert totals == {"s_pairs": 190, "reduction_steps": 184,
+                      "basis_size": 132}
