@@ -17,10 +17,9 @@ from .edges import EdgeRecord, EdgeStatus, decide_edge
 from .groebner import (BudgetExceeded, GroebnerBasis, buchberger,
                        quotient_dimension)
 from .induced import induced_arrow_map, initial_ideal
-from .monomial import (Grading, HilbertFunction, MonomialIdeal2, colon_box,
-                       enumerate_ideals, format_ideal, format_monomial,
-                       hilbert_function, minimal_box, parse_ideal,
-                       parse_monomial)
+from .monomial import (Grading, MonomialIdeal2, colon_box, enumerate_ideals,
+                       format_ideal, format_monomial, hilbert_function,
+                       minimal_box, parse_ideal, parse_monomial)
 from .poly import ArrowVar, Poly, Ring, arrow_ring
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrowMap", "ArrowVar", "BudgetExceeded", "CellBasis", "EdgeCache",
     "EdgeIdeal", "EdgeRecord", "EdgeStatus", "Grading", "GroebnerBasis",
-    "HilbertFunction", "MonomialIdeal2", "PipelineDepth", "Poly", "Ring",
+    "MonomialIdeal2", "PipelineDepth", "Poly", "Ring",
     "TGraph", "arrow_map_exists", "arrow_ring", "buchberger",
     "build_tgraph", "cell_generators_f", "cell_generators_g", "colon_box",
     "count_table", "decide_edge", "dominates", "dual_condition", "edge_ideal",

@@ -75,7 +75,6 @@ class CellBasis:
     """
 
     ideal: MonomialIdeal2
-    grading: Grading
     ring: Ring
     elements: tuple  # tuple of dict(Mono -> Poly)
 
@@ -123,7 +122,7 @@ def cell_generators_f(M, g, ring=None, var_side=0):
             for m, poly in _shift_element(elements[j], delta).items():
                 add_into(acc, m, var * poly)
         elements.append(acc)
-    return CellBasis(M, g, ring, tuple(elements))
+    return CellBasis(M, ring, tuple(elements))
 
 
 def _tail_reduce(elem, lead, basis):
@@ -154,7 +153,7 @@ def cell_generators_g(M, g, ring=None):
         if any(m != lead and M.contains(m) for m in red):
             raise RuntimeError(f"a tail of {format_monomial(lead)} is in {M}")
         reduced.append(red)
-    return CellBasis(M, g, basis.ring, tuple(reduced))
+    return CellBasis(M, basis.ring, tuple(reduced))
 
 
 def reduce_monomial(m, gbasis):

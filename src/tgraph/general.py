@@ -162,8 +162,7 @@ def candidate_refinements(nvars, weights, degrees):
         mons = _monomials_of_degree(nvars, weights, t)
         for u, v in combinations(mons, 2):
             c = tuple(a - b for a, b in zip(u, v))
-            g = gcd(*(abs(x) for x in c)) if nvars > 1 else abs(c[0])
-            g = g or 1
+            g = gcd(*c)
             c = tuple(x // g for x in c)
             canon = max(c, tuple(-x for x in c))
             if canon not in seen:

@@ -175,24 +175,18 @@ class MonomialIdeal2:
 UNIT_IDEAL = MonomialIdeal2(((0, 0),))
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
-    """Weight-indexed dimensions of the quotient, finite support, hashable."""
-
-    values: tuple  # sorted ((weight, count), ...) with count > 0
-
-
 def hilbert_function(M, g):
     """Count standard monomials of M per degree class, row by row.
 
-    Row b contributes the weights beta*b + alpha*a for a < rows[b].
+    Row b contributes the weights beta*b + alpha*a for a < rows[b].  Returns
+    the nonzero counts as a sorted tuple ``((weight, count), ...)``.
     """
     counts = {}
     for b, t in enumerate(M.rows):
         w = g.beta * b
         for x in range(w, w + g.alpha * t, g.alpha):
             counts[x] = counts.get(x, 0) + 1
-    return HilbertFunction(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def colon_box(box, M):

@@ -15,7 +15,9 @@ packed form, inside the solver.
 
 ``add_into`` is the package's one sparse-row update: a row is a dict from
 monomials or columns to polynomials or field values, and adding into an entry
-drops the entry when it cancels.
+drops the entry when it cancels.  ``Poly``'s own sum, difference and product
+build their terms through it as well.  A ``Poly`` compares equal only to a
+``Poly`` of the same ring, and is not hashable.
 """
 from __future__ import annotations
 
@@ -177,21 +179,18 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring is other.ring and self.terms == other.terms
-        if other == 0:
-            return not self.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
-        _accumulate(out, other.terms, 1)
+        for e, c in other.terms.items():
+            add_into(out, e, c)
         return Poly(self.ring, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
-        _accumulate(out, other.terms, -1)
+        for e, c in other.terms.items():
+            add_into(out, e, -c)
         return Poly(self.ring, out)
 
     def __neg__(self):
@@ -203,12 +202,7 @@ class Poly:
             out = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(map(add, e1, e2))
-                    c = out.get(e, 0) + c1 * c2
-                    if c:
-                        out[e] = c
-                    else:
-                        out.pop(e, None)
+                    add_into(out, tuple(map(add, e1, e2)), c1 * c2)
             return Poly(ring, out)
         return self.scale(other)
 
@@ -258,15 +252,6 @@ def add_into(row, key, value):
         row[key] = merged
     else:
         row.pop(key, None)
-
-
-def _accumulate(target, terms, sign):
-    for e, c in terms.items():
-        c2 = target.get(e, 0) + sign * c
-        if c2:
-            target[e] = c2
-        else:
-            target.pop(e, None)
 
 
 def arrow_ring(m_arrows, n_arrows=()):

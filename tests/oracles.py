@@ -694,7 +694,7 @@ def extremal_ideals(H, g):
     from tgraph.arrows import dominates
     from tgraph.monomial import enumerate_ideals, hilbert_function
 
-    d = sum(c for _, c in H.values)
+    d = sum(c for _, c in H)
     pool = [M for M in enumerate_ideals(d) if hilbert_function(M, g) == H]
     if not pool:
         raise ValueError("Hilbert function is not realized by a monomial ideal")

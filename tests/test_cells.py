@@ -393,8 +393,7 @@ def test_extremal_ideals_examples():
     top, bottom = extremal_ideals(lone, Grading(5, 1))
     assert top == bottom == parse_ideal("<x, y^4>")
     with pytest.raises(ValueError):
-        from tgraph.monomial import HilbertFunction
-        extremal_ideals(HilbertFunction(((0, 1), (1, 3))), G11)
+        extremal_ideals(((0, 1), (1, 3)), G11)
 
 
 def test_extremal_ideals_exist_for_all_small_hilbert_functions():

@@ -66,6 +66,23 @@ def test_arrowmap_negative_verdict(capsys):
     assert code == 1
 
 
+def test_arrowmap_on_a_comparable_pair_without_a_map(capsys):
+    # the smallest such pair under the standard grading, at colength 7
+    code, out, _ = run(capsys, "arrowmap", "<x^3, x*y, y^5>",
+                       "<x^5, x*y, y^3>", "--alpha", "1", "--beta", "1")
+    assert code == 1 and out == "no arrow map\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("dual", "no dual arrow map: the pair is not comparable"),
+    ("edge-ideal", "the pair is not comparable for this grading"),
+])
+def test_incomparable_pair_exits_one(command, message, capsys):
+    code, out, err = run(capsys, command, "<x^4, x*y, y^3>", "<x^3, y^2>",
+                         "--alpha", "1", "--beta", "1")
+    assert (code, out, err) == (1, message + "\n", "")
+
+
 def test_dual_verdicts(capsys):
     code, out, _ = run(capsys, "dual", "<x^5, x^3*y^2, y^4>",
                        "<x^4, x^3*y^3, x*y^4, y^5>",
@@ -75,11 +92,18 @@ def test_dual_verdicts(capsys):
                        "--alpha", "1", "--beta", "1", "--json")
     assert code == 0
     assert json.loads(out)["box"] == [5, 5]
+    # a given box replaces the default one
+    code, out, _ = run(capsys, "dual", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--r1", "6",
+                       "--r2", "7", "--json")
+    assert code == 0
+    assert json.loads(out)["box"] == [6, 7]
     # half a box is a usage error, even for a pair that is not comparable
-    code, out, err = run(capsys, "dual", "<x^4, x*y, y^3>", "<x^3, y^2>",
-                         "--alpha", "1", "--beta", "1", "--r1", "5")
-    assert code == 3 and out == ""
-    assert "give both --r1 and --r2" in err
+    for half in (["--r1", "5"], ["--r2", "5"]):
+        code, out, err = run(capsys, "dual", "<x^4, x*y, y^3>", "<x^3, y^2>",
+                             "--alpha", "1", "--beta", "1", *half)
+        assert code == 3 and out == ""
+        assert "give both --r1 and --r2" in err
 
 
 def test_edge_ideal_output(capsys):
@@ -89,6 +113,53 @@ def test_edge_ideal_output(capsys):
     assert "F[y^5; x^4*y] = c1^1**4 - 3*c1^1**2*c1^2 + c1^2**2" in out
     assert "F[x^2; x*y] = -c1^1*ct1^2 + ct1^1" in out
     assert "F[x^2; x^2] = -c1^2*ct1^2 + 1" in out
+
+
+def test_edge_ideal_json(capsys):
+    # the pair is oriented, dominating ideal first, whatever order it is
+    # given in; a generator entry prints its polynomial as the text form does
+    code, out, _ = run(capsys, "edge-ideal", "<y^2, x^5>", "<y^5, x^2>",
+                       "--alpha", "1", "--beta", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"schema", "pair", "grading", "variables",
+                         "generators"}
+    assert data["schema"] == "tgraph.edge-ideal/1"
+    assert data["pair"] == ["<x^5, y^2>", "<x^2, y^5>"]
+    assert data["grading"] == {"alpha": 1, "beta": 1}
+    assert data["variables"][:2] == ["c1^1", "c1^2"]
+    assert all(set(gen) == {"n", "s", "poly"} for gen in data["generators"])
+    assert {"n": "x^2", "s": "x*y", "poly": "-c1^1*ct1^2 + ct1^1"} in (
+        data["generators"])
+    code, text, _ = run(capsys, "edge-ideal", "<y^2, x^5>", "<y^5, x^2>",
+                        "--alpha", "1", "--beta", "1")
+    assert code == 0
+    assert [line for line in text.splitlines() if line.startswith("F[")] == [
+        f"F[{gen['n']}; {gen['s']}] = {gen['poly']}"
+        for gen in data["generators"]]
+
+
+def test_edge_json_is_an_edge_record(capsys):
+    code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--dimension",
+                       "--char", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"schema", "pair", "grading", "status", "dimension",
+                         "generator_count", "groebner", "characteristic"}
+    assert data["schema"] == "tgraph.edge-record/1"
+    assert data["pair"] == ["<x^2, y^5>", "<x^5, y^2>"]
+    assert data["status"] == "EDGE" and data["dimension"] == 1
+    assert data["characteristic"] == 3
+    assert set(data["groebner"]) == {"s_pairs"}
+    record = EdgeRecord.from_json(data)
+    assert record.s_pairs == data["groebner"]["s_pairs"] > 0
+    assert record.to_json() == data
+    code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
+                       "--alpha", "1", "--beta", "1", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["characteristic"] == 0
+    assert data["dimension"] is None
 
 
 def test_edge_exit_codes(capsys):
@@ -338,6 +409,30 @@ def test_table_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[1].startswith("4,5,10,8,8,8")
     assert lines[2].startswith("5,7,21,15,15,15")
+
+
+def test_table_json(capsys, monkeypatch):
+    # the CSV columns, plus the count of pairs left UNKNOWN, which sets the
+    # exit code of a full build
+    monkeypatch.delenv("TGRAPH_CACHE_DIR", raising=False)
+    columns = ["d", "ideals", "pairs", "pairs_ordered", "pairs_arrowmap",
+               "pairs_dual_arrowmap", "edges"]
+    code, csv, _ = run(capsys, "table", "4", "5", "--depth", "full")
+    assert code == 0
+    code, out, _ = run(capsys, "table", "4", "5", "--depth", "full",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["schema"] == "tgraph.table/1" and data["depth"] == "full"
+    assert all(set(row) == {*columns, "unknown"} for row in data["rows"])
+    lines = [",".join(str(row[c]) for c in columns) for row in data["rows"]]
+    assert [",".join(columns), *lines] == csv.splitlines()
+    assert [row["unknown"] for row in data["rows"]] == [0, 0]
+    code, out, _ = run(capsys, "table", "4", "4", "--depth", "full",
+                       "--budget", "1", "--json")
+    assert code == 2
+    (row,) = json.loads(out)["rows"]
+    assert row["unknown"] == 3 and row["edges"] == 5
 
 
 def test_cache_warm_run_is_byte_identical(tmp_path, capsys):

@@ -196,6 +196,19 @@ def test_edge_scheme_errors_reach_the_caller(monkeypatch):
         two_points_graph()
 
 
+def test_window_that_skips_a_syzygy_degree_is_rejected():
+    # the triangle pair's generators all lie in degree 2, inside the
+    # window (0, 1, 2, 4), but two of them meet in degree 3, which it skips
+    M = from_saturation(0, (0, 0, 2))
+    N = from_saturation(0, (0, 2, 0))
+    chains = degree_classes(3, (1, 1, 1), (0, 1, -1), TWO_POINTS_WINDOW)
+    assert class_dominates(chain_positions(M, chains),
+                           chain_positions(N, chains))
+    with pytest.raises(ValueError, match="syzygy degree 3 falls outside "
+                                         "the declared window"):
+        edge_scheme_general(M, N, (0, 1, -1), (0, 1, 2, 4))
+
+
 def test_rejects_equal_ideals_and_bad_directions():
     M = from_saturation(0, (0, 0, 2))
     with pytest.raises(ValueError):
@@ -309,8 +322,10 @@ def test_chain_dominance_matches_the_plane_engine():
     ((2, ((1, 0),), (1, 1.5)), "weights must be positive"),
     ((2, ((1, 0),), (1, 1, 1)), "weights must have nvars entries"),
     ((0, (), ()), "nvars must be a positive int"),
+    ((2, ((1, 0), (2, 0)), (1, 1)), "generators are not minimal"),
 ], ids=["short-generator", "long-generator", "negative-exponent",
-        "zero-weight", "fractional-weight", "weights-length", "no-variables"])
+        "zero-weight", "fractional-weight", "weights-length", "no-variables",
+        "not-minimal"])
 def test_malformed_ideals_are_rejected(args, message):
     # before the checks, a short generator read as a prefix, a zero weight
     # divided by zero and a negative exponent read as "not minimal"

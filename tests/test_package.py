@@ -35,6 +35,33 @@ def test_public_surface_in_a_fresh_interpreter():
     assert int(done.stdout) == len(tgraph.__all__)
 
 
+def _foreign_edge_record():
+    g = tgraph.Grading(1, 1)
+    pair = (tgraph.parse_ideal("<x^2, y>"), tgraph.parse_ideal("<x, y^2>"))
+    data = tgraph.EdgeRecord(pair, g, tgraph.EdgeStatus.EDGE).to_json()
+    return tgraph.EdgeRecord.from_json(
+        dict(data, schema="tgraph.edge-ideal/1"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Ring([tgraph.ArrowVar(0, 1, 1)] * 2), "duplicate variables"),
+    (lambda: tgraph.MonomialIdeal2(()), "empty generator list"),
+    (lambda: tgraph.MonomialIdeal2(((0, 1), (1, 0))),
+     "not a sorted minimal staircase"),
+    (lambda: tgraph.MonomialIdeal2(((1, -1), (0, 0))), "negative exponent"),
+    (lambda: tgraph.parse_ideal("<x^2, y>").j_index((1, 0)),
+     "x is not in the ideal"),
+    (lambda: tgraph.enumerate_ideals(0), "colength must be at least 1"),
+    (lambda: tgraph.count_table(3, 2), "need 1 <= d_min <= d_max"),
+    (_foreign_edge_record, "not an edge record"),
+], ids=["repeated-variable", "no-generators", "unsorted-generators",
+        "negative-exponent", "monomial-outside-ideal", "colength-zero",
+        "empty-table-range", "foreign-schema"])
+def test_out_of_range_plane_inputs_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_exhausted_budget_raises_in_the_plane_engine():
     with pytest.raises(BudgetExceeded):
         two_points_graph(budget=1, verify_window=True)
@@ -262,6 +289,31 @@ def test_solver_orders_monomials_only_in_packed_form():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("lead", "monic")]
     assert found == []
+
+
+def test_one_sparse_row_update():
+    # an entry that cancels is dropped by .pop(key, None) in poly.add_into,
+    # and otherwise only when the solver drops a pair from its queue;
+    # strolls is the reference route, kept as written
+    def scopes(tree):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    yield f"{node.name}.{getattr(item, 'name', '')}", item
+            else:
+                yield getattr(node, "name", ""), node
+
+    found = {f"{path.name}:{name}"
+             for path in pathlib.Path(tgraph.__file__).parent.rglob("*.py")
+             if path.name != "strolls.py"
+             for name, scope in scopes(ast.parse(path.read_text()))
+             for node in ast.walk(scope)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pop" and len(node.args) == 2
+             and isinstance(node.args[1], ast.Constant)
+             and node.args[1].value is None}
+    assert sorted(found) == ["groebner.py:buchberger", "poly.py:add_into"]
 
 
 def test_no_assert_outside_strolls():
