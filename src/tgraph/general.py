@@ -8,7 +8,13 @@ below m, and the requirements "initial ideal is M, opposite initial ideal is
 N" become polynomial constraints: every syzygy-degree S-pair must reduce to
 zero against the family, and each generator of the N-side family must reduce
 to zero as well.  Everything happens inside a finite degree window, declared
-by the caller and re-checkable one degree higher.
+by the caller.
+
+Each equation carries its degree: the syzygy degree of its S-pair, or the
+degree of its N-side generator.  Cutting the window off above a degree that
+still covers the generators keeps exactly the equations tagged at most that
+degree, in the same order, so one build serves every window inside it; a
+verdict is re-checked one degree higher from the same build.
 
 A direction's chains on a window are built once per direction to orient
 the pairs, and again inside each edge-scheme computation on its own window;
@@ -184,8 +190,10 @@ def class_dominates(pos_m, pos_n):
     On every chain both ideals hold the same number of members, and M's k-th
     member sits no lower on the chain than N's k-th.
     """
-    return all(len(a) == len(b) and all(x <= y for x, y in zip(a, b))
-               for a, b in zip(pos_m, pos_n))
+    for a, b in zip(pos_m, pos_n):
+        if len(a) != len(b) or not all(map(le, a, b)):
+            return False
+    return True
 
 
 def _tails(ideal, chains, var_side, opposite):
@@ -240,9 +248,14 @@ def _reduce_against(poly_row, M, families_by_gen):
 def edge_scheme_general(M, N, c, window_degrees):
     """Constraint ideal for "initial ideal M, opposite initial ideal N".
 
-    `window_degrees` must cover the generators of both ideals, and every
-    syzygy degree up to its largest one is imposed.  Raises when the window
-    misses a needed lcm degree, rather than guessing.
+    Returns (ring, equations), where equations is a list of (degree, poly):
+    the syzygy (lcm) degree of an S-pair row, or the generator's degree for
+    a row of the N-side family.  `window_degrees` must cover the generators
+    of both ideals, and every syzygy degree up to its largest one is
+    imposed.  Raises when the window misses a needed lcm degree, rather than
+    guessing.  The polys tagged at most t are, in order, the equations of
+    the window cut off above t (when that still covers the generators), so
+    one build serves every window inside it.
     """
     if M == N:
         raise ValueError("the two ideals must differ")
@@ -265,11 +278,11 @@ def edge_scheme_general(M, N, c, window_degrees):
 
     equations = []
 
-    def emit(remainder):
+    def emit(t, remainder):
         for m, poly in sorted(remainder.items()):
             if M.contains(m):
-                raise AssertionError("reduction left an in-ideal monomial")
-            equations.append(poly)
+                raise RuntimeError("reduction left an in-ideal monomial")
+            equations.append((t, poly))
 
     max_window = max(window_degrees)
     for (g1, r1), (g2, r2) in combinations(zip(M.gens, fam_m), 2):
@@ -287,10 +300,10 @@ def edge_scheme_general(M, N, c, window_degrees):
             add_into(row, tuple(a + b for a, b in zip(u, s1)), poly)
         for u, poly in r2.items():
             add_into(row, tuple(a + b for a, b in zip(u, s2)), -poly)
-        emit(_reduce_against(row, M, by_gen))
+        emit(t, _reduce_against(row, M, by_gen))
 
-    for row in fam_n:
-        emit(_reduce_against(dict(row), M, by_gen))
+    for gen, row in zip(N.gens, fam_n):
+        emit(N.degree(gen), _reduce_against(dict(row), M, by_gen))
 
     return ring, equations
 
@@ -331,13 +344,17 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     the list of directions carrying a nonempty edge scheme and dims holds the
     corresponding quotient dimensions.  One Groebner basis per scheme and
     window gives both the verdict and the dimension.  Each pair is oriented
-    per direction, both ways, from the vertices' chain positions.  Raises
+    per direction, both ways, from the vertices' chain positions.  Each
+    oriented scheme is built once, one degree higher when `verify_window`,
+    and the window's equations are read off the degree tags.  Raises
     BudgetExceeded when the budget runs out, RuntimeError when
     `verify_window` finds a verdict that changes one degree higher, and
     ValueError when the window misses a syzygy degree of an oriented pair.
     """
     vertices = fixed_points_two_points_p2()
     degrees = TWO_POINTS_WINDOW
+    top = max(degrees)
+    built = degrees + (top + 1,) if verify_window else degrees
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
     positions = {}
     for c in directions:
@@ -355,12 +372,10 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
                 big, small = N, M
             else:
                 continue
-            ring, eqs = edge_scheme_general(big, small, c, degrees)
-            gb = buchberger(eqs, budget=budget)
+            ring, eqs = edge_scheme_general(big, small, c, built)
+            gb = buchberger([p for t, p in eqs if t <= top], budget=budget)
             if verify_window:
-                _, eqs4 = edge_scheme_general(big, small, c,
-                                              tuple(degrees) + (4,))
-                gb4 = buchberger(eqs4, budget=budget)
+                gb4 = buchberger([p for _, p in eqs], budget=budget)
                 if gb4.is_trivial() != gb.is_trivial():
                     raise RuntimeError(
                         f"{big} over {small} along {c}: the verdict "

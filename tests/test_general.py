@@ -133,8 +133,10 @@ def test_triangle_edge_has_two_parameters():
         big, small = N, M
     ring, eqs = edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
     assert [v.label() for v in ring.vars] == ["c0^1", "c0^2", "ct0^1", "ct0^2"]
-    assert [str(e) for e in eqs] == ["c0^1*ct0^2 + ct0^1", "c0^2*ct0^2 + 1"]
-    gb = buchberger(eqs)
+    # both come from the N-side family, whose generators are quadrics
+    assert [(t, str(e)) for t, e in eqs] == [(2, "c0^1*ct0^2 + ct0^1"),
+                                             (2, "c0^2*ct0^2 + 1")]
+    gb = buchberger([e for _, e in eqs])
     assert not gb.is_trivial()
     assert quotient_dimension(gb, nvars=ring.nvars) == 2
 
@@ -157,7 +159,7 @@ def test_two_points_graph_equations_are_pinned():
                     ring, eqs = edge_scheme_general(big, small, c, window)
                     lines.append(repr((i, j, c, window,
                                        [v.label() for v in ring.vars],
-                                       [str(e) for e in eqs])))
+                                       [str(e) for _, e in eqs])))
                 break
     assert len(lines) == 36
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -173,7 +175,8 @@ def test_two_points_graph_output_is_pinned():
 
 
 def test_two_points_graph_builds_each_chain_partition_once(monkeypatch):
-    # one partition per direction, then one per scheme on its own window
+    # one partition per direction, then one per oriented scheme, built once
+    # one degree above the window
     calls = []
     real = general.degree_classes
 
@@ -183,7 +186,89 @@ def test_two_points_graph_builds_each_chain_partition_once(monkeypatch):
 
     monkeypatch.setattr(general, "degree_classes", counted)
     two_points_graph(verify_window=True)
-    assert len(calls) == 6 + 36
+    assert len(calls) == 6 + 18
+
+
+def test_one_build_serves_both_windows(monkeypatch):
+    # the verified run builds each of its 18 oriented schemes once, one
+    # degree above the window; the window's equations are the ones tagged
+    # at most 3, exactly as a build on the window itself gives them
+    builds = []
+    rows = []
+    real_build = general.edge_scheme_general
+    real_reduce = general._reduce_against
+
+    def reduced(*args):
+        out = real_reduce(*args)
+        rows.append(len(out))
+        return out
+
+    def built(M, N, c, window):
+        rows.clear()
+        ring, eqs = real_build(M, N, c, window)
+        # the N-side family is reduced last, one row per generator of N
+        builds.append((M, N, c, window, ring, eqs, rows[-len(N.gens):]))
+        return ring, eqs
+
+    monkeypatch.setattr(general, "_reduce_against", reduced)
+    monkeypatch.setattr(general, "edge_scheme_general", built)
+    two_points_graph(verify_window=True)
+    monkeypatch.undo()
+    assert len(builds) == 18
+    wide = TWO_POINTS_WINDOW + (4,)
+    for M, N, c, window, ring, eqs, n_rows in builds:
+        assert window == wide
+        assert all(t in wide for t, _ in eqs)
+        n_tags = [t for t, _ in eqs[len(eqs) - sum(n_rows):]]
+        assert n_tags == [N.degree(g) for g, k in zip(N.gens, n_rows)
+                          for _ in range(k)]
+        narrow_ring, narrow = edge_scheme_general(M, N, c, TWO_POINTS_WINDOW)
+        assert ([v.label() for v in narrow_ring.vars]
+                == [v.label() for v in ring.vars])
+        assert ([(t, str(e)) for t, e in narrow]
+                == [(t, str(e)) for t, e in eqs if t <= 3])
+
+
+def _leave_a_generator(real):
+    def stray(row, M, families_by_gen):
+        out = real(row, M, families_by_gen)
+        gen = M.gens[0]
+        out[gen] = families_by_gen[gen][gen]
+        return out
+    return stray
+
+
+def test_reduction_that_leaves_an_in_ideal_monomial_raises(monkeypatch):
+    # a remainder must lie on standard monomials; the check raises in
+    # process and under -O, which strips asserts
+    M = from_saturation(0, (0, 0, 2))
+    N = from_saturation(0, (0, 2, 0))
+    monkeypatch.setattr(general, "_reduce_against",
+                        _leave_a_generator(general._reduce_against))
+    with pytest.raises(RuntimeError, match="in-ideal monomial"):
+        edge_scheme_general(M, N, (0, 1, -1), TWO_POINTS_WINDOW)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from oracles import from_saturation\n"
+         "from test_general import _leave_a_generator\n"
+         "from tgraph import general\n"
+         "general._reduce_against = _leave_a_generator(\n"
+         "    general._reduce_against)\n"
+         "try:\n"
+         "    general.edge_scheme_general(\n"
+         "        from_saturation(0, (0, 0, 2)), from_saturation(0, (0, 2, 0)),\n"
+         "        (0, 1, -1), general.TWO_POINTS_WINDOW)\n"
+         "except RuntimeError as exc:\n"
+         "    print('raised', exc)\n"
+         "else:\n"
+         "    print('returned')\n"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests))),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised reduction left an in-ideal monomial\n", (
+        done.stdout)
 
 
 def test_edge_scheme_errors_reach_the_caller(monkeypatch):
@@ -285,8 +370,9 @@ def test_cross_engine_agreement_on_the_plane():
                                     for p, q in combinations(M2.gens, 2)})
                 c = (g.beta, -g.alpha)
                 ring, eqs = edge_scheme_general(M2, N2, c, degrees)
-                assert buchberger(eqs).is_trivial() == verdict, (
-                    big, small, gi)
+                assert all(t in degrees for t, _ in eqs)
+                assert buchberger([e for _, e in eqs]).is_trivial() == (
+                    verdict), (big, small, gi)
 
 
 def test_chain_dominance_matches_the_plane_engine():
