@@ -322,7 +322,7 @@ def graph_to_json(graph):
 def graph_to_dot(graph):
     lines = [f"graph tgraph_d{graph.d} {{", "  node [shape=box];"]
     for idx, M in enumerate(graph.vertices, start=1):
-        label = "+".join(str(p) for p in M.to_partition())
+        label = "+".join(map(str, M.rows))
         lines.append(f'  v{idx} [label="{label} = {format_ideal(M)}"];')
     for (i, j) in sorted(graph.simple_edges):
         gradings = graph.edge_gradings(i, j)

@@ -165,14 +165,14 @@ def cmd_ideals(args):
             "d": args.d,
             "ideals": [
                 {"index": i + 1,
-                 "partition": M.to_partition(),
+                 "partition": M.rows,
                  "ideal": format_ideal(M)}
                 for i, M in enumerate(ideals)
             ],
         }
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        lines = [f"{i + 1}: {'+'.join(map(str, M.to_partition()))}: "
+        lines = [f"{i + 1}: {'+'.join(map(str, M.rows))}: "
                  f"{format_ideal(M)}" for i, M in enumerate(ideals)]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -14,7 +14,8 @@ Each equation carries its degree: the syzygy degree of its S-pair, or the
 degree of its N-side generator.  Cutting the window off above a degree that
 still covers the generators keeps exactly the equations tagged at most that
 degree, in the same order, so one build serves every window inside it; a
-verdict is re-checked one degree higher from the same build.
+verdict is re-checked one degree higher from the same build, and solved a
+second time only when that degree adds equations.
 
 A direction's chains on a window are built once per direction to orient
 the pairs, and again inside each edge-scheme computation on its own window;
@@ -346,7 +347,9 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     window gives both the verdict and the dimension.  Each pair is oriented
     per direction, both ways, from the vertices' chain positions.  Each
     oriented scheme is built once, one degree higher when `verify_window`,
-    and the window's equations are read off the degree tags.  Raises
+    and the window's equations are read off the degree tags.  The check
+    solves a second time only when the higher degree adds equations; with
+    none added the verdict cannot change.  Raises
     BudgetExceeded when the budget runs out, RuntimeError when
     `verify_window` finds a verdict that changes one degree higher, and
     ValueError when the window misses a syzygy degree of an oriented pair.
@@ -373,8 +376,9 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
             else:
                 continue
             ring, eqs = edge_scheme_general(big, small, c, built)
-            gb = buchberger([p for t, p in eqs if t <= top], budget=budget)
-            if verify_window:
+            narrow = [p for t, p in eqs if t <= top]
+            gb = buchberger(narrow, budget=budget)
+            if len(eqs) > len(narrow):
                 gb4 = buchberger([p for _, p in eqs], budget=budget)
                 if gb4.is_trivial() != gb.is_trivial():
                     raise RuntimeError(

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arrows import ArrowMap, _completed, _is_arrow_map, active_classes
 from .cells import cell_generators_f
-from .monomial import MonomialIdeal2
+from .monomial import generated_ideal
 from .poly import add_into
 
 
@@ -125,13 +125,8 @@ def _initial_slices(gens, g, colength_bound):
         columns = g.monomials_of_weight(w)
         slices[w] = rref(_slice_rows(gens, g, w), _desc(columns))
         std_total += len(columns) - len(slices[w])
-    pivots_all = [m for piv in slices.values() for m in piv]
-    minimal = [m for m in pivots_all
-               if not any(u != m and u[0] <= m[0] and u[1] <= m[1]
-                          for u in pivots_all)]
-    minimal.sort(key=lambda m: (m[1], m[0]))
     try:
-        M = MonomialIdeal2(tuple(minimal))
+        M = generated_ideal({m for piv in slices.values() for m in piv})
     except ValueError as exc:
         raise ValueError(f"initial monomials do not form a staircase: {exc}")
     if M.colength != std_total:

@@ -10,7 +10,10 @@ An ideal is represented by its staircase rows, ``MonomialIdeal2.rows``: row b
 holds the standard monomials x^a*y^b with a < rows[b], and every row from
 ``be`` on is empty.  Membership, the Hilbert function, the box quotient and
 the arrow layer's active classes all read these thresholds instead of
-building the set of standard monomials.
+building the set of standard monomials.  Derived ideals (enumerated, box
+quotients, swaps) are built from rows; the validating constructor runs only
+on outside input, in ``generated_ideal``, and outside text is read by one
+grammar: ``1``, or factors ``x^a`` and ``y^b`` joined by ``*``.
 
 Every layer of the package orders a class the x-smaller way: of two
 monomials in one class, the larger is the one with the larger y-exponent.
@@ -116,6 +119,7 @@ class MonomialIdeal2:
 
         The generators sit at the corners of the staircase: x^t*y^b for
         each row b whose threshold t drops below the row before, and y^be.
+        Empty rows give the unit ideal, generated by 1.
         """
         gens = [(t, b) for b, t in enumerate(rows)
                 if b == 0 or t < rows[b - 1]]
@@ -125,9 +129,6 @@ class MonomialIdeal2:
         object.__setattr__(ideal, "rows", rows)
         object.__setattr__(ideal, "colength", sum(rows))
         return ideal
-
-    def to_partition(self):
-        return list(self.rows)
 
     @property
     def a0(self):
@@ -161,18 +162,15 @@ class MonomialIdeal2:
         raise ValueError(f"{format_monomial(m)} is not in the ideal")
 
     def swap(self):
-        """The image under exchanging x and y."""
-        return MonomialIdeal2(tuple(sorted(((b, a) for a, b in self.gens),
-                                           key=lambda m: m[1])))
+        """The image under exchanging x and y: the conjugate partition."""
+        return self._from_rows(
+            tuple(sum(t > a for t in self.rows) for a in range(self.a0)))
 
     def __str__(self):
         return format_ideal(self)
 
     def __repr__(self):
         return f"MonomialIdeal2({self.gens!r})"
-
-
-UNIT_IDEAL = MonomialIdeal2(((0, 0),))
 
 
 def hilbert_function(M, g):
@@ -203,8 +201,6 @@ def colon_box(box, M):
     thr = [r1] * (r2 - M.be) + [r1 - t for t in reversed(M.rows)]
     while thr and thr[-1] == 0:
         thr.pop()
-    if not thr:
-        return UNIT_IDEAL
     return MonomialIdeal2._from_rows(tuple(thr))
 
 
@@ -215,24 +211,13 @@ def minimal_box(M, N):
 
 def partitions(d):
     """All partitions of d, in decreasing lexicographic order of parts."""
-    if d == 0:
-        yield ()
-        return
-    parts = [d]
-    while True:
-        yield tuple(parts)
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        head = parts[i] - 1
-        rest = len(parts) - i - 1 + parts[i]
-        parts = parts[:i]
-        while rest > 0:
-            take = min(head, rest)
-            parts.append(take)
-            rest -= take
+    def below(n, largest):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in below(n - first, first):
+                yield (first, *rest)
+    return below(d, d)
 
 
 def enumerate_ideals(d):
@@ -242,37 +227,17 @@ def enumerate_ideals(d):
     return [MonomialIdeal2._from_rows(p) for p in partitions(d)]
 
 
-_MONO_FACTOR = re.compile(r"(x|y)(?:\^(\d+))?")
+_FACTOR = re.compile(r"([xy])(?:\^(\d+))?")
+_MONOMIAL = re.compile(rf"1|{_FACTOR.pattern}(?:\*{_FACTOR.pattern})*")
 
 
 def parse_monomial(text):
     """Parse "x^a*y^b" style text ("1" for the unit monomial)."""
     s = text.strip()
-    if s == "1":
-        return (0, 0)
-    a = b = 0
-    pos = 0
-    expect_factor = True
-    while pos < len(s):
-        if not expect_factor:
-            if s[pos] != "*":
-                raise ValueError(f"expected '*' at position {pos} in {text!r}")
-            pos += 1
-            expect_factor = True
-            continue
-        m = _MONO_FACTOR.match(s, pos)
-        if not m:
-            raise ValueError(f"expected variable at position {pos} in {text!r}")
-        e = int(m.group(2)) if m.group(2) else 1
-        if m.group(1) == "x":
-            a += e
-        else:
-            b += e
-        pos = m.end()
-        expect_factor = False
-    if expect_factor:
-        raise ValueError(f"dangling '*' at end of {text!r}")
-    return (a, b)
+    if not _MONOMIAL.fullmatch(s):
+        raise ValueError(f"not a monomial: {text!r}")
+    factors = _FACTOR.findall(s)
+    return tuple(sum(int(e or 1) for v, e in factors if v == w) for w in "xy")
 
 
 def format_monomial(m):
@@ -297,11 +262,19 @@ def parse_ideal(text):
     body = s[1:-1].strip()
     if not body:
         raise ValueError("empty ideal text")
-    gens = [parse_monomial(part) for part in body.split(",")]
-    gens = sorted(set(gens), key=lambda m: (m[1], m[0]))
-    minimal = [m for m in gens
-               if not any(g != m and g[0] <= m[0] and g[1] <= m[1] for g in gens)]
-    return MonomialIdeal2(tuple(minimal))
+    return generated_ideal({parse_monomial(part) for part in body.split(",")})
+
+
+def generated_ideal(monomials):
+    """The ideal a set of monomials generates, by its minimal generators.
+
+    Sorted by decreasing x-exponent they form a staircase; the validating
+    constructor raises ValueError unless its colength is finite.
+    """
+    minimal = [m for m in monomials
+               if not any(u != m and u[0] <= m[0] and u[1] <= m[1]
+                          for u in monomials)]
+    return MonomialIdeal2(tuple(sorted(minimal, reverse=True)))
 
 
 def format_ideal(M):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -91,6 +92,68 @@ def brute_colon_box(box, M):
     while thr and thr[-1] == 0:
         thr.pop()
     return tuple(thr)
+
+
+def scanning_parse_monomial(text):
+    """Read "x^a*y^b" text left to right, one factor or '*' at a time."""
+    s = text.strip()
+    if s == "1":
+        return (0, 0)
+    factor = re.compile(r"(x|y)(?:\^(\d+))?")
+    a = b = 0
+    pos = 0
+    expect_factor = True
+    while pos < len(s):
+        if not expect_factor:
+            if s[pos] != "*":
+                raise ValueError(f"expected '*' at position {pos} in {text!r}")
+            pos += 1
+            expect_factor = True
+            continue
+        m = factor.match(s, pos)
+        if not m:
+            raise ValueError(f"expected variable at position {pos} in {text!r}")
+        e = int(m.group(2)) if m.group(2) else 1
+        if m.group(1) == "x":
+            a += e
+        else:
+            b += e
+        pos = m.end()
+        expect_factor = False
+    if expect_factor:
+        raise ValueError(f"dangling '*' at end of {text!r}")
+    return (a, b)
+
+
+def successor_partitions(d):
+    """Partitions of d in decreasing lexicographic order, each one computed
+    from the one before: the last part above 1 drops by one and the rest is
+    refilled greedily."""
+    if d == 0:
+        yield ()
+        return
+    parts = [d]
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        head = parts[i] - 1
+        rest = len(parts) - i - 1 + parts[i]
+        parts = parts[:i]
+        while rest > 0:
+            take = min(head, rest)
+            parts.append(take)
+            rest -= take
+
+
+def sorting_swap(M):
+    """M with x and y exchanged, through its generators and the validating
+    constructor."""
+    return MonomialIdeal2(tuple(sorted(((b, a) for a, b in M.gens),
+                                       key=lambda m: m[1])))
 
 
 def brute_monomials_of_weight(g, w):
@@ -361,7 +424,7 @@ def hook_tangent_weights(M):
     x^3 to x^i has weight (i-3, 0), which per cell reads (arm, -(leg+1)) and
     (-(arm+1), leg).
     """
-    parts = M.to_partition()
+    parts = M.rows
     weights = []
     for j, length in enumerate(parts):
         for i in range(length):

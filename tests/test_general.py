@@ -459,8 +459,74 @@ def test_two_points_solver_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(general, "buchberger", recorded)
     two_points_graph(verify_window=True)
-    assert len(stats) == 36
+    # one solve per oriented scheme: degree 4 adds no equation to any of
+    # them, so the check has nothing new to solve
+    assert len(stats) == 18
     totals = {key: sum(s[key] for s in stats)
               for key in ("s_pairs", "reduction_steps", "basis_size")}
-    assert totals == {"s_pairs": 190, "reduction_steps": 184,
-                      "basis_size": 132}
+    assert totals == {"s_pairs": 95, "reduction_steps": 92,
+                      "basis_size": 66}
+
+
+def _one_above(real):
+    def built(*args):
+        ring, eqs = real(*args)
+        return ring, eqs + [(4, ring.one())]
+    return built
+
+
+def test_the_window_check_fires_when_degree_four_kills_an_edge(monkeypatch):
+    # a unit equation tagged one degree above the window turns every edge
+    # scheme empty there; the check must raise, in process and under -O
+    monkeypatch.setattr(general, "edge_scheme_general",
+                        _one_above(general.edge_scheme_general))
+    with pytest.raises(RuntimeError,
+                       match="changes one degree above the window"):
+        two_points_graph(verify_window=True)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from test_general import _one_above\n"
+         "from tgraph import general\n"
+         "general.edge_scheme_general = _one_above(\n"
+         "    general.edge_scheme_general)\n"
+         "try:\n"
+         "    general.two_points_graph(verify_window=True)\n"
+         "except RuntimeError as exc:\n"
+         "    print('raised', exc)\n"
+         "else:\n"
+         "    print('returned')\n"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests))),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised "), done.stdout
+    assert done.stdout.endswith(
+        "the verdict changes one degree above the window\n"), done.stdout
+
+
+def test_reversed_vertices_orient_each_pair_the_other_way(monkeypatch):
+    # listing the vertices backwards puts every dominant ideal second, so
+    # each scheme is built with its pair reversed and the graph is the same
+    # one relabelled i -> 10 - i
+    _, edges, dims = two_points_graph(verify_window=True)
+    real_vertices = general.fixed_points_two_points_p2
+    real_build = general.edge_scheme_general
+    vertices = real_vertices()[::-1]
+    later_first = []
+
+    def built(M, N, *args):
+        later_first.append(vertices.index(M) > vertices.index(N))
+        return real_build(M, N, *args)
+
+    monkeypatch.setattr(general, "fixed_points_two_points_p2",
+                        lambda: list(vertices))
+    monkeypatch.setattr(general, "edge_scheme_general", built)
+    _, rev_edges, rev_dims = two_points_graph(verify_window=True)
+    assert len(later_first) == 18 and all(later_first)
+
+    def relabel(key):
+        return (10 - key[1], 10 - key[0])
+
+    assert {relabel(k): v for k, v in rev_edges.items()} == edges
+    assert {relabel(k): v for k, v in rev_dims.items()} == dims

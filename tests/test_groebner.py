@@ -359,7 +359,7 @@ def test_recorded_leads_match_the_oracle_on_two_points(monkeypatch):
 
     monkeypatch.setattr(general, "buchberger", recorded)
     general.two_points_graph(verify_window=True)
-    assert len(bases) == 36
+    assert len(bases) == 18
     for gb in bases:
         assert_leads_are_recorded(gb)
 

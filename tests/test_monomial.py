@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tgraph.monomial import (Grading, MonomialIdeal2, colon_box,
                              enumerate_ideals, format_ideal, format_monomial,
@@ -9,7 +9,9 @@ from tgraph.monomial import (Grading, MonomialIdeal2, colon_box,
                              parse_monomial, partitions)
 
 from oracles import (box_monomials, brute_colon_box, brute_hilbert_function,
-                     brute_monomials_of_weight, brute_rows, partition_count)
+                     brute_monomials_of_weight, brute_rows, partition_count,
+                     scanning_parse_monomial, sorting_swap,
+                     successor_partitions)
 
 G11 = Grading(1, 1)
 G12 = Grading(1, 2)
@@ -172,6 +174,11 @@ def test_partition_enumeration_order_and_counts():
             assert M.colength == d
 
 
+def test_partitions_match_the_successor_walk():
+    for d in range(25):
+        assert list(partitions(d)) == list(successor_partitions(d))
+
+
 def test_enumerated_ideals_pass_the_validating_constructor():
     # enumerate_ideals builds from its own partitions without checks
     for d in range(1, 11):
@@ -188,6 +195,48 @@ def test_swap_involution():
         for M in enumerate_ideals(d):
             assert M.swap().swap() == M
             assert M.swap().colength == M.colength
+
+
+def test_swap_is_the_conjugate_partition():
+    # the conjugate rows give the ideal that exchanging x and y in the
+    # generators gives, unit ideal included
+    unit = MonomialIdeal2._from_rows(())
+    ideals = [unit] + [M for d in range(1, 14) for M in enumerate_ideals(d)]
+    for M in ideals:
+        swapped, checked = M.swap(), sorting_swap(M)
+        assert swapped == checked
+        assert ((swapped.gens, swapped.rows, swapped.colength)
+                == (checked.gens, checked.rows, checked.colength))
+
+
+def test_empty_rows_are_the_unit_ideal():
+    unit, checked = MonomialIdeal2._from_rows(()), MonomialIdeal2(((0, 0),))
+    assert (unit.gens, unit.rows, unit.colength) == (((0, 0),), (), 0)
+    assert ((checked.gens, checked.rows, checked.colength)
+            == (unit.gens, unit.rows, unit.colength))
+    assert unit == checked and hash(unit) == hash(checked)
+    assert colon_box((3, 2), parse_ideal("<x^3, y^2>")) == unit
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(st.text(alphabet="xyz^*0123456789 ", max_size=16))
+@example(" x^3*y ")
+@example("y*x^02*x*y^10")
+@example(" 1")
+@example("1*x")
+@example("x^2y")
+@example("x**y")
+@example("x^")
+@example("")
+def test_parse_monomial_matches_the_scanner(text):
+    assert (_parsed(parse_monomial, text)
+            == _parsed(scanning_parse_monomial, text))
 
 
 def test_parse_and_format_round_trip():

@@ -54,9 +54,12 @@ def _foreign_edge_record():
     (lambda: tgraph.enumerate_ideals(0), "colength must be at least 1"),
     (lambda: tgraph.count_table(3, 2), "need 1 <= d_min <= d_max"),
     (_foreign_edge_record, "not an edge record"),
+    (lambda: tgraph.parse_monomial("x^2y"), "not a monomial: 'x\\^2y'"),
+    (lambda: tgraph.parse_ideal("<>"), "empty ideal text"),
 ], ids=["repeated-variable", "no-generators", "unsorted-generators",
         "negative-exponent", "monomial-outside-ideal", "colength-zero",
-        "empty-table-range", "foreign-schema"])
+        "empty-table-range", "foreign-schema", "factors-without-star",
+        "no-ideal-generators"])
 def test_out_of_range_plane_inputs_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -291,22 +294,24 @@ def test_solver_orders_monomials_only_in_packed_form():
     assert found == []
 
 
+def _scopes(tree):
+    """Each top-level statement and each method, with its name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '')}", item
+        else:
+            yield getattr(node, "name", ""), node
+
+
 def test_one_sparse_row_update():
     # an entry that cancels is dropped by .pop(key, None) in poly.add_into,
     # and otherwise only when the solver drops a pair from its queue;
     # strolls is the reference route, kept as written
-    def scopes(tree):
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    yield f"{node.name}.{getattr(item, 'name', '')}", item
-            else:
-                yield getattr(node, "name", ""), node
-
     found = {f"{path.name}:{name}"
              for path in pathlib.Path(tgraph.__file__).parent.rglob("*.py")
              if path.name != "strolls.py"
-             for name, scope in scopes(ast.parse(path.read_text()))
+             for name, scope in _scopes(ast.parse(path.read_text()))
              for node in ast.walk(scope)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
@@ -334,6 +339,20 @@ def test_no_assert_outside_strolls():
                   or (isinstance(node, ast.Raise)
                       and raises_assertion_error(node))]
     assert found == []
+
+
+def test_only_outside_input_meets_the_validating_constructor():
+    # derived ideals are built from their rows by MonomialIdeal2._from_rows;
+    # the generator-checking constructor runs in generated_ideal alone
+    package = pathlib.Path(tgraph.__file__).parent
+    found = [f"{path.name}:{name}"
+             for path in sorted(package.rglob("*.py"))
+             for name, scope in _scopes(ast.parse(path.read_text()))
+             for node in ast.walk(scope)
+             if isinstance(node, ast.Call)
+             and "MonomialIdeal2" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert found == ["monomial.py:generated_ideal"]
 
 
 def test_hot_path_reads_rows_not_standard_monomial_sets():
