@@ -6,13 +6,16 @@ shrink along multiplication, on both the source and the target side.
 
 Everything here lives on one object, a pair's active region:
 ``active_classes`` lists the finitely many degree classes where the two
-monomial sets differ.  It is also the Hilbert-function guard, since the two
-Hilbert functions agree exactly when every active class has the same size on
-both sides; every public entry computes it once and passes it down.  Maps are
-stored on the active region only.  Outside it any valid map is the identity,
-because an order-decreasing bijection of a finite chain onto itself is the
-identity; distance bounds propagating from there are zero, which the checker
-and the search both encode.
+monomial sets differ, each cut to the stretch between its highest and its
+lowest cell that lies in one ideal only.  It is also the Hilbert-function
+guard, since the two Hilbert functions agree exactly when every stretch has
+the same size on both sides; every public entry computes it once and passes
+it down.  Maps are stored on the active region only.  Outside it any valid
+map is the identity: an order-decreasing bijection of a finite chain onto
+itself is the identity, and the members a differing class shares above and
+below its stretch are forced to themselves from the top and the bottom.
+Distance bounds propagating from there are zero, which the checkers and the
+search both encode; the checkers reject a move outside the region.
 
 The search is one loop over an explicit stack.  The order in which it tries
 sources and targets, fixed in ``_search``, decides which map it finds first;
@@ -36,39 +39,44 @@ SCHEMA_VERSION = "1"
 
 
 def active_classes(M, N, g):
-    """Degree classes where the two monomial sets differ, ascending weight.
+    """The stretches of the degree classes where the two staircases disagree.
 
     Yields (weight, members of M sorted descending, members of N likewise),
-    with descending taken in the x-smaller sense (largest y-exponent first).
-    The classes differ exactly where the standard monomials differ, which
-    happens only on the rows where the two thresholds differ: row b
-    contributes the weights of x^a*y^b for a between the two thresholds.
-    Each such class is stepped through once, from its top y-exponent down,
-    and both ideals' membership is read off their rows in that pass.  Raises
-    ValueError when the two ideals have different Hilbert functions, i.e.
-    when some class differs in size.
+    ascending weight, with descending taken in the x-smaller sense (largest
+    y-exponent first).  A cell x^a*y^b is in one ideal only when row b has
+    two different thresholds and a lies between them; one pass over those
+    rows records, per weight, the lowest and the highest such row.  Each
+    class is then stepped through from its highest disagreeing cell down to
+    its lowest, and both ideals' membership is read off their rows.  The
+    members cut off lie in both lists, and every arrow map fixes them: the
+    top common member can only be hit from itself, the bottom one can only
+    go to itself.  Raises ValueError when the two ideals have different
+    Hilbert functions, i.e. when some stretch differs in size.
     """
     rows_m, rows_n = M.rows, N.rows
     be_m, be_n = len(rows_m), len(rows_n)
     alpha, beta = g.alpha, g.beta
-    weights = set()
+    lowest = {}
+    highest = {}
     for b in range(max(be_m, be_n)):
-        tm = rows_m[b] if b < be_m else 0
-        tn = rows_n[b] if b < be_n else 0
-        if tm != tn:
-            w = beta * b
-            weights.update(range(w + alpha * min(tm, tn),
-                                 w + alpha * max(tm, tn), alpha))
-    inv = pow(beta, -1, alpha)
+        lo = rows_m[b] if b < be_m else 0
+        hi = rows_n[b] if b < be_n else 0
+        if lo != hi:
+            if lo > hi:
+                lo, hi = hi, lo
+            row = beta * b
+            for w in range(row + alpha * lo, row + alpha * hi, alpha):
+                if w not in highest:
+                    lowest[w] = b
+                highest[w] = b
     out = []
-    for w in sorted(weights):
-        # the class's y-exponents are b = w/beta mod alpha; start at the top
-        top = w // beta
-        b = top - (top - w * inv) % alpha
+    for w in sorted(highest):
+        b = highest[w]
         a = (w - beta * b) // alpha
+        low = lowest[w]
         in_m = []
         in_n = []
-        while b >= 0:
+        while b >= low:
             if b >= be_m or a >= rows_m[b]:
                 in_m.append((a, b))
             if b >= be_n or a >= rows_n[b]:
@@ -113,7 +121,10 @@ class ArrowMap:
     source: MonomialIdeal2
     target: MonomialIdeal2
     grading: Grading
-    pairs: tuple  # ((m, f(m)), ...) covering the active classes, sorted
+    # ((m, f(m)), ...) over the stretches of the active classes, sorted; the
+    # members cut off around a stretch are fixed by every map, so two maps of
+    # one pair differ exactly where their moved pairs do
+    pairs: tuple
 
     def moved_pairs(self):
         return tuple((m, v) for m, v in self.pairs if m != v)
@@ -160,7 +171,8 @@ def _distances(classes, g, assignment):
 
     Returns (by source monomial, by target monomial), or None when the
     assignment does not map each class of M one-to-one onto the class of N
-    without moving a monomial up.
+    without moving a monomial up, or moves a monomial outside the region,
+    where every arrow map is the identity.
     """
     dist_m = {}
     dist_n = {}
@@ -172,6 +184,8 @@ def _distances(classes, g, assignment):
             if v[1] > m[1]:
                 return None
             dist_m[m] = dist_n[v] = g.distance(m, v)
+    if any(v != m and m not in dist_m for m, v in assignment.items()):
+        return None
     return dist_m, dist_n
 
 
@@ -192,12 +206,16 @@ def _is_arrow_map(M, N, g, classes, assignment):
 
 
 def is_arrow_map(M, N, g, assignment):
-    """Literal check of the three conditions on the active region."""
+    """Literal check of the three conditions on the active region.
+
+    Entries outside the region must map a monomial to itself."""
     return _is_arrow_map(M, N, g, active_classes(M, N, g), assignment)
 
 
 def is_system_of_arrows(M, N, g, assignment):
-    """Weaker check: the bijective-decreasing and target-side conditions only."""
+    """Weaker check: the bijective-decreasing and target-side conditions only.
+
+    Entries outside the region must map a monomial to itself, as above."""
     dist = _distances(active_classes(M, N, g), g, assignment)
     return dist is not None and _bounded(N, dist[1])
 
@@ -283,7 +301,8 @@ def find_arrow_maps(M, N, g, limit):
         if not _is_arrow_map(M, N, g, classes, assignment):
             raise RuntimeError(
                 f"the search produced a non-map from {M} to {N} for {g}")
-        # A search result assigns every monomial of the active region.
+        # A search result assigns every monomial of the active region, and
+        # nothing else.
         maps.append(ArrowMap(M, N, g, tuple(sorted(assignment.items()))))
     return maps
 

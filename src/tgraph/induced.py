@@ -151,19 +151,24 @@ def induced_arrow_map(gens, g, colength_bound):
     """The arrow map carried by a homogeneous ideal, plus its two limits.
 
     Returns (M, N, ArrowMap) where M is the x-smaller initial ideal and N the
-    opposite one.  The witness is re-validated against the map conditions,
-    and RuntimeError is raised if it fails them.
+    opposite one.  The assignment is read off on every member of M in each
+    active class, and re-validated against the map conditions; RuntimeError
+    is raised if it fails them, including when it moves a member outside the
+    stretch the active region keeps.
     """
     M, slices = _initial_slices(gens, g, colength_bound)
     N = initial_ideal(_swapped(gens), g.swap(), colength_bound).swap()
     classes = active_classes(M, N, g)
     assignment = {}
-    for w, mons_m, mons_n in classes:
+    for w, _, _ in classes:
         columns = _desc(g.monomials_of_weight(w))
         piv = slices[w]
         colpos = {c: i for i, c in enumerate(columns)}
-        for m in _desc(mons_m):
-            below = [piv[m2] for m2 in mons_m if m2[1] < m[1]]
+        # the whole class of M, not just the stretch the region keeps: the
+        # reduction below m needs every slice member under it
+        members = [m for m in columns if M.contains(m)]
+        for m in members:
+            below = [piv[m2] for m2 in members if m2[1] < m[1]]
             opp_cols = list(reversed(columns))
             opp_piv = rref(below, opp_cols)
             vec = dict(piv[m])

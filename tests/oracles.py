@@ -200,6 +200,23 @@ def brute_active_classes(M, N, g):
     return out
 
 
+def trimmed_active_classes(M, N, g):
+    """``brute_active_classes`` with the members the two lists share at the
+    top and at the bottom of each class stripped off."""
+    out = []
+    for w, mm, nn in brute_active_classes(M, N, g):
+        top = 0
+        while top < min(len(mm), len(nn)) and mm[top] == nn[top]:
+            top += 1
+        mm, nn = mm[top:], nn[top:]
+        bottom = 0
+        while (bottom < min(len(mm), len(nn))
+               and mm[-1 - bottom] == nn[-1 - bottom]):
+            bottom += 1
+        out.append((w, mm[:len(mm) - bottom], nn[:len(nn) - bottom]))
+    return out
+
+
 def brute_dominates(M, N, g):
     """Dominance via exhaustive per-class matchings."""
     for _, mm, nn in brute_active_classes(M, N, g):

@@ -107,7 +107,6 @@ def test_criterion_1_dual_table_rows_4_12():
            f"{elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_1_dual_table_rows_13_16():
     start = time.time()
     rows = count_table(13, 16, PipelineDepth.DUAL)

@@ -14,7 +14,8 @@ from tgraph.monomial import (Grading, colon_box, enumerate_ideals,
                              parse_monomial)
 
 from oracles import (brute_active_classes, brute_arrow_check, brute_arrow_maps,
-                     brute_dominates, recursive_arrow_search)
+                     brute_dominates, recursive_arrow_search,
+                     trimmed_active_classes)
 
 G11 = Grading(1, 1)
 
@@ -56,7 +57,8 @@ def test_partial_order_requires_equal_hilbert_functions(call, swapped):
 
 def test_active_classes_match_the_walk_over_every_class():
     # every pair, and the box quotients of every comparable pair, whose
-    # active region is only as large as the pair's own
+    # active region is only as large as the pair's own; each class keeps
+    # only the stretch between its first and last disagreeing cell
     boxes = 0
     for d in range(1, 8):
         pool = enumerate_ideals(d)
@@ -70,13 +72,13 @@ def test_active_classes_match_the_walk_over_every_class():
                             active_classes(M, N, g)
                         continue
                     assert (active_classes(M, N, g)
-                            == brute_active_classes(M, N, g))
+                            == trimmed_active_classes(M, N, g))
                     if not dominates(M, N, g):
                         continue
                     box = minimal_box(M, N)
                     qm, qn = colon_box(box, M), colon_box(box, N)
                     assert (active_classes(qm, qn, g)
-                            == brute_active_classes(qm, qn, g))
+                            == trimmed_active_classes(qm, qn, g))
                     boxes += 1
     assert boxes == 1111
 
@@ -174,8 +176,10 @@ def test_enumerate_matches_exhaustive_bijection_search():
                     ("<x^5, y^2>", "<x^2, y^5>", G11)):
         M, N = parse_ideal(M), parse_ideal(N)
         maps = enumerate_arrow_maps(M, N, g, limit=None)
-        assert (sorted(f.pairs for f in maps)
-                == sorted(tuple(sorted(a.items()))
+        # the brute maps range over full classes; maps that agree off one
+        # region are equal exactly when their moved pairs are
+        assert (sorted(f.moved_pairs() for f in maps)
+                == sorted(tuple((m, v) for m, v in sorted(a.items()) if m != v)
                           for a in brute_arrow_maps(M, N, g)))
 
 
@@ -209,6 +213,20 @@ def test_search_agrees_with_brute_force_on_random_pairs():
     assert misses == 2
 
 
+def oriented_searches(top):
+    """(M, N, g) for each oriented job through colength `top`, followed by
+    its box quotients."""
+    for d in range(2, top + 1):
+        vertices = enumerate_ideals(d)
+        for (i, j), g in pair_grading_jobs(vertices):
+            pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
+            if pair is None:
+                continue
+            box = minimal_box(*pair)
+            for M, N in (pair, [colon_box(box, X) for X in pair]):
+                yield M, N, g
+
+
 def test_search_order_matches_the_recursive_reference():
     # enumerate_arrow_maps sorts only the maps it found, so --limit output
     # depends on the order the search finds them in
@@ -217,21 +235,45 @@ def test_search_order_matches_the_recursive_reference():
         return [list(a.items()) for a in search(M, N, g, classes, limit)]
 
     searches = 0
-    for d in range(2, 9):
-        vertices = enumerate_ideals(d)
-        for (i, j), g in pair_grading_jobs(vertices):
-            pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
-            if pair is None:
-                continue
-            box = minimal_box(*pair)
-            for M, N in (pair, [colon_box(box, X) for X in pair]):
-                every = assignments(recursive_arrow_search, M, N, g, None)
-                assert assignments(_search, M, N, g, None) == every
-                for limit in (0, 1, 2):
-                    assert (assignments(_search, M, N, g, limit)
-                            == every[:limit])
-                searches += 1
+    for M, N, g in oriented_searches(8):
+        every = assignments(recursive_arrow_search, M, N, g, None)
+        assert assignments(_search, M, N, g, None) == every
+        for limit in (0, 1, 2):
+            assert assignments(_search, M, N, g, limit) == every[:limit]
+        searches += 1
     assert searches == 434
+
+
+def test_search_on_the_cut_region_matches_the_full_classes():
+    # the members cut off above and below each stretch are fixed by every
+    # map, so the search over full classes finds the same maps, in the same
+    # order, with identity entries at the cut members
+    searches = 0
+    for M, N, g in oriented_searches(8):
+        full = [[(m, v) for m, v in a.items() if m != v]
+                for a in recursive_arrow_search(
+                    M, N, g, brute_active_classes(M, N, g), None)]
+        cut = [[(m, v) for m, v in a.items() if m != v]
+               for a in _search(M, N, g, active_classes(M, N, g), None)]
+        assert cut == full
+        searches += 1
+    assert searches == 434
+
+
+def test_checkers_reject_moves_outside_the_region():
+    M = parse_ideal("<x^5, y^2>")
+    N = parse_ideal("<x^2, y^5>")
+    found = dict(arrow_map_exists(M, N, G11).pairs)
+    assert is_arrow_map(M, N, G11, found)
+    # identity entries anywhere are allowed, as in a map over full classes
+    for full in brute_arrow_maps(M, N, G11):
+        assert is_arrow_map(M, N, G11, {**full, (0, 9): (0, 9)})
+        assert is_system_of_arrows(M, N, G11, full)
+    # a move off the region, from a monomial of M or from one outside it
+    for m, v in (("y^9", "x*y^8"), ("y", "x")):
+        stray = {**found, parse_monomial(m): parse_monomial(v)}
+        assert not is_arrow_map(M, N, G11, stray)
+        assert not is_system_of_arrows(M, N, G11, stray)
 
 
 def test_arrow_map_implies_order():
