@@ -9,13 +9,15 @@ Everything here lives on one object, a pair's active region:
 monomial sets differ, each cut to the stretch between its highest and its
 lowest cell that lies in one ideal only.  It is also the Hilbert-function
 guard, since the two Hilbert functions agree exactly when every stretch has
-the same size on both sides; every public entry computes it once and passes
-it down.  Maps are stored on the active region only.  Outside it any valid
-map is the identity: an order-decreasing bijection of a finite chain onto
-itself is the identity, and the members a differing class shares above and
-below its stretch are forced to themselves from the top and the bottom.
-Distance bounds propagating from there are zero, which the checkers and the
-search both encode; the checkers reject a move outside the region.
+the same size on both sides.  ``oriented_pair`` computes it once and
+returns it with the pair, dominating ideal first, as an ``OrientedPair``;
+every entry point on a comparable pair takes that one value.  Maps are
+stored on the active region only.  Outside it any valid map is the
+identity: an order-decreasing bijection of a finite chain onto itself is
+the identity, and the members a differing class shares above and below its
+stretch are forced to themselves from the top and the bottom.  Distance
+bounds propagating from there are zero, which the checkers and the search
+both encode; the checkers reject a move outside the region.
 
 The search is one loop over an explicit stack.  The order in which it tries
 sources and targets, fixed in ``_search``, decides which map it finds first;
@@ -23,8 +25,8 @@ every map it finds is checked again, independently, before it is returned.
 
 Every function here works on the x-smaller side, where the larger monomial of
 a class is the one with the larger y-exponent.  The y-smaller side of a pair
-is the x-smaller side of the pair with x and y exchanged: call the same
-function on ``M.swap()``, ``N.swap()`` and ``g.swap()``.
+is the x-smaller side of the pair with x and y exchanged: orient
+``M.swap()``, ``N.swap()`` under ``g.swap()`` and pass that pair on.
 """
 from __future__ import annotations
 
@@ -96,22 +98,29 @@ def _dominates(classes):
                for a, b in zip(mons_m, mons_n))
 
 
-def dominates(M, N, g):
-    """Whether M is greater than or equal to N in the dominance order."""
-    return _dominates(active_classes(M, N, g))
+@dataclass(frozen=True)
+class OrientedPair:
+    """A comparable pair, dominating ideal first; built by oriented_pair."""
+
+    big: MonomialIdeal2
+    small: MonomialIdeal2
+    grading: Grading
+    classes: tuple  # active_classes(big, small, grading)
 
 
 def oriented_pair(M, N, g):
-    """Order the pair with the dominating ideal first, or None if incomparable.
+    """The pair with the dominating ideal first, or None if incomparable.
 
-    Both directions are read off one list of the pair's active classes.
+    Both directions are read off one list of the pair's active classes,
+    which the result keeps; ValueError if the Hilbert functions differ.
     """
-    classes = active_classes(M, N, g)
-    if _dominates(classes):
-        return M, N
-    if _dominates([(w, in_n, in_m) for w, in_m, in_n in classes]):
-        return N, M
-    return None
+    classes = tuple(active_classes(M, N, g))
+    if not _dominates(classes):
+        M, N = N, M
+        classes = tuple((w, in_n, in_m) for w, in_m, in_n in classes)
+        if not _dominates(classes):
+            return None
+    return OrientedPair(M, N, g, classes)
 
 
 @dataclass(frozen=True)
@@ -220,29 +229,31 @@ def is_system_of_arrows(M, N, g, assignment):
     return dist is not None and _bounded(N, dist[1])
 
 
-def _search(M, N, g, classes, limit):
+def _search(pair, limit):
     """Backtracking enumeration of arrow maps, as one loop over a stack.
 
-    The active region is flattened into slots (m, N's members of m's
-    class): class by class in increasing weight, each class of M largest
-    first.  Each slot tries N's members largest first.  Those two orders fix
-    the order in which the maps come out.  ``stack[i]`` is the index of the
-    next candidate slot i tries, ``chosen[i]`` its current target and
-    ``caps[i]`` the shift bound its source inherits; a target is taken
-    exactly when it is a key of ``dist_n``.  The divisors of a monomial lie in lighter classes, so their shifts are
-    already fixed when its slot is reached; the checks at a slot are exactly
-    the three defining conditions.
+    The pair's active region is flattened into slots (m, the small ideal's
+    members of m's class): class by class in increasing weight, each class
+    of the big ideal largest first.  Each slot tries its candidates largest
+    first.  Those two orders fix the order in which the maps come out.
+    ``stack[i]`` is the index of the next candidate slot i tries,
+    ``chosen[i]`` its current target and ``caps[i]`` the shift bound its
+    source inherits; a target is taken exactly when it is a key of
+    ``dist_n``.  The divisors of a monomial lie in lighter classes, so their
+    shifts are already fixed when its slot is reached; the checks at a slot
+    are exactly the three defining conditions.
     """
     if limit == 0:
         return
-    slots = [(m, mons_n) for _, mons_m, mons_n in classes for m in mons_m]
+    slots = [(m, mons_n) for _, mons_m, mons_n in pair.classes
+             for m in mons_m]
     if not slots:
         yield {}
         return
     sources = [m for m, _ in slots]
     last = len(slots) - 1
-    alpha = g.alpha
-    rows_m, rows_n = M.rows, N.rows
+    alpha = pair.grading.alpha
+    rows_m, rows_n = pair.big.rows, pair.small.rows
     be_m, be_n = len(rows_m), len(rows_n)
     dist_m = {}
     dist_n = {}
@@ -287,43 +298,38 @@ def _search(M, N, g, classes, limit):
             return
 
 
-def find_arrow_maps(M, N, g, limit):
-    """Up to `limit` arrow maps from M onto N (None for all), validated.
+def find_arrow_maps(pair, limit):
+    """Up to `limit` arrow maps from big onto small (None for all), validated.
 
     Raises RuntimeError when the search yields a map that fails the literal
     check, which would be a bug in the search.
     """
-    classes = active_classes(M, N, g)
-    if not _dominates(classes):
-        return []
+    M, N, g = pair.big, pair.small, pair.grading
     maps = []
-    for assignment in _search(M, N, g, classes, limit):
-        if not _is_arrow_map(M, N, g, classes, assignment):
+    for assignment in _search(pair, limit):
+        if not _is_arrow_map(M, N, g, pair.classes, assignment):
             raise RuntimeError(
                 f"the search produced a non-map from {M} to {N} for {g}")
-        # A search result assigns every monomial of the active region, and
-        # nothing else.
-        maps.append(ArrowMap(M, N, g, tuple(sorted(assignment.items()))))
+        maps.append(ArrowMap(M, N, g, _completed(pair.classes, assignment)))
     return maps
 
 
-def arrow_map_exists(M, N, g):
-    """Some arrow map M -> N, or None; requires equal Hilbert functions."""
-    maps = find_arrow_maps(M, N, g, limit=1)
+def arrow_map_exists(pair):
+    """Some arrow map from the pair's big ideal onto its small one, or None."""
+    maps = find_arrow_maps(pair, limit=1)
     return maps[0] if maps else None
 
 
-def enumerate_arrow_maps(M, N, g, limit=None):
-    """All arrow maps (up to `limit`), in a canonical deterministic order."""
-    maps = find_arrow_maps(M, N, g, limit=limit)
+def enumerate_arrow_maps(pair, limit=None):
+    """All arrow maps (up to `limit`), sorted by their targets' y-exponents.
 
-    def order_key(f):
-        return tuple((g.weight(m), m[1], v[1]) for m, v in f.pairs)
+    A pair's maps list the same sources, and a target's class and y-exponent
+    fix it, so that order is canonical."""
+    return sorted(find_arrow_maps(pair, limit),
+                  key=lambda f: tuple(v[1] for _, v in f.pairs))
 
-    return sorted(maps, key=order_key)
 
-
-def dual_condition(M, N, g, box=None):
+def dual_condition(pair, box=None):
     """Arrow-map test between the box quotients; returns (map or None, box).
 
     The default box uses the least pure powers lying in both ideals; a caller
@@ -332,12 +338,16 @@ def dual_condition(M, N, g, box=None):
     The quotients are the pair reflected in the box.  With W the weight of
     the box's corner x^(r1-1)*y^(r2-1), the quotient q of M has
     HF_q(w) = HF_box(W - w) - HF_M(W - w), so the two quotients share a
-    Hilbert function exactly when M and N do, and the arrow-map test on
-    them raises ValueError when the pair's Hilbert functions differ.
+    Hilbert function.  The reflection turns each class's members in the box
+    into the standard monomials of the reflected class, read bottom up, so
+    the quotient of the big ideal dominates the other; RuntimeError if it
+    does not.
     """
+    M, N, g = pair.big, pair.small, pair.grading
     if box is None:
         box = minimal_box(M, N)
     qm = colon_box(box, M)
-    qn = colon_box(box, N)
-    witness = arrow_map_exists(qm, qn, g)
-    return witness, box
+    quotients = oriented_pair(qm, colon_box(box, N), g)
+    if quotients is None or quotients.big is not qm:
+        raise RuntimeError(f"{M} over {N} lost its order in the box {box}")
+    return arrow_map_exists(quotients), box

@@ -7,7 +7,8 @@ jobs by grouping the ideals on the first two power sums of their standard
 weights, which equal Hilbert functions always share, and builds Hilbert
 functions only inside groups of two or more.  Below full depth it comes from
 the chain of necessary conditions in ``filters_passed`` (dominance order,
-arrow map, arrow map on the box quotients).  At full depth it comes from
+arrow map, arrow map on the box quotients), which orients each pair once and
+hands that oriented pair to both arrow-map tests.  At full depth it comes from
 ``_exact_records``, the one place the exact equation solver runs, with the
 edge cache and an optional process pool; the solver sees every job and
 returns NO_EDGE at once for a pair the order does not compare, so its
@@ -67,13 +68,12 @@ def filters_passed(M, N, g, depth):
     ``DUAL`` and ``FULL``).
     """
     wanted = _CONDITIONS[depth]
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
+    pair = oriented_pair(M, N, g)
+    if pair is None:
         return 0
-    big, small = oriented
-    if wanted == 1 or arrow_map_exists(big, small, g) is None:
+    if wanted == 1 or arrow_map_exists(pair) is None:
         return 1
-    if wanted == 2 or dual_condition(big, small, g)[0] is None:
+    if wanted == 2 or dual_condition(pair)[0] is None:
         return 2
     return 3
 

@@ -12,17 +12,17 @@ Every function here works on the x-smaller side; the y-smaller side of an
 ideal is the x-smaller side of its swap under the swapped grading, with x and
 y exchanged back.  The negative arrows are reached that way too, as in the
 arrows layer: they are the positive arrows of the swap.  The edge equations
-for a comparable pair (M, N) come from reducing N's y-smaller cell basis,
-built that way, modulo the reduced basis of M and reading off the
-coefficients of the standard monomials of M.  All coefficients stay integral
-because every reduction divides only by unit lead coefficients.
+for a pair that ``arrows.oriented_pair`` has put in order, M above N, come
+from reducing N's y-smaller cell basis, built that way, modulo the reduced
+basis of M and reading off the coefficients of the standard monomials of M.
+All coefficients stay integral because every reduction divides only by unit
+lead coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .arrows import dominates
 from .monomial import Grading, MonomialIdeal2, format_monomial
 from .poly import Ring, add_into, arrow_ring
 
@@ -195,15 +195,17 @@ class EdgeIdeal:
         raise KeyError((n, s))
 
 
-def edge_ideal(M, N, g):
-    """Equations for the pair, with M strictly above N (x-smaller side).
+def edge_ideal(pair):
+    """Equations for an oriented pair, M = pair.big over N = pair.small.
 
+    The order comes with the pair; the two ideals must differ (ValueError).
     N's family is its y-smaller cell basis: the cell basis of N.swap() under
     g.swap(), with x and y exchanged back.  Raises RuntimeError if an
     equation comes out with a non-integral coefficient.
     """
-    if M == N or not dominates(M, N, g):
-        raise ValueError("first ideal must dominate the second strictly")
+    M, N, g = pair.big, pair.small, pair.grading
+    if M == N:
+        raise ValueError("the two ideals must differ")
 
     n_swap, g_swap = N.swap(), g.swap()
     ring = arrow_ring(_positive_arrows(M, g), _positive_arrows(n_swap, g_swap))

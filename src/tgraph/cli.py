@@ -15,8 +15,8 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
-from .arrows import (SCHEMA_VERSION, arrow_map_exists, dual_condition,
-                     enumerate_arrow_maps, oriented_pair)
+from .arrows import (SCHEMA_VERSION, dual_condition, enumerate_arrow_maps,
+                     oriented_pair)
 from .assembly import (EdgeCache, PipelineDepth, build_tgraph, count_table,
                        graph_to_csv, graph_to_dot, graph_to_json, table_to_csv)
 from .cells import edge_ideal
@@ -139,13 +139,11 @@ def _parse_pair(args):
 
 
 def _oriented_pair(args, incomparable):
-    """(big, small, grading), or None after writing `incomparable`."""
-    M, N, g = _parse_pair(args)
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
+    """The ``OrientedPair``, or None after writing `incomparable`."""
+    pair = oriented_pair(*_parse_pair(args))
+    if pair is None:
         _emit(args, incomparable + "\n")
-        return None
-    return (*oriented, g)
+    return pair
 
 
 def _cache(args):
@@ -182,12 +180,7 @@ def cmd_arrowmap(args):
     pair = _oriented_pair(args, "no arrow map: the pair is not comparable")
     if pair is None:
         return EXIT_NEGATIVE
-    big, small, g = pair
-    if args.enumerate_all:
-        maps = enumerate_arrow_maps(big, small, g, limit=args.limit)
-    else:
-        witness = arrow_map_exists(big, small, g)
-        maps = [witness] if witness else []
+    maps = enumerate_arrow_maps(pair, args.limit if args.enumerate_all else 1)
     if args.json:
         payload = {
             "schema": f"tgraph.arrow-maps/{SCHEMA_VERSION}",
@@ -218,8 +211,7 @@ def cmd_dual(args):
                           "no dual arrow map: the pair is not comparable")
     if pair is None:
         return EXIT_NEGATIVE
-    big, small, g = pair
-    witness, used = dual_condition(big, small, g, box=box)
+    witness, used = dual_condition(pair, box=box)
     if args.json:
         payload = {
             "schema": f"tgraph.dual/{SCHEMA_VERSION}",
@@ -252,13 +244,12 @@ def cmd_edge_ideal(args):
     pair = _oriented_pair(args, "the pair is not comparable for this grading")
     if pair is None:
         return EXIT_NEGATIVE
-    big, small, g = pair
-    ideal = edge_ideal(big, small, g)
+    ideal = edge_ideal(pair)
     if args.json:
         _emit(args, json.dumps(_edge_ideal_payload(ideal), indent=2,
                                sort_keys=True) + "\n")
     else:
-        lines = [f"pair: {format_ideal(big)} over {format_ideal(small)}",
+        lines = [f"pair: {format_ideal(ideal.M)} over {format_ideal(ideal.N)}",
                  f"variables: {', '.join(v.label() for v in ideal.ring.vars)}"]
         for n, s, p in ideal.generators:
             lines.append(

@@ -89,23 +89,20 @@ def _solver_generators(ideal):
 def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     """Tri-state edge decision for one pair and grading.
 
-    The pair must be distinct with equal Hilbert functions (the dominance
-    test raises ValueError otherwise).  When neither
+    The two ideals must differ and share a Hilbert function; otherwise
+    ``edge_ideal`` or ``oriented_pair`` raises ValueError.  When neither
     ideal dominates the other no equations are formed and the verdict is
-    immediate.  Otherwise ``buchberger`` decides the edge equations in
-    reversed variable order (see the module docstring).
+    immediate.  Otherwise ``buchberger`` decides the oriented pair's edge
+    equations in reversed variable order (see the module docstring).
 
     ``char`` is 0 or a prime, else ValueError, on either path: the solver
     checks it, and an immediate verdict checks it here.
     """
-    if M == N:
-        raise ValueError("edge decision needs two distinct ideals")
-    oriented = oriented_pair(M, N, g)
-    if oriented is None:
+    pair = oriented_pair(M, N, g)
+    if pair is None:
         _check_char(char)
         return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE, characteristic=char)
-    big, small = oriented
-    ideal = edge_ideal(big, small, g)
+    ideal = edge_ideal(pair)
     gens = _solver_generators(ideal)
     start = time.perf_counter()
     try:

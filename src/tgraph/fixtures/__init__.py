@@ -10,7 +10,7 @@ from fractions import Fraction
 from importlib import resources
 
 from ..arrows import (arrow_map_exists, dual_condition, enumerate_arrow_maps,
-                      is_arrow_map, is_system_of_arrows)
+                      is_arrow_map, is_system_of_arrows, oriented_pair)
 from ..cells import cell_generators_f, edge_ideal, reduce_monomial
 from ..cells import cell_generators_g
 from ..groebner import buchberger, quotient_dimension
@@ -20,6 +20,15 @@ from ..monomial import (Grading, colon_box, format_ideal, format_monomial,
 
 def _grading(data):
     return Grading(data["alpha"], data["beta"])
+
+
+def _oriented(data):
+    """The fixture's pair (M, N), which it always names with M on top."""
+    M, N, g = parse_ideal(data["M"]), parse_ideal(data["N"]), _grading(data)
+    pair = oriented_pair(M, N, g)
+    if pair is None or pair.big is not M:
+        raise ValueError(f"fixture pair {M}, {N} is not ordered for {g}")
+    return pair
 
 
 def _pairs(data):
@@ -39,9 +48,7 @@ def _check_cell_basis(data):
 
 
 def _check_edge_ideal(data):
-    M = parse_ideal(data["M"])
-    N = parse_ideal(data["N"])
-    ideal = edge_ideal(M, N, _grading(data))
+    ideal = edge_ideal(_oriented(data))
     got = {f"{format_monomial(n)};{format_monomial(s)}": str(p)
            for n, s, p in ideal.generators}
     expected = data["generators"]
@@ -75,10 +82,7 @@ def _check_normal_form(data):
 
 
 def _check_arrow_map(data):
-    M = parse_ideal(data["M"])
-    N = parse_ideal(data["N"])
-    g = _grading(data)
-    witness = arrow_map_exists(M, N, g)
+    witness = arrow_map_exists(_oriented(data))
     if not data.get("exists", True):
         return [] if witness is None else ["unexpected arrow map"]
     if witness is None:
@@ -91,10 +95,7 @@ def _check_arrow_map(data):
 
 
 def _check_arrow_map_count(data):
-    M = parse_ideal(data["M"])
-    N = parse_ideal(data["N"])
-    g = _grading(data)
-    maps = enumerate_arrow_maps(M, N, g)
+    maps = enumerate_arrow_maps(_oriented(data))
     problems = []
     if len(maps) != data["count"]:
         problems.append(f"found {len(maps)} maps, expected {data['count']}")
@@ -107,9 +108,8 @@ def _check_arrow_map_count(data):
 
 
 def _check_dual_discriminator(data):
-    M = parse_ideal(data["M"])
-    N = parse_ideal(data["N"])
-    g = _grading(data)
+    pair = _oriented(data)
+    M, N, g = pair.big, pair.small, pair.grading
     problems = []
     box = tuple(data["box"])
     qm, qn = colon_box(box, M), colon_box(box, N)
@@ -117,9 +117,9 @@ def _check_dual_discriminator(data):
         problems.append(f"(Q:M) = {qm}")
     if format_ideal(qn) != data["colon_N"]:
         problems.append(f"(Q:N) = {qn}")
-    if (arrow_map_exists(M, N, g) is None) == data["arrow_exists"]:
+    if (arrow_map_exists(pair) is None) == data["arrow_exists"]:
         problems.append("arrow-map existence differs")
-    witness, used = dual_condition(M, N, g)
+    witness, used = dual_condition(pair)
     if used != box:
         problems.append(f"default box {used} != {box}")
     if (witness is None) != (not data["dual_exists"]):

@@ -14,8 +14,8 @@ generator, which is exactly how one division step lands.
 """
 from __future__ import annotations
 
+from .arrows import oriented_pair
 from .cells import EdgeIdeal, significant_arrows
-from .monomial import hilbert_function
 from .poly import ArrowVar, arrow_ring
 
 
@@ -153,13 +153,12 @@ def edge_ideal_hikes(M, N, g):
 
     Each equation attached to (n, s) sums, over ways of first moving n up
     along the second ideal's arrows and then strolling down through M to s,
-    the product of the move variables and the signed stroll sum.
+    the product of the move variables and the signed stroll sum.  M must
+    lie strictly above N; ValueError otherwise, or when the two Hilbert
+    functions differ.
     """
-    from .arrows import dominates
-
-    if hilbert_function(M, g) != hilbert_function(N, g):
-        raise ValueError("the two ideals have different Hilbert functions")
-    if M == N or not dominates(M, N, g):
+    pair = oriented_pair(M, N, g)
+    if M == N or pair is None or pair.big is not M:
         raise ValueError("first ideal must dominate the second strictly")
     Nsw = N.swap()
     gsw = g.swap()

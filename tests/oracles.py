@@ -764,6 +764,14 @@ def kernel_normal_form(f, basis, stats=None, char=0):
     return groebner._unpack(rem, ring, packing)
 
 
+def top_first(A, B, g):
+    """The package's oriented pair when A dominates B, else None."""
+    from tgraph.arrows import oriented_pair
+
+    pair = oriented_pair(A, B, g)
+    return pair if pair is not None and pair.big is A else None
+
+
 def extremal_ideals(H, g):
     """Unique top and bottom monomial ideals with Hilbert function H.
 
@@ -771,7 +779,6 @@ def extremal_ideals(H, g):
     among all monomial ideals of the right colength; raises when H is not
     realized.
     """
-    from tgraph.arrows import dominates
     from tgraph.monomial import enumerate_ideals, hilbert_function
 
     d = sum(c for _, c in H)
@@ -779,9 +786,9 @@ def extremal_ideals(H, g):
     if not pool:
         raise ValueError("Hilbert function is not realized by a monomial ideal")
     tops = [M for M in pool
-            if all(dominates(M, other, g) for other in pool)]
+            if all(top_first(M, other, g) for other in pool)]
     bottoms = [M for M in pool
-               if all(dominates(other, M, g) for other in pool)]
+               if all(top_first(other, M, g) for other in pool)]
     if len(tops) != 1 or len(bottoms) != 1:
         raise ValueError("poset of ideals lacks a unique top or bottom")
     return tops[0], bottoms[0]

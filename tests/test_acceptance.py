@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from tgraph.arrows import arrow_map_exists, dominates, dual_condition
+from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (PipelineDepth, build_tgraph, coprime_gradings,
                              count_table)
 from tgraph.cells import (cell_generators_f, cell_generators_g, edge_ideal,
@@ -147,7 +147,8 @@ def test_criterion_2_cell_generators():
 
 def test_criterion_2_small_edge_ideal():
     start = time.time()
-    E = edge_ideal(parse_ideal("<x^5, y^2>"), parse_ideal("<x^2, y^5>"), G11)
+    E = edge_ideal(oriented_pair(parse_ideal("<x^5, y^2>"),
+                                 parse_ideal("<x^2, y^5>"), G11))
     got = {(format_monomial(n), format_monomial(s)): str(p)
            for n, s, p in E.generators}
     ok = got == {
@@ -175,7 +176,7 @@ def test_criterion_2_published_reduction_displays():
 
 
 def test_criterion_2_published_edge_polynomials():
-    E = edge_ideal(M21, N21, G11)
+    E = edge_ideal(oriented_pair(M21, N21, G11))
     problems = []
     for (n, s), key in ((((2, 2), (1, 3)), "edge_poly_x2y2_xy3"),
                         (((5, 1), (6, 0)), "edge_poly_x5y_x6")):
@@ -191,7 +192,7 @@ def test_criterion_2_published_edge_polynomials():
 
 def test_criterion_2_verified_edge_polynomials_cross_route():
     start = time.time()
-    A = edge_ideal(M21, N21, G11)
+    A = edge_ideal(oriented_pair(M21, N21, G11))
     B = edge_ideal_hikes(M21, N21, G11)
     ok = all((n1, s1) == (n2, s2) and p.terms == q.terms
              for (n1, s1, p), (n2, s2, q) in zip(A.generators, B.generators))
@@ -227,10 +228,12 @@ def test_criterion_4_discriminating_pair_and_column_gap():
     start = time.time()
     M = parse_ideal("<x^5, x^3*y^2, y^4>")
     N = parse_ideal("<x^4, x^3*y^3, x*y^4, y^5>")
-    ok = arrow_map_exists(M, N, G11) is not None
-    ok = ok and dual_condition(M, N, G11)[0] is None
-    ok = ok and arrow_map_exists(colon_box((5, 5), M).swap(),
-                                 colon_box((5, 5), N).swap(), G11) is None
+    pair = oriented_pair(M, N, G11)
+    ok = pair.big is M and arrow_map_exists(pair) is not None
+    ok = ok and dual_condition(pair)[0] is None
+    # no map on the quotients' y-smaller side either, in the order there
+    ok = ok and arrow_map_exists(oriented_pair(
+        colon_box((5, 5), M).swap(), colon_box((5, 5), N).swap(), G11)) is None
 
     vertices = enumerate_ideals(16)
     index = {V: i + 1 for i, V in enumerate(vertices)}
@@ -254,14 +257,13 @@ def test_criterion_4_discriminating_pair_and_column_gap():
                     oriented = oriented_pair(A, B, g)
                     if oriented is None:
                         continue
-                    big, small = oriented
                     if key in arrow_pairs and key not in target_pairs:
                         continue
-                    witness = arrow_map_exists(big, small, g)
+                    witness = arrow_map_exists(oriented)
                     if witness is None:
                         continue
                     arrow_pairs.add(key)
-                    if dual_condition(big, small, g)[0] is not None:
+                    if dual_condition(oriented)[0] is not None:
                         dual_pairs.add(key)
     elapsed = time.time() - start
     gap = arrow_pairs - dual_pairs
@@ -286,7 +288,7 @@ def _comparable_pairs(d):
                 for j in range(i + 1, len(members)):
                     oriented = oriented_pair(members[i], members[j], g)
                     if oriented is not None:
-                        out.append((oriented[0], oriented[1], g))
+                        out.append(oriented)
     return out
 
 
@@ -295,9 +297,9 @@ def test_criterion_5a_route_equivalence_to_colength_7():
     start = time.time()
     bad = 0
     for d in range(2, 8):
-        for big, small, g in _comparable_pairs(d):
-            A = edge_ideal(big, small, g)
-            B = edge_ideal_hikes(big, small, g)
+        for pair in _comparable_pairs(d):
+            A = edge_ideal(pair)
+            B = edge_ideal_hikes(pair.big, pair.small, pair.grading)
             for (n1, s1, p), (n2, s2, q) in zip(A.generators, B.generators):
                 if (n1, s1) != (n2, s2) or p.terms != q.terms:
                     bad += 1
@@ -308,9 +310,9 @@ def test_criterion_5a_route_equivalence_to_colength_7():
 def test_criterion_5a_route_equivalence_to_colength_5():
     bad = 0
     for d in range(2, 6):
-        for big, small, g in _comparable_pairs(d):
-            A = edge_ideal(big, small, g)
-            B = edge_ideal_hikes(big, small, g)
+        for pair in _comparable_pairs(d):
+            A = edge_ideal(pair)
+            B = edge_ideal_hikes(pair.big, pair.small, pair.grading)
             for (n1, s1, p), (n2, s2, q) in zip(A.generators, B.generators):
                 if (n1, s1) != (n2, s2) or p.terms != q.terms:
                     bad += 1
@@ -365,16 +367,15 @@ def test_criterion_5e_necessity_chain_to_colength_7():
     start = time.time()
     violations = []
     for d in range(2, 8):
-        for big, small, g in _comparable_pairs(d):
-            record = decide_edge(big, small, g)
+        for pair in _comparable_pairs(d):
+            record = decide_edge(pair.big, pair.small, pair.grading)
             assert record.status is not EdgeStatus.UNKNOWN
             if record.status is EdgeStatus.EDGE:
-                witness = arrow_map_exists(big, small, g)
-                if witness is None:
-                    violations.append((big, small, g, "arrow"))
+                if arrow_map_exists(pair) is None:
+                    violations.append((pair, "arrow"))
                     continue
-                if dual_condition(big, small, g)[0] is None:
-                    violations.append((big, small, g, "dual"))
+                if dual_condition(pair)[0] is None:
+                    violations.append((pair, "dual"))
     report("5e every edge passes the combinatorial chain",
            not violations, f"{time.time() - start:.1f}s")
 

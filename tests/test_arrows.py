@@ -6,15 +6,15 @@ from math import gcd
 import pytest
 
 from tgraph.arrows import (_search, active_classes, arrow_map_exists,
-                           dominates, dual_condition, enumerate_arrow_maps,
-                           is_arrow_map, is_system_of_arrows, oriented_pair)
+                           dual_condition, enumerate_arrow_maps, is_arrow_map,
+                           is_system_of_arrows, oriented_pair)
 from tgraph.assembly import pair_grading_jobs
 from tgraph.monomial import (Grading, colon_box, enumerate_ideals,
                              hilbert_function, minimal_box, parse_ideal,
                              parse_monomial)
 
 from oracles import (brute_active_classes, brute_arrow_check, brute_arrow_maps,
-                     brute_dominates, recursive_arrow_search,
+                     brute_dominates, recursive_arrow_search, top_first,
                      trimmed_active_classes)
 
 G11 = Grading(1, 1)
@@ -29,25 +29,28 @@ def test_partial_order_small_pair():
     N = parse_ideal("<y^2, x^5>")
     # the ideal generated by <y^2, x^5> dominates under the x-smaller side,
     # and the other one after exchanging x and y
-    assert dominates(N, M, G11)
-    assert not dominates(M, N, G11)
-    assert dominates(M.swap(), N.swap(), G11.swap())
-    assert dominates(M, M, G11) and dominates(N, N, G11)
+    pair = oriented_pair(M, N, G11)
+    assert (pair.big, pair.small, pair.grading) == (N, M, G11)
+    # the region is kept in the pair's order, the big ideal's members first
+    assert pair.classes == tuple(active_classes(N, M, G11))
+    assert top_first(M.swap(), N.swap(), G11.swap()) is not None
+    assert top_first(M, M, G11) and top_first(N, N, G11)
 
 
 @pytest.mark.parametrize("swapped", [False, True],
                          ids=["x_small", "y_small"])
 @pytest.mark.parametrize("call", [
-    dominates,
+    oriented_pair,
     lambda M, N, g: is_arrow_map(M, N, g, {}),
     lambda M, N, g: is_system_of_arrows(M, N, g, {}),
-    arrow_map_exists,
-    enumerate_arrow_maps,
-    dual_condition,
-], ids=["dominates", "is_arrow_map", "is_system_of_arrows",
+    lambda M, N, g: arrow_map_exists(oriented_pair(M, N, g)),
+    lambda M, N, g: enumerate_arrow_maps(oriented_pair(M, N, g)),
+    lambda M, N, g: dual_condition(oriented_pair(M, N, g)),
+], ids=["oriented_pair", "is_arrow_map", "is_system_of_arrows",
         "arrow_map_exists", "enumerate_arrow_maps", "dual_condition"])
 def test_partial_order_requires_equal_hilbert_functions(call, swapped):
-    # the y-smaller side is the same call on the pair with x and y exchanged
+    # the y-smaller side is the same call on the pair with x and y exchanged;
+    # the arrow-map tests take an oriented pair, and orienting raises
     M, N, g = parse_ideal("<x^2, y^2>"), parse_ideal("<x^4, y>"), G11
     if swapped:
         M, N, g = M.swap(), N.swap(), g.swap()
@@ -73,7 +76,7 @@ def test_active_classes_match_the_walk_over_every_class():
                         continue
                     assert (active_classes(M, N, g)
                             == trimmed_active_classes(M, N, g))
-                    if not dominates(M, N, g):
+                    if top_first(M, N, g) is None:
                         continue
                     box = minimal_box(M, N)
                     qm, qn = colon_box(box, M), colon_box(box, N)
@@ -108,11 +111,11 @@ def test_order_is_antisymmetric_and_transitive():
             g = G11
             if hilbert_function(A, g) != hilbert_function(B, g):
                 continue
-            if dominates(A, B, g) and dominates(B, A, g):
+            if top_first(A, B, g) and top_first(B, A, g):
                 assert A == B
             if hilbert_function(B, g) == hilbert_function(C, g):
-                if dominates(A, B, g) and dominates(B, C, g):
-                    assert dominates(A, C, g)
+                if top_first(A, B, g) and top_first(B, C, g):
+                    assert top_first(A, C, g)
 
 
 def test_dominance_matches_brute_force():
@@ -125,14 +128,17 @@ def test_dominance_matches_brute_force():
             g = Grading(1, 1) if rng.random() < 0.5 else Grading(2, 1)
             if hilbert_function(A, g) != hilbert_function(B, g):
                 continue
-            assert dominates(A, B, g) == brute_dominates(A, B, g)
+            # both directions, each read off one oriented pair
+            for X, Y in ((A, B), (B, A)):
+                assert ((top_first(X, Y, g) is not None)
+                        == brute_dominates(X, Y, g))
 
 
 def test_arrow_map_beta4():
     g = Grading(1, 4)
     M = parse_ideal("<x^8, y>")
     N = parse_ideal("<x^4, y^2>")
-    witness = arrow_map_exists(M, N, g)
+    witness = arrow_map_exists(top_first(M, N, g))
     assert moved(witness) == {(0, 1): (4, 0), (1, 1): (5, 0),
                               (2, 1): (6, 0), (3, 1): (7, 0)}
     assert brute_arrow_check(M, N, g, moved(witness))
@@ -141,26 +147,28 @@ def test_arrow_map_beta4():
 def test_arrow_map_discriminating_pair():
     M = parse_ideal("<x^5, x^3*y^2, y^4>")
     N = parse_ideal("<x^4, x^3*y^3, x*y^4, y^5>")
-    witness = arrow_map_exists(M, N, G11)
+    pair = top_first(M, N, G11)
+    witness = arrow_map_exists(pair)
     assert moved(witness) == {(0, 4): (4, 0), (3, 2): (4, 1)}
     qm = colon_box((5, 5), M)
     qn = colon_box((5, 5), N)
-    assert arrow_map_exists(qm, qn, G11) is None
-    dual, box = dual_condition(M, N, G11)
+    assert arrow_map_exists(top_first(qm, qn, G11)) is None
+    dual, box = dual_condition(pair)
     assert dual is None and box == (5, 5)
 
 
 def test_identity_map_between_equal_ideals():
     M = parse_ideal("<x^3, x*y, y^2>")
-    witness = arrow_map_exists(M, M, G11)
+    pair = oriented_pair(M, M, G11)
+    witness = arrow_map_exists(pair)
     assert witness is not None and witness.moved_pairs() == ()
-    assert enumerate_arrow_maps(M, M, G11) == [witness]
+    assert enumerate_arrow_maps(pair) == [witness]
 
 
 def test_enumerate_three_maps():
     M = parse_ideal("<x^5, y^2>")
     N = parse_ideal("<x^2, y^5>")
-    maps = enumerate_arrow_maps(M, N, G11)
+    maps = enumerate_arrow_maps(top_first(M, N, G11))
     assert len(maps) == 3
     degree5 = [sorted((a, b) for a, b in f.moved_pairs()
                       if G11.weight(a) == 5) for f in maps]
@@ -175,7 +183,7 @@ def test_enumerate_matches_exhaustive_bijection_search():
     for M, N, g in (("<x^8, y>", "<x^4, y^2>", Grading(1, 4)),
                     ("<x^5, y^2>", "<x^2, y^5>", G11)):
         M, N = parse_ideal(M), parse_ideal(N)
-        maps = enumerate_arrow_maps(M, N, g, limit=None)
+        maps = enumerate_arrow_maps(top_first(M, N, g), limit=None)
         # the brute maps range over full classes; maps that agree off one
         # region are equal exactly when their moved pairs are
         assert (sorted(f.moved_pairs() for f in maps)
@@ -201,9 +209,10 @@ def test_search_agrees_with_brute_force_on_random_pairs():
     for A, B in pairs:
         if A == B or hilbert_function(A, g) != hilbert_function(B, g):
             continue
-        if not dominates(A, B, g):
+        pair = top_first(A, B, g)
+        if pair is None:
             continue
-        witness = arrow_map_exists(A, B, g)
+        witness = arrow_map_exists(pair)
         if witness is not None:
             assert brute_arrow_check(A, B, g, moved(witness))
         else:
@@ -214,32 +223,32 @@ def test_search_agrees_with_brute_force_on_random_pairs():
 
 
 def oriented_searches(top):
-    """(M, N, g) for each oriented job through colength `top`, followed by
-    its box quotients."""
+    """Each oriented job through colength `top`, followed by its box
+    quotients, as oriented pairs."""
     for d in range(2, top + 1):
         vertices = enumerate_ideals(d)
         for (i, j), g in pair_grading_jobs(vertices):
             pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
             if pair is None:
                 continue
-            box = minimal_box(*pair)
-            for M, N in (pair, [colon_box(box, X) for X in pair]):
-                yield M, N, g
+            box = minimal_box(pair.big, pair.small)
+            yield pair
+            yield top_first(colon_box(box, pair.big),
+                            colon_box(box, pair.small), g)
 
 
 def test_search_order_matches_the_recursive_reference():
     # enumerate_arrow_maps sorts only the maps it found, so --limit output
     # depends on the order the search finds them in
-    def assignments(search, M, N, g, limit):
-        classes = active_classes(M, N, g)
-        return [list(a.items()) for a in search(M, N, g, classes, limit)]
+    def assignments(maps):
+        return [list(a.items()) for a in maps]
 
     searches = 0
-    for M, N, g in oriented_searches(8):
-        every = assignments(recursive_arrow_search, M, N, g, None)
-        assert assignments(_search, M, N, g, None) == every
-        for limit in (0, 1, 2):
-            assert assignments(_search, M, N, g, limit) == every[:limit]
+    for pair in oriented_searches(8):
+        every = assignments(recursive_arrow_search(
+            pair.big, pair.small, pair.grading, pair.classes, None))
+        for limit in (None, 0, 1, 2):
+            assert assignments(_search(pair, limit)) == every[:limit]
         searches += 1
     assert searches == 434
 
@@ -249,12 +258,13 @@ def test_search_on_the_cut_region_matches_the_full_classes():
     # map, so the search over full classes finds the same maps, in the same
     # order, with identity entries at the cut members
     searches = 0
-    for M, N, g in oriented_searches(8):
+    for pair in oriented_searches(8):
+        M, N, g = pair.big, pair.small, pair.grading
         full = [[(m, v) for m, v in a.items() if m != v]
                 for a in recursive_arrow_search(
                     M, N, g, brute_active_classes(M, N, g), None)]
         cut = [[(m, v) for m, v in a.items() if m != v]
-               for a in _search(M, N, g, active_classes(M, N, g), None)]
+               for a in _search(pair, None)]
         assert cut == full
         searches += 1
     assert searches == 434
@@ -263,7 +273,7 @@ def test_search_on_the_cut_region_matches_the_full_classes():
 def test_checkers_reject_moves_outside_the_region():
     M = parse_ideal("<x^5, y^2>")
     N = parse_ideal("<x^2, y^5>")
-    found = dict(arrow_map_exists(M, N, G11).pairs)
+    found = dict(arrow_map_exists(top_first(M, N, G11)).pairs)
     assert is_arrow_map(M, N, G11, found)
     # identity entries anywhere are allowed, as in a map over full classes
     for full in brute_arrow_maps(M, N, G11):
@@ -277,6 +287,8 @@ def test_checkers_reject_moves_outside_the_region():
 
 
 def test_arrow_map_implies_order():
+    # a map runs from the pair's big ideal, which the exhaustive matching
+    # confirms dominates the small one
     rng = random.Random(31)
     pool = enumerate_ideals(6)
     for _ in range(80):
@@ -286,14 +298,16 @@ def test_arrow_map_implies_order():
             continue
         if hilbert_function(A, G11) != hilbert_function(B, G11):
             continue
-        if arrow_map_exists(A, B, G11) is not None:
-            assert dominates(A, B, G11)
+        pair = oriented_pair(A, B, G11)
+        witness = pair and arrow_map_exists(pair)
+        if witness:
+            assert brute_dominates(witness.source, witness.target, G11)
 
 
 def test_forced_identity_outside_active_region():
     M = parse_ideal("<x^5, y^2>")
     N = parse_ideal("<x^2, y^5>")
-    for f in enumerate_arrow_maps(M, N, G11):
+    for f in enumerate_arrow_maps(top_first(M, N, G11)):
         actives = {w for w, _, _ in active_classes(M, N, G11)}
         for m, v in f.pairs:
             assert G11.weight(m) in actives
@@ -326,12 +340,13 @@ def test_dual_box_choice_probe():
                 continue
             if hilbert_function(A, G11) != hilbert_function(B, G11):
                 continue
-            if not dominates(A, B, G11):
+            pair = top_first(A, B, G11)
+            if pair is None:
                 continue
-            base, box = dual_condition(A, B, G11)
+            base, box = dual_condition(pair)
             for bump in ((1, 0), (0, 1), (2, 2)):
                 bigger = (box[0] + bump[0], box[1] + bump[1])
-                other, _ = dual_condition(A, B, G11, box=bigger)
+                other, _ = dual_condition(pair, box=bigger)
                 assert (other is None) == (base is None), (A, B, box, bigger)
 
 
@@ -347,19 +362,20 @@ def test_dual_box_choice_probe_deeper():
                 continue
             if hilbert_function(A, G11) != hilbert_function(B, G11):
                 continue
-            if not dominates(A, B, G11):
+            pair = top_first(A, B, G11)
+            if pair is None:
                 continue
-            base, box = dual_condition(A, B, G11)
+            base, box = dual_condition(pair)
             for bump in ((1, 0), (0, 1), (2, 2), (3, 1)):
                 bigger = (box[0] + bump[0], box[1] + bump[1])
-                other, _ = dual_condition(A, B, G11, box=bigger)
+                other, _ = dual_condition(pair, box=bigger)
                 assert (other is None) == (base is None), (A, B, box, bigger)
 
 
 def test_witness_json_schema():
     M = parse_ideal("<x^5, y^2>")
     N = parse_ideal("<x^2, y^5>")
-    data = arrow_map_exists(M, N, G11).to_json()
+    data = arrow_map_exists(top_first(M, N, G11)).to_json()
     assert data == {
         "schema": "tgraph.arrow-map/1",
         "source": "<x^5, y^2>", "target": "<x^2, y^5>",
@@ -385,8 +401,8 @@ def test_witnesses_through_colength_9_are_pinned():
             pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
             if pair is None:
                 continue
-            witness = arrow_map_exists(*pair, g)
-            dual, box = dual_condition(*pair, g)
+            witness = arrow_map_exists(pair)
+            dual, box = dual_condition(pair)
             count += 1
             found += witness is not None
             digest.update(json.dumps(

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
-from tgraph import assembly
+from tgraph import arrows, assembly
 from tgraph.arrows import arrow_map_exists, dual_condition
 from tgraph.assembly import (EdgeCache, PipelineDepth, build_tgraph,
                              coprime_gradings, count_row, count_table,
@@ -143,12 +144,37 @@ def test_necessity_chain_on_conditions():
             assert (passed >= 1) == (oriented is not None)
             if oriented is None:
                 continue
-            big, small = oriented
-            arrow = arrow_map_exists(big, small, g) is not None
+            arrow = arrow_map_exists(oriented) is not None
             assert (passed >= 2) == arrow
             if arrow:
-                dual = dual_condition(big, small, g)[0] is not None
+                dual = dual_condition(oriented)[0] is not None
                 assert (passed == 3) == dual
+
+
+def test_each_pair_region_is_computed_once(monkeypatch):
+    # oriented_pair builds a job's active region once and the arrow tests
+    # and the edge equations read it off the pair: one active_classes call
+    # per job, plus one per box-quotient pair the dual condition orients
+    calls = Counter()
+
+    def counted(name, real, size=lambda result: 1):
+        def wrapper(*args):
+            result = real(*args)
+            calls[name] += size(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(arrows, "active_classes",
+                        counted("classes", arrows.active_classes))
+    monkeypatch.setattr(assembly, "dual_condition",
+                        counted("dual", assembly.dual_condition))
+    monkeypatch.setattr(assembly, "pair_grading_jobs",
+                        counted("jobs", assembly.pair_grading_jobs, len))
+    count_table(8, 8, PipelineDepth.DUAL)
+    assert calls == {"jobs": 105, "dual": 99, "classes": 105 + 99}
+    calls.clear()
+    build_tgraph(6, PipelineDepth.FULL)
+    assert calls == {"jobs": 41, "classes": 41}
 
 
 def test_count_rows_published_range():

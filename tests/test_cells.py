@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tgraph import cells
-from tgraph.arrows import dominates, oriented_pair
+from tgraph.arrows import oriented_pair
 from tgraph.assembly import (PipelineDepth, build_tgraph, coprime_gradings,
                              pair_grading_jobs)
 from tgraph.cells import (cell_generators_f, cell_generators_g, edge_ideal,
@@ -19,7 +19,8 @@ from tgraph.poly import ArrowVar
 from tgraph.strolls import edge_ideal_hikes, enumerate_paths, walk_polynomials
 
 from oracles import (extremal_ideals, hook_count_for_grading,
-                     hook_tangent_weights, mirrored_significant_arrows)
+                     hook_tangent_weights, mirrored_significant_arrows,
+                     top_first)
 
 G11 = Grading(1, 1)
 M21 = parse_ideal("<x^8, x^5*y, x^3*y^3, y^4>")
@@ -224,7 +225,8 @@ def test_normal_form_by_numeric_specialization():
 
 
 def test_edge_ideal_small_pair_exact():
-    E = edge_ideal(parse_ideal("<x^5, y^2>"), parse_ideal("<x^2, y^5>"), G11)
+    E = edge_ideal(top_first(parse_ideal("<x^5, y^2>"),
+                             parse_ideal("<x^2, y^5>"), G11))
     generators = {(format_monomial(n), format_monomial(s)): str(p)
                   for n, s, p in E.generators}
     assert generators == {
@@ -237,10 +239,13 @@ def test_edge_ideal_small_pair_exact():
 
 
 def test_edge_ideal_rejects_bad_input():
-    with pytest.raises(ValueError):
-        edge_ideal(parse_ideal("<y^5, x^2>"), parse_ideal("<y^2, x^5>"), G11)
-    with pytest.raises(ValueError):
-        edge_ideal(parse_ideal("<x^2, y^2>"), parse_ideal("<x^4, y>"), G11)
+    # the order comes with the pair; a pair of one ideal has no equations,
+    # and a pair with different Hilbert functions is never oriented
+    M = parse_ideal("<y^5, x^2>")
+    with pytest.raises(ValueError, match="the two ideals must differ"):
+        edge_ideal(oriented_pair(M, M, G11))
+    with pytest.raises(ValueError, match="different Hilbert functions"):
+        oriented_pair(parse_ideal("<x^2, y^2>"), parse_ideal("<x^4, y>"), G11)
 
 
 def test_edge_ideal_coefficients_are_integers():
@@ -251,9 +256,10 @@ def test_edge_ideal_coefficients_are_integers():
                 for g in (Grading(1, 1), Grading(2, 1)):
                     if hilbert_function(M, g) != hilbert_function(N, g):
                         continue
-                    if M == N or not dominates(M, N, g):
+                    pair = oriented_pair(M, N, g)
+                    if pair is None:
                         continue
-                    E = edge_ideal(M, N, g)
+                    E = edge_ideal(pair)
                     for _, _, p in E.generators:
                         assert all(isinstance(c, int)
                                    for c in p.terms.values())
@@ -291,9 +297,10 @@ def test_route_equivalence_small_colengths():
                 for g in (Grading(1, 1), Grading(1, 2), Grading(3, 1)):
                     if hilbert_function(M, g) != hilbert_function(N, g):
                         continue
-                    if not dominates(M, N, g):
+                    pair = top_first(M, N, g)
+                    if pair is None:
                         continue
-                    A = edge_ideal(M, N, g)
+                    A = edge_ideal(pair)
                     B = edge_ideal_hikes(M, N, g)
                     assert len(A.generators) == len(B.generators)
                     for (n1, s1, p), (n2, s2, q) in zip(A.generators,
@@ -303,7 +310,7 @@ def test_route_equivalence_small_colengths():
 
 
 def test_route_equivalence_highlighted_pair():
-    A = edge_ideal(M21, N21, G11)
+    A = edge_ideal(top_first(M21, N21, G11))
     B = edge_ideal_hikes(M21, N21, G11)
     for (n1, s1, p), (n2, s2, q) in zip(A.generators, B.generators):
         assert (n1, s1) == (n2, s2) and p.terms == q.terms
@@ -328,10 +335,10 @@ def test_edge_equations_are_pinned(low, high, pairs, sha256):
             pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
             if pair is None:
                 continue
-            E = edge_ideal(*pair, g)
+            E = edge_ideal(pair)
             count += 1
             digest.update(repr((
-                str(pair[0]), str(pair[1]), g.alpha, g.beta,
+                str(pair.big), str(pair.small), g.alpha, g.beta,
                 [v.label() for v in E.ring.vars],
                 [(format_monomial(n), format_monomial(s), str(p))
                  for n, s, p in E.generators])).encode())
@@ -406,8 +413,8 @@ def test_extremal_ideals_exist_for_all_small_hilbert_functions():
             for H, members in groups.items():
                 top, bottom = extremal_ideals(H, g)
                 for M in members:
-                    assert dominates(top, M, g)
-                    assert dominates(M, bottom, g)
+                    assert top_first(top, M, g)
+                    assert top_first(M, bottom, g)
 
 
 def test_cell_dimensions_match_at_the_extremes():

@@ -139,6 +139,15 @@ def test_edge_ideal_json(capsys):
         for gen in data["generators"]]
 
 
+def test_edge_ideal_of_one_ideal_is_a_usage_error(capsys):
+    # a pair of one ideal dominates both ways, so it is oriented, but it has
+    # no edge equations; the message says what is wrong, as `edge` does
+    code, out, err = run(capsys, "edge-ideal", "<x^2, y>", "<x^2, y>",
+                         "--alpha", "1", "--beta", "1")
+    assert code == 3 and out == ""
+    assert "the two ideals must differ" in err
+
+
 def test_edge_json_is_an_edge_record(capsys):
     code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
                        "--alpha", "1", "--beta", "1", "--dimension",

@@ -162,7 +162,7 @@ def test_solver_order_keeps_every_verdict_and_dimension():
             oriented = oriented_pair(*rec.pair, rec.grading)
             if oriented is None:
                 continue
-            ideal = edge_ideal(*oriented, rec.grading)
+            ideal = edge_ideal(oriented)
             gb = buchberger(ideal.nonzero_generators())
             if gb.is_trivial():
                 assert rec.status is EdgeStatus.NO_EDGE
@@ -180,6 +180,6 @@ def test_colength_ten_tail_fits_a_budget_the_printed_order_exceeds():
     N = parse_ideal("<x^3, x^2*y^2, x*y^3, y^5>")
     record = decide_edge(M, N, G11, budget=420)
     assert record.status is EdgeStatus.EDGE and record.s_pairs == 420
-    ideal = edge_ideal(*oriented_pair(M, N, G11), G11)
+    ideal = edge_ideal(oriented_pair(M, N, G11))
     with pytest.raises(BudgetExceeded):
         buchberger(ideal.nonzero_generators(), budget=420)

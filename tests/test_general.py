@@ -16,7 +16,8 @@ from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
                             saturation_label, two_points_graph)
 from tgraph.groebner import buchberger, quotient_dimension
 
-from oracles import from_saturation, permute, sorted_degree_classes
+from oracles import (from_saturation, permute, sorted_degree_classes,
+                     top_first)
 
 
 def test_nine_fixed_points():
@@ -340,7 +341,7 @@ def test_two_points_graph_matches_published_shape():
 def test_cross_engine_agreement_on_the_plane():
     # the windowed generic engine and the staircase engine must agree on
     # two-variable pairs
-    from tgraph.arrows import dominates
+    from tgraph.arrows import oriented_pair
     from tgraph.cells import edge_ideal
     from tgraph.monomial import (Grading, enumerate_ideals, hilbert_function)
 
@@ -351,13 +352,11 @@ def test_cross_engine_agreement_on_the_plane():
             for A, B in combinations(pool, 2):
                 if hilbert_function(A, g) != hilbert_function(B, g):
                     continue
-                if dominates(A, B, g):
-                    big, small = A, B
-                elif dominates(B, A, g):
-                    big, small = B, A
-                else:
+                pair = oriented_pair(A, B, g)
+                if pair is None:
                     continue
-                gens = edge_ideal(big, small, g).nonzero_generators()
+                big, small = pair.big, pair.small
+                gens = edge_ideal(pair).nonzero_generators()
                 verdict = buchberger(gens).is_trivial()
 
                 weights = (g.alpha, g.beta)
@@ -378,7 +377,6 @@ def test_cross_engine_agreement_on_the_plane():
 def test_chain_dominance_matches_the_plane_engine():
     # on two-variable pairs, dominance read off chain positions must agree
     # with the staircase engine's dominance, in both orders
-    from tgraph.arrows import dominates
     from tgraph.monomial import Grading, enumerate_ideals, hilbert_function
 
     compared = 0
@@ -394,8 +392,10 @@ def test_chain_dominance_matches_the_plane_engine():
                                         range(top + 1))
                 pos_a = chain_positions(NMonomialIdeal(2, A.gens, gi), chains)
                 pos_b = chain_positions(NMonomialIdeal(2, B.gens, gi), chains)
-                assert class_dominates(pos_a, pos_b) == dominates(A, B, g)
-                assert class_dominates(pos_b, pos_a) == dominates(B, A, g)
+                for X, Y, pos_x, pos_y in ((A, B, pos_a, pos_b),
+                                           (B, A, pos_b, pos_a)):
+                    assert (class_dominates(pos_x, pos_y)
+                            == (top_first(X, Y, g) is not None))
                 compared += 2
     assert compared == 120
 

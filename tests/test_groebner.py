@@ -137,7 +137,7 @@ def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
     for rec in graph.records:
         oriented = oriented_pair(*rec.pair, rec.grading)
         if oriented is not None:
-            ideal = edge_ideal(*oriented, rec.grading)
+            ideal = edge_ideal(oriented)
             gb = buchberger(_solver_generators(ideal))
             stats.append(gb.stats)
             for g in gb.generators:
@@ -282,7 +282,7 @@ def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
     # has degree 4.
     M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
     g = Grading(1, 1)
-    gens = edge_ideal(*oriented_pair(M, N, g), g).nonzero_generators()
+    gens = edge_ideal(oriented_pair(M, N, g)).nonzero_generators()
     assert decide_edge(M, N, g).status is EdgeStatus.EDGE
     monkeypatch.setattr(groebner, "FIELD_BITS", 2)
     assert max(total_degree(p) for p in gens) <= 3
@@ -341,7 +341,7 @@ def test_recorded_leads_match_the_oracle_on_the_exact_graphs(char):
         for rec in build_tgraph(d, PipelineDepth.FULL).records:
             oriented = oriented_pair(*rec.pair, rec.grading)
             if oriented is not None:
-                ideal = edge_ideal(*oriented, rec.grading)
+                ideal = edge_ideal(oriented)
                 assert_leads_are_recorded(
                     buchberger(_solver_generators(ideal), char=char))
                 runs += 1

@@ -92,12 +92,13 @@ def test_witness_checks_survive_optimization():
         "from tgraph import arrows, induced\n"
         "from tgraph.monomial import Grading, parse_ideal\n"
         "g = Grading(1, 1)\n"
-        "M, N = parse_ideal('<x^5, y^2>'), parse_ideal('<x^2, y^5>')\n"
-        "arrows._search = lambda M, N, g, classes, limit: iter([{}])\n"
+        "pair = arrows.oriented_pair(parse_ideal('<x^5, y^2>'),\n"
+        "                            parse_ideal('<x^2, y^5>'), g)\n"
+        "arrows._search = lambda pair, limit: iter([{}])\n"
         "induced._is_arrow_map = lambda *args: False\n"
         "pencil = [{(2, 0): Fraction(1), (1, 1): Fraction(2),\n"
         "           (0, 2): Fraction(2)}, {(0, 4): Fraction(1)}]\n"
-        "for call in (lambda: arrows.arrow_map_exists(M, N, g),\n"
+        "for call in (lambda: arrows.arrow_map_exists(pair),\n"
         "             lambda: induced.induced_arrow_map(pencil, g, 8)):\n"
         "    try:\n"
         "        call()\n"
@@ -127,7 +128,7 @@ def test_result_checks_survive_optimization():
         "    return out\n"
         "cells._tail_reduce = stray\n"
         "try:\n"
-        "    cells.edge_ideal(*pair, g)\n"
+        "    cells.edge_ideal(pair)\n"
         "except RuntimeError as exc:\n"
         "    print('raised', exc)\n"
         "else:\n"
@@ -353,6 +354,30 @@ def test_only_outside_input_meets_the_validating_constructor():
              and "MonomialIdeal2" in (getattr(node.func, "id", None),
                                       getattr(node.func, "attr", None))]
     assert found == ["monomial.py:generated_ideal"]
+
+
+def _calls_by_scope(name):
+    """Where the package calls `name`: "module.py:scope" for each call."""
+    package = pathlib.Path(tgraph.__file__).parent
+    return sorted(f"{path.name}:{scope_name}"
+                  for path in sorted(package.rglob("*.py"))
+                  for scope_name, scope in _scopes(ast.parse(path.read_text()))
+                  for node in ast.walk(scope)
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_one_place_orients_a_pair():
+    # which ideal is on top, and where the two differ, is decided in
+    # arrows.oriented_pair; every entry point on a comparable pair takes
+    # the value it builds.  The literal checkers and the induced map work on
+    # outside input or on limits they found, so they compute their own
+    # region.
+    assert _calls_by_scope("OrientedPair") == ["arrows.py:oriented_pair"]
+    assert _calls_by_scope("active_classes") == [
+        "arrows.py:is_arrow_map", "arrows.py:is_system_of_arrows",
+        "arrows.py:oriented_pair", "induced.py:induced_arrow_map"]
 
 
 def test_hot_path_reads_rows_not_standard_monomial_sets():
