@@ -298,11 +298,14 @@ def _search(pair, limit):
             return
 
 
-def find_arrow_maps(pair, limit):
-    """Up to `limit` arrow maps from big onto small (None for all), validated.
+def enumerate_arrow_maps(pair, limit=None):
+    """Up to `limit` arrow maps from big onto small (None for all), validated
+    and sorted by their targets' y-exponents.
 
-    Raises RuntimeError when the search yields a map that fails the literal
-    check, which would be a bug in the search.
+    The search's first `limit` maps are kept.  A pair's maps list the same
+    sources, and a target's class and y-exponent fix it, so that order is
+    canonical.  Raises RuntimeError when the search yields a map that fails
+    the literal check, which would be a bug in the search.
     """
     M, N, g = pair.big, pair.small, pair.grading
     maps = []
@@ -311,22 +314,15 @@ def find_arrow_maps(pair, limit):
             raise RuntimeError(
                 f"the search produced a non-map from {M} to {N} for {g}")
         maps.append(ArrowMap(M, N, g, _completed(pair.classes, assignment)))
+    if len(maps) > 1:  # arrow_map_exists asks for one map per call
+        maps.sort(key=lambda f: tuple(v[1] for _, v in f.pairs))
     return maps
 
 
 def arrow_map_exists(pair):
     """Some arrow map from the pair's big ideal onto its small one, or None."""
-    maps = find_arrow_maps(pair, limit=1)
+    maps = enumerate_arrow_maps(pair, 1)
     return maps[0] if maps else None
-
-
-def enumerate_arrow_maps(pair, limit=None):
-    """All arrow maps (up to `limit`), sorted by their targets' y-exponents.
-
-    A pair's maps list the same sources, and a target's class and y-exponent
-    fix it, so that order is canonical."""
-    return sorted(find_arrow_maps(pair, limit),
-                  key=lambda f: tuple(v[1] for _, v in f.pairs))
 
 
 def dual_condition(pair, box=None):

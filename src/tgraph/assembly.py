@@ -249,10 +249,10 @@ class CountRow:
     edges: object  # int at full depth, None otherwise
     unknown: int = 0
 
-    def as_list(self):
-        edges = "" if self.edges is None else self.edges
-        return [self.d, self.ideals, self.pairs, self.ordered,
-                self.arrowmap, self.dual, edges]
+    def __iter__(self):
+        """The values of the ``TABLE_HEADER`` columns, in that order."""
+        return iter((self.d, self.ideals, self.pairs, self.ordered,
+                     self.arrowmap, self.dual, self.edges))
 
 
 TABLE_HEADER = ["d", "ideals", "pairs", "pairs_ordered", "pairs_arrowmap",
@@ -298,8 +298,8 @@ def table_to_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
-    for row in rows:
-        writer.writerow(row.as_list())
+    # csv writes None, the edges below full depth, as an empty cell
+    writer.writerows(rows)
     return buf.getvalue()
 
 

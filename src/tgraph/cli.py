@@ -17,13 +17,14 @@ from concurrent.futures.process import BrokenProcessPool
 from . import __version__
 from .arrows import (SCHEMA_VERSION, dual_condition, enumerate_arrow_maps,
                      oriented_pair)
-from .assembly import (EdgeCache, PipelineDepth, build_tgraph, count_table,
-                       graph_to_csv, graph_to_dot, graph_to_json, table_to_csv)
+from .assembly import (TABLE_HEADER, EdgeCache, PipelineDepth, build_tgraph,
+                       count_table, graph_to_csv, graph_to_dot, graph_to_json,
+                       table_to_csv)
 from .cells import edge_ideal
 from .edges import EdgeStatus, decide_edge
 from .groebner import DEFAULT_BUDGET, _check_char
 from .monomial import (Grading, enumerate_ideals, format_ideal,
-                       format_monomial, parse_ideal)
+                       format_monomial, minimal_box, parse_ideal)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -132,18 +133,18 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _write(args, payload, text):
+    """The command's one output: its JSON document under --json, else its
+    text, so every verdict prints a document under --json."""
+    if args.json:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(args, text)
+
+
 def _parse_pair(args):
     M = parse_ideal(args.M)
     N = parse_ideal(args.N)
     return M, N, Grading(args.alpha, args.beta)
-
-
-def _oriented_pair(args, incomparable):
-    """The ``OrientedPair``, or None after writing `incomparable`."""
-    pair = oriented_pair(*_parse_pair(args))
-    if pair is None:
-        _emit(args, incomparable + "\n")
-    return pair
 
 
 def _cache(args):
@@ -157,38 +158,31 @@ def _cache(args):
 
 def cmd_ideals(args):
     ideals = enumerate_ideals(args.d)
-    if args.json:
-        payload = {
-            "schema": f"tgraph.ideals/{SCHEMA_VERSION}",
-            "d": args.d,
-            "ideals": [
-                {"index": i + 1,
-                 "partition": M.rows,
-                 "ideal": format_ideal(M)}
-                for i, M in enumerate(ideals)
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"{i + 1}: {'+'.join(map(str, M.rows))}: "
-                 f"{format_ideal(M)}" for i, M in enumerate(ideals)]
-        _emit(args, "\n".join(lines) + "\n")
+    payload = {
+        "schema": f"tgraph.ideals/{SCHEMA_VERSION}",
+        "d": args.d,
+        "ideals": [
+            {"index": i + 1,
+             "partition": M.rows,
+             "ideal": format_ideal(M)}
+            for i, M in enumerate(ideals)
+        ],
+    }
+    lines = [f"{i + 1}: {'+'.join(map(str, M.rows))}: "
+             f"{format_ideal(M)}" for i, M in enumerate(ideals)]
+    _write(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_arrowmap(args):
-    pair = _oriented_pair(args, "no arrow map: the pair is not comparable")
+    if args.limit is not None and not args.enumerate_all:
+        raise ValueError("--limit needs --enumerate")
+    pair = oriented_pair(*_parse_pair(args))
     if pair is None:
-        return EXIT_NEGATIVE
-    maps = enumerate_arrow_maps(pair, args.limit if args.enumerate_all else 1)
-    if args.json:
-        payload = {
-            "schema": f"tgraph.arrow-maps/{SCHEMA_VERSION}",
-            "count": len(maps),
-            "maps": [f.to_json() for f in maps],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        maps, lines = [], ["no arrow map: the pair is not comparable"]
     else:
+        maps = enumerate_arrow_maps(pair,
+                                    args.limit if args.enumerate_all else 1)
         lines = []
         for k, f in enumerate(maps, start=1):
             moved = ", ".join(
@@ -197,7 +191,12 @@ def cmd_arrowmap(args):
             lines.append(f"map {k}: {moved}")
         if not maps:
             lines.append("no arrow map")
-        _emit(args, "\n".join(lines) + "\n")
+    payload = {
+        "schema": f"tgraph.arrow-maps/{SCHEMA_VERSION}",
+        "count": len(maps),
+        "maps": [f.to_json() for f in maps],
+    }
+    _write(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK if maps else EXIT_NEGATIVE
 
 
@@ -207,67 +206,59 @@ def cmd_dual(args):
         if args.r1 is None or args.r2 is None:
             raise ValueError("give both --r1 and --r2 or neither")
         box = (args.r1, args.r2)
-    pair = _oriented_pair(args,
-                          "no dual arrow map: the pair is not comparable")
+    M, N, g = _parse_pair(args)
+    pair = oriented_pair(M, N, g)
     if pair is None:
-        return EXIT_NEGATIVE
-    witness, used = dual_condition(pair, box=box)
-    if args.json:
-        payload = {
-            "schema": f"tgraph.dual/{SCHEMA_VERSION}",
-            "box": list(used),
-            "exists": witness is not None,
-            "map": witness.to_json() if witness else None,
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        witness, used = None, box or minimal_box(M, N)
+        text = "no dual arrow map: the pair is not comparable\n"
     else:
+        witness, used = dual_condition(pair, box=box)
         verdict = "exists" if witness else "does not exist"
-        _emit(args, f"dual arrow map (box x^{used[0]}, y^{used[1]}): "
-                    f"{verdict}\n")
+        text = (f"dual arrow map (box x^{used[0]}, y^{used[1]}): "
+                f"{verdict}\n")
+    payload = {
+        "schema": f"tgraph.dual/{SCHEMA_VERSION}",
+        "box": list(used),
+        "exists": witness is not None,
+        "map": witness.to_json() if witness else None,
+    }
+    _write(args, payload, text)
     return EXIT_OK if witness else EXIT_NEGATIVE
 
 
-def _edge_ideal_payload(ideal):
-    return {
-        "schema": f"tgraph.edge-ideal/{SCHEMA_VERSION}",
-        "pair": [format_ideal(ideal.M), format_ideal(ideal.N)],
-        "grading": {"alpha": ideal.grading.alpha, "beta": ideal.grading.beta},
-        "variables": [v.label() for v in ideal.ring.vars],
-        "generators": [
-            {"n": format_monomial(n), "s": format_monomial(s), "poly": str(p)}
-            for n, s, p in ideal.generators
-        ],
-    }
-
-
 def cmd_edge_ideal(args):
-    pair = _oriented_pair(args, "the pair is not comparable for this grading")
+    M, N, g = _parse_pair(args)
+    pair = oriented_pair(M, N, g)
     if pair is None:
-        return EXIT_NEGATIVE
-    ideal = edge_ideal(pair)
-    if args.json:
-        _emit(args, json.dumps(_edge_ideal_payload(ideal), indent=2,
-                               sort_keys=True) + "\n")
+        variables, generators = [], []
+        lines = ["the pair is not comparable for this grading"]
     else:
-        lines = [f"pair: {format_ideal(ideal.M)} over {format_ideal(ideal.N)}",
-                 f"variables: {', '.join(v.label() for v in ideal.ring.vars)}"]
-        for n, s, p in ideal.generators:
-            lines.append(
-                f"F[{format_monomial(n)}; {format_monomial(s)}] = {p}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        ideal = edge_ideal(pair)
+        M, N = ideal.M, ideal.N
+        variables = [v.label() for v in ideal.ring.vars]
+        generators = [(format_monomial(n), format_monomial(s), str(p))
+                      for n, s, p in ideal.generators]
+        lines = [f"pair: {format_ideal(M)} over {format_ideal(N)}",
+                 f"variables: {', '.join(variables)}"]
+        lines += [f"F[{n}; {s}] = {p}" for n, s, p in generators]
+    payload = {
+        "schema": f"tgraph.edge-ideal/{SCHEMA_VERSION}",
+        "pair": [format_ideal(M), format_ideal(N)],
+        "grading": {"alpha": g.alpha, "beta": g.beta},
+        "variables": variables,
+        "generators": [{"n": n, "s": s, "poly": p}
+                       for n, s, p in generators],
+    }
+    _write(args, payload, "\n".join(lines) + "\n")
+    return EXIT_NEGATIVE if pair is None else EXIT_OK
 
 
 def cmd_edge(args):
     M, N, g = _parse_pair(args)
     record = decide_edge(M, N, g, budget=args.budget,
                          with_dimension=args.dimension, char=args.char)
-    if args.json:
-        _emit(args, json.dumps(record.to_json(), indent=2, sort_keys=True)
-              + "\n")
-    else:
-        dim = "" if record.dimension is None else f", dimension {record.dimension}"
-        _emit(args, f"{record.status.value}{dim}\n")
+    dim = "" if record.dimension is None else f", dimension {record.dimension}"
+    _write(args, record.to_json(), f"{record.status.value}{dim}\n")
     return {EdgeStatus.EDGE: EXIT_OK, EdgeStatus.NO_EDGE: EXIT_NEGATIVE,
             EdgeStatus.UNKNOWN: EXIT_UNKNOWN}[record.status]
 
@@ -283,23 +274,14 @@ def cmd_tgraph(args):
 def cmd_table(args):
     rows = count_table(args.dmin, args.dmax, PipelineDepth(args.depth),
                        budget=args.budget, cache=_cache(args))
-    unknown = sum(row.unknown for row in rows)
-    if args.json:
-        payload = {
-            "schema": f"tgraph.table/{SCHEMA_VERSION}",
-            "depth": args.depth,
-            "rows": [
-                {"d": r.d, "ideals": r.ideals, "pairs": r.pairs,
-                 "pairs_ordered": r.ordered, "pairs_arrowmap": r.arrowmap,
-                 "pairs_dual_arrowmap": r.dual, "edges": r.edges,
-                 "unknown": r.unknown}
-                for r in rows
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, table_to_csv(rows))
-    return EXIT_UNKNOWN if unknown else EXIT_OK
+    payload = {
+        "schema": f"tgraph.table/{SCHEMA_VERSION}",
+        "depth": args.depth,
+        "rows": [{**dict(zip(TABLE_HEADER, r)), "unknown": r.unknown}
+                 for r in rows],
+    }
+    _write(args, payload, table_to_csv(rows))
+    return EXIT_UNKNOWN if any(r.unknown for r in rows) else EXIT_OK
 
 
 def cmd_verify_fixtures(args):

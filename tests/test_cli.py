@@ -83,6 +83,48 @@ def test_incomparable_pair_exits_one(command, message, capsys):
     assert (code, out, err) == (1, message + "\n", "")
 
 
+_VERDICT_PAIRS = {
+    "map": ["<y^5, x^2>", "<y^2, x^5>"],
+    "no-map": ["<x^3, x*y, y^5>", "<x^5, x*y, y^3>"],
+    "incomparable": ["<x^4, x*y, y^3>", "<x^3, y^2>"],
+}
+
+
+_SCHEMAS = {"arrowmap": "tgraph.arrow-maps/1", "dual": "tgraph.dual/1",
+            "edge-ideal": "tgraph.edge-ideal/1", "edge": "tgraph.edge-record/1"}
+
+
+@pytest.mark.parametrize("pair", _VERDICT_PAIRS)
+@pytest.mark.parametrize("command", _SCHEMAS)
+def test_json_prints_one_document_for_every_verdict(command, pair, capsys):
+    argv = [command, *_VERDICT_PAIRS[pair], "--alpha", "1", "--beta", "1"]
+    code, _, _ = run(capsys, *argv)
+    json_code, out, err = run(capsys, *argv, "--json")
+    assert (json_code, err) == (code, "")
+    assert json.loads(out)["schema"] == _SCHEMAS[command]
+
+
+def test_incomparable_pair_documents(capsys):
+    # the pair keeps the order it was given in: neither ideal is on top
+    pair = [*_VERDICT_PAIRS["incomparable"], "--alpha", "1", "--beta", "1",
+            "--json"]
+    code, out, _ = run(capsys, "arrowmap", *pair)
+    assert code == 1
+    assert json.loads(out) == {"schema": "tgraph.arrow-maps/1", "count": 0,
+                               "maps": []}
+    for box, given in (([4, 3], []), ([6, 7], ["--r1", "6", "--r2", "7"])):
+        code, out, _ = run(capsys, "dual", *pair, *given)
+        assert code == 1
+        assert json.loads(out) == {"schema": "tgraph.dual/1", "box": box,
+                                   "exists": False, "map": None}
+    code, out, _ = run(capsys, "edge-ideal", *pair)
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "tgraph.edge-ideal/1", "pair": pair[:2],
+        "grading": {"alpha": 1, "beta": 1}, "variables": [],
+        "generators": []}
+
+
 def test_dual_verdicts(capsys):
     code, out, _ = run(capsys, "dual", "<x^5, x^3*y^2, y^4>",
                        "<x^4, x^3*y^3, x*y^4, y^5>",
@@ -309,6 +351,19 @@ def test_limit_flag_validation(capsys, limit):
     assert info.value.code == 3
     assert ("argument --limit: must be at least 1"
             in capsys.readouterr().err)
+
+
+def test_limit_without_enumerate_is_a_usage_error(capsys, monkeypatch):
+    import tgraph.cli
+
+    def no_work(*args):
+        raise AssertionError("the pair was read")
+
+    monkeypatch.setattr(tgraph.cli, "parse_ideal", no_work)
+    code, out, err = run(capsys, "arrowmap", "<x^5, y^2>", "<x^2, y^5>",
+                         "--alpha", "1", "--beta", "1", "--limit", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("tgraph: ") and "--enumerate" in err
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):

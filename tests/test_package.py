@@ -322,6 +322,22 @@ def test_one_sparse_row_update():
     assert sorted(found) == ["groebner.py:buchberger", "poly.py:add_into"]
 
 
+def test_one_output_branch_in_the_cli():
+    # cli._write alone chooses between a command's JSON document and its
+    # text, so an option added later cannot grow a second output branch
+    tree = ast.parse((pathlib.Path(tgraph.__file__).parent / "cli.py")
+                     .read_text())
+
+    def where(name, attr):
+        return [scope_name for scope_name, scope in _scopes(tree)
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name)
+                and node.value.id == name]
+
+    assert where("json", "dumps") == where("args", "json") == ["_write"]
+
+
 def test_no_assert_outside_strolls():
     # python -O strips assert statements, so a check the package relies on
     # raises instead, and raises RuntimeError or ValueError rather than
