@@ -12,8 +12,14 @@ side's ``ct`` coordinates first.  Whether a common zero exists, and the
 Krull dimension, do not depend on the monomial order, but the work does: at
 colengths 9 to 11 the reversed order needs a half to two thirds of the
 S-pairs of the printed one, and its slowest job is 3 to 30 times faster.
-A record's ``s_pairs`` counts the run in that order, and ``ENGINE`` names it
-in the edge cache key.
+
+Before the solve, ``groebner.presolve`` substitutes away each variable that
+an equation fixes as x = -c*(terms without x), c = 1 or -1.  The quotient
+ring keeps its isomorphism class, so the verdict and the dimension, counted
+in the remaining variables, are unchanged; at colengths 9 to 11 the S-pairs
+fall by about 40 %.  A record's ``s_pairs`` counts the presolved run in the
+reversed order, and ``ENGINE`` names both in the edge cache key;
+``generator_count`` stays the number of nonzero edge equations.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from enum import Enum
 from .arrows import SCHEMA_VERSION, oriented_pair
 from .cells import edge_ideal
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, _check_char,
-                       buchberger, quotient_dimension)
+                       buchberger, presolve, quotient_dimension)
 from .monomial import Grading, format_ideal, parse_ideal
 from .poly import Ring
 
@@ -75,15 +81,17 @@ class EdgeRecord:
         )
 
 
-# The solver order, part of the edge cache key: a change here changes the
-# work a record counts, so records solved in another order become misses.
-ENGINE = "groebner/reversed-variables"
+# The presolve and the solver order, part of the edge cache key: a change to
+# either changes the work a record counts, so records solved another way
+# become misses.
+ENGINE = "groebner/presolved-reversed-variables"
 
 
 def _solver_generators(ideal):
-    """The edge ideal's nonzero generators on its variable list reversed."""
+    """(ring, equations) that ``buchberger`` decides for the edge ideal: its
+    nonzero generators presolved, on its variable list reversed."""
     ring = Ring(reversed(ideal.ring.vars))
-    return [p.onto(ring) for p in ideal.nonzero_generators()]
+    return presolve(ideal.nonzero_generators(), ring)
 
 
 def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
@@ -93,7 +101,8 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     ``edge_ideal`` or ``oriented_pair`` raises ValueError.  When neither
     ideal dominates the other no equations are formed and the verdict is
     immediate.  Otherwise ``buchberger`` decides the oriented pair's edge
-    equations in reversed variable order (see the module docstring).
+    equations, presolved, in reversed variable order (see the module
+    docstring).
 
     ``char`` is 0 or a prime, else ValueError, on either path: the solver
     checks it, and an immediate verdict checks it here.
@@ -103,8 +112,8 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
         _check_char(char)
         return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE, characteristic=char)
     ideal = edge_ideal(pair)
-    gens = _solver_generators(ideal)
     start = time.perf_counter()
+    ring, gens = _solver_generators(ideal)
     try:
         gb = buchberger(gens, budget=budget, char=char)
     except BudgetExceeded as exc:
@@ -120,7 +129,8 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
     else:
         status = EdgeStatus.EDGE
         if with_dimension:
-            dim = quotient_dimension(gb, nvars=ideal.ring.nvars)
+            dim = quotient_dimension(gb, nvars=ring.nvars)
     return EdgeRecord((M, N), g, status, dimension=dim,
-                      generator_count=len(gens), s_pairs=s_pairs,
+                      generator_count=len(ideal.nonzero_generators()),
+                      s_pairs=s_pairs,
                       time_ms=elapsed, characteristic=char)

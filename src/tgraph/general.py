@@ -23,6 +23,10 @@ each ideal is described by its positions on those chains, and dominance is
 read off two such position lists.  An ideal stores each membership answer it
 gives, so the same question costs one dict lookup the next time.
 
+Every solve, the window check's too, runs on the equations presolved by
+``groebner.presolve`` in the printed variable order, and a dimension counts
+the variables that remain.
+
 This is enough for the Hilbert scheme of two points in the projective plane,
 and for colength-d ideals in two variables it must agree with the staircase
 route, which the test suite uses as a cross-engine oracle.
@@ -34,7 +38,8 @@ from itertools import combinations
 from math import gcd
 from operator import add, le, sub
 
-from .groebner import DEFAULT_BUDGET, buchberger, quotient_dimension
+from .groebner import (DEFAULT_BUDGET, buchberger, presolve,
+                       quotient_dimension)
 from .poly import ArrowVar, Ring, add_into
 
 
@@ -344,13 +349,13 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     Returns (vertices, edges, dims) where edges maps a vertex index pair to
     the list of directions carrying a nonempty edge scheme and dims holds the
     corresponding quotient dimensions.  One Groebner basis per scheme and
-    window gives both the verdict and the dimension.  Each pair is oriented
-    per direction, both ways, from the vertices' chain positions.  Each
-    oriented scheme is built once, one degree higher when `verify_window`,
-    and the window's equations are read off the degree tags.  The check
-    solves a second time only when the higher degree adds equations; with
-    none added the verdict cannot change.  Raises
-    BudgetExceeded when the budget runs out, RuntimeError when
+    window, of its presolved equations, gives both the verdict and the
+    dimension.  Each pair is oriented per direction, both ways, from the
+    vertices' chain positions.  Each oriented scheme is built once, one
+    degree higher when `verify_window`, and the window's equations are read
+    off the degree tags.  The check solves a second time only when the
+    higher degree adds equations; with none added the verdict cannot change.
+    Raises BudgetExceeded when the budget runs out, RuntimeError when
     `verify_window` finds a verdict that changes one degree higher, and
     ValueError when the window misses a syzygy degree of an oriented pair.
     """
@@ -377,15 +382,17 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
                 continue
             ring, eqs = edge_scheme_general(big, small, c, built)
             narrow = [p for t, p in eqs if t <= top]
-            gb = buchberger(narrow, budget=budget)
+            left, gens = presolve(narrow, ring)
+            gb = buchberger(gens, budget=budget)
             if len(eqs) > len(narrow):
-                gb4 = buchberger([p for _, p in eqs], budget=budget)
+                _, gens = presolve([p for _, p in eqs], ring)
+                gb4 = buchberger(gens, budget=budget)
                 if gb4.is_trivial() != gb.is_trivial():
                     raise RuntimeError(
                         f"{big} over {small} along {c}: the verdict "
                         "changes one degree above the window")
             if not gb.is_trivial():
-                dim = quotient_dimension(gb, nvars=ring.nvars)
+                dim = quotient_dimension(gb, nvars=left.nvars)
                 key = (i + 1, j + 1)
                 edges.setdefault(key, []).append(c)
                 dims[key] = max(dims.get(key, 0), dim)

@@ -14,6 +14,14 @@ depend on that order; the S-pairs and reduction steps can differ by orders
 of magnitude.  ``edges.decide_edge`` picks the order for the edge equations
 by handing over generators on a reordered ring.
 
+``presolve`` runs in front of every solve of ``edges.decide_edge`` and
+``general.two_points_graph``: it substitutes away each variable that an
+equation fixes as x = -c*(terms without x), with c = 1 or -1, and re-indexes
+the rest onto the solver's variable order.  The quotient ring keeps its
+isomorphism class, over the integers and so mod every p, and nothing
+divides.  ``buchberger`` itself still returns a reduced basis of exactly its
+input, and the fixtures' check hands it the unpresolved equations.
+
 In characteristic 0 a run is fraction-free: the inputs are cleared of
 denominators, every intermediate basis element is kept primitive over the
 integers (content 1, positive lead), and reduction is integer
@@ -40,8 +48,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 
-from .poly import Packing, Poly
+from .poly import Packing, Poly, Ring, add_into
 
 DEFAULT_BUDGET = 200_000
 FIELD_BITS = 16  # bits per variable in a packed monomial
@@ -330,6 +339,88 @@ def buchberger(gens, budget=DEFAULT_BUDGET, char=0):
     stats["basis_size"] = len(generators)
     return GroebnerBasis(generators, [packing.unpack(r[0]) for r in minimal],
                          stats=stats)
+
+
+def presolve(gens, ring):
+    """The system ``gens`` with each variable an equation fixes substituted
+    away: (the ring of the remaining variables, the remaining equations).
+
+    ``ring`` lists the generators' variables in the order the solver is to
+    use; the remaining variables keep that order, and the remaining
+    equations their list order.  A pivot of an equation is a term c*x with
+    c = 1 or -1 and x a variable in no other term of that equation, so the
+    equation reads x = -c*(the other terms).  The rule: take the first
+    equation in list order that has a pivot and, of its pivots, the one
+    whose variable comes first in ``ring``; substitute it into every other
+    equation; drop that equation and the variable; repeat until no equation
+    has a pivot.  Equations that become zero are dropped.
+
+    As c is a unit, the quotient ring by the result is isomorphic to the
+    quotient by ``gens``, over the integers and mod every p: it is trivial
+    exactly when that one is, and has the same Krull dimension in the
+    remaining variable count.  Nothing divides, so integer coefficients stay
+    integers, and a run reads no characteristic.  ValueError if ``ring`` is
+    not a reordering of the generators' variables.
+    """
+    if not gens:
+        return ring, []
+    order = [*map(gens[0].ring.index.get, ring.vars)]
+    if len(order) != gens[0].ring.nvars or None in order:
+        raise ValueError("not a reordering of the generators' variables")
+    rank = {i: k for k, i in enumerate(order)}
+    rows = [g.terms for g in gens if g]
+    pivots = [_pivot(row, rank) for row in rows]
+    solved = set()
+    while any(pivots):
+        k = next(k for k, p in enumerate(pivots) if p)
+        i, e, c = pivots.pop(k)
+        value = {f: -c * a for f, a in rows.pop(k).items() if f != e}
+        powers = [None, value]
+        solved.add(i)
+        for j, row in enumerate(rows):
+            if any(f[i] for f in row):
+                rows[j] = row = _substitute(row, i, powers)
+                pivots[j] = _pivot(row, rank)
+    cols = [i for i in order if i not in solved]
+    if solved:
+        ring = Ring(ring.vars[rank[i]] for i in cols)
+    return ring, [Poly(ring, {tuple([e[i] for i in cols]): c
+                              for e, c in row.items()})
+                  for row in rows if row]
+
+
+def _pivot(row, rank):
+    """(i, exponents, c) of the term c*x_i that ``presolve`` solves ``row``
+    for, the one whose variable ranks first; None when it has no pivot."""
+    best = None
+    for e, c in row.items():
+        if (c == 1 or c == -1) and sum(e) == 1:
+            i = e.index(1)
+            if ((best is None or rank[i] < rank[best[0]])
+                    and not any(f[i] for f in row if f != e)):
+                best = (i, e, c)
+    return best
+
+
+def _substitute(row, i, powers):
+    """``row`` with x_i replaced by ``powers[1]``, a row free of x_i;
+    ``powers[k]`` is its k-th power, extended here as needed."""
+    out = {}
+    for e, a in row.items():
+        k = e[i]
+        if not k:
+            add_into(out, e, a)
+            continue
+        while len(powers) <= k:
+            power = {}
+            for f, b in powers[-1].items():
+                for g, d in powers[1].items():
+                    add_into(power, tuple(map(add, f, g)), b * d)
+            powers.append(power)
+        base = (*e[:i], 0, *e[i + 1:])
+        for f, b in powers[k].items():
+            add_into(out, tuple(map(add, base, f)), a * b)
+    return out
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

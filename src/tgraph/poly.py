@@ -211,15 +211,6 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {e: c0 * c for e, c0 in self.terms.items()})
 
-    def onto(self, ring):
-        """The same polynomial in ``ring``, whose variables are this ring's
-        in another order; ValueError if they are not."""
-        order = [*map(self.ring.index.get, ring.vars)]
-        if len(order) != self.ring.nvars or None in order:
-            raise ValueError("not a reordering of this ring's variables")
-        return Poly(ring, {tuple([e[i] for i in order]): c
-                           for e, c in self.terms.items()})
-
     def sorted_terms(self):
         key = self.ring.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)

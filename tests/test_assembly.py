@@ -205,8 +205,8 @@ def test_column_monotonicity():
 
 def test_full_row_under_exhausted_budgets():
     # an exhausted budget turns an edge into an unknown, never a non-edge
-    pins = {6: [(21, 16), (29, 8), (30, 7), (32, 5)],
-            7: [(34, 18), (41, 11), (44, 8), (48, 4)]}
+    pins = {6: [(27, 10), (33, 4), (33, 4), (34, 3)],
+            7: [(42, 10), (44, 8), (48, 4), (50, 2)]}
     for d, expected in pins.items():
         got = []
         for budget in (1, 2, 4, 8):

@@ -191,7 +191,7 @@ def test_edge_ideal_of_one_ideal_is_a_usage_error(capsys):
 
 
 def test_edge_json_is_an_edge_record(capsys):
-    code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
+    code, out, _ = run(capsys, "edge", "<y^2, x^2*y, x^3>", "<y^3, x*y, x^3>",
                        "--alpha", "1", "--beta", "1", "--dimension",
                        "--char", "3", "--json")
     assert code == 0
@@ -199,7 +199,7 @@ def test_edge_json_is_an_edge_record(capsys):
     assert set(data) == {"schema", "pair", "grading", "status", "dimension",
                          "generator_count", "groebner", "characteristic"}
     assert data["schema"] == "tgraph.edge-record/1"
-    assert data["pair"] == ["<x^2, y^5>", "<x^5, y^2>"]
+    assert data["pair"] == ["<x^3, x^2*y, y^2>", "<x^3, x*y, y^3>"]
     assert data["status"] == "EDGE" and data["dimension"] == 1
     assert data["characteristic"] == 3
     assert set(data["groebner"]) == {"s_pairs"}
@@ -221,7 +221,7 @@ def test_edge_exit_codes(capsys):
                        "<x^4, x^3*y^3, x*y^4, y^5>",
                        "--alpha", "1", "--beta", "1")
     assert code == 1 and out.strip() == "NO_EDGE"
-    code, out, _ = run(capsys, "edge", "<y^5, x^2>", "<y^2, x^5>",
+    code, out, _ = run(capsys, "edge", "<x^3, x^2*y, y^2>", "<x^3, x*y, y^3>",
                        "--alpha", "1", "--beta", "1", "--budget", "1")
     assert code == 2
 
@@ -440,7 +440,7 @@ def test_tgraph_exits_two_when_a_full_build_leaves_pairs_undecided(capsys):
     code, out, _ = run(capsys, "tgraph", "9", "--budget", "3",
                        "--format", "csv")
     assert code == 2
-    assert out.count(",UNKNOWN,") == 42
+    assert out.count(",UNKNOWN,") == 26
     # the table reads the same build and agrees
     code, _, _ = run(capsys, "table", "9", "9", "--budget", "3")
     assert code == 2
@@ -496,7 +496,7 @@ def test_table_json(capsys, monkeypatch):
                        "--budget", "1", "--json")
     assert code == 2
     (row,) = json.loads(out)["rows"]
-    assert row["unknown"] == 3 and row["edges"] == 5
+    assert row["unknown"] == 1 and row["edges"] == 7
 
 
 def test_cache_warm_run_is_byte_identical(tmp_path, capsys):

@@ -97,8 +97,9 @@ def test_swap_symmetry_of_the_verdict():
 
 
 def test_budget_exhaustion_gives_unknown():
-    record = decide_edge(parse_ideal("<y^5, x^2>"), parse_ideal("<y^2, x^5>"),
-                         G11, budget=1)
+    # the presolved equations of this pair need two S-pairs
+    record = decide_edge(parse_ideal("<x^3, x^2*y, y^2>"),
+                         parse_ideal("<x^3, x*y, y^3>"), G11, budget=1)
     assert record.status is EdgeStatus.UNKNOWN
 
 

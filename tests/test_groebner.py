@@ -4,14 +4,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from tgraph.arrows import oriented_pair
 from tgraph.assembly import PipelineDepth, build_tgraph
-from tgraph.cells import edge_ideal
-from tgraph import groebner
+from tgraph.cells import EdgeIdeal, edge_ideal
+from tgraph import edges, groebner
 from tgraph.edges import EdgeStatus, _solver_generators, decide_edge
 from tgraph.groebner import (BudgetExceeded, GroebnerBasis, _pack, _primitive,
-                             _reducer, _spoly, _unpack, buchberger,
+                             _reducer, _spoly, _unpack, buchberger, presolve,
                              quotient_dimension)
 from tgraph.monomial import Grading, format_ideal, parse_ideal
 from tgraph.poly import ArrowVar, Packing, Ring
@@ -114,20 +115,21 @@ def test_normal_form_matches_the_division_loop(char):
     assert recreated > 0
 
 
-# The digests, over the printed generators of every reduced basis in the
-# solver's reversed variable order, were recorded when decide_edge moved to
-# that order.
+# The digests, over the printed generators of every reduced basis of the
+# presolved equations in the solver's reversed variable order, were
+# recorded when decide_edge moved to the presolved equations.
 BASES_SHA256 = {
-    7: "b45571da0b6b261470be6d48a9559847002e71029a479d9aee71c256d0e2f1e6",
-    8: "57dc4ac79b06a6819cc114b6af6e4b313e92b8f2bf9c5c4a8a452747bee3aaaa",
+    7: "bc13432d3ac749630283659a116d482db3ae4300d32245659aa3b23e3d88b13d",
+    8: "4fde6ac2497a93afc2b9cef81f242bfc4bb4ade03c52e2319da98cb78e426bc1",
 }
 
 
-# Recorded when decide_edge moved to the reversed variable order (the
-# printed order gave 143/123/140 and 605/335/1773): any change in the order
-# of S-pairs or of reduction steps moves these sums.
+# Recorded when decide_edge moved to the presolved equations (the
+# unpresolved ones gave 120/123/113 and 402/305/829 in the reversed order,
+# 143/123/140 and 605/335/1773 in the printed one): any change in the
+# presolve, or in the order of S-pairs or of reduction steps, moves these.
 @pytest.mark.parametrize("d, s_pairs, basis_size, reduction_steps",
-                         [(7, 120, 123, 113), (8, 402, 305, 829)])
+                         [(7, 66, 86, 61), (8, 255, 207, 590)])
 def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
                                                  reduction_steps):
     graph = build_tgraph(d, PipelineDepth.FULL, with_dimension=True)
@@ -138,7 +140,8 @@ def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
         oriented = oriented_pair(*rec.pair, rec.grading)
         if oriented is not None:
             ideal = edge_ideal(oriented)
-            gb = buchberger(_solver_generators(ideal))
+            _, gens = _solver_generators(ideal)
+            gb = buchberger(gens)
             stats.append(gb.stats)
             for g in gb.generators:
                 bases.update(f"{g}\n".encode())
@@ -253,11 +256,38 @@ def test_prime_characteristic_runs_only_monic_reducers(monkeypatch):
     assert set(reducers) == set(primes) and all(reducers.values())
 
 
-# Recorded when decide_edge moved to the reversed variable order; only the
-# s_pairs in it moved, every status and dimension is the one recorded while
-# the characteristic was still a property of the ring.
+def test_prime_characteristic_verdicts_match_the_printed_order_oracle():
+    # a direct buchberger run mod p on the unpresolved equations, in the
+    # printed variable order, is the oracle for every char-p decision
+    compared = 0
+    for d in range(2, 9):
+        for rec in build_tgraph(d, PipelineDepth.FULL).records:
+            M, N = rec.pair
+            oriented = oriented_pair(M, N, rec.grading)
+            for p in (2, 3):
+                mod_p = decide_edge(M, N, rec.grading, with_dimension=True,
+                                    char=p)
+                compared += 1
+                if oriented is None:
+                    assert mod_p.status is EdgeStatus.NO_EDGE
+                    continue
+                ideal = edge_ideal(oriented)
+                gb = buchberger(ideal.nonzero_generators(), char=p)
+                if gb.is_trivial():
+                    assert mod_p.status is EdgeStatus.NO_EDGE
+                    assert mod_p.dimension is None
+                else:
+                    assert mod_p.status is EdgeStatus.EDGE
+                    assert mod_p.dimension == quotient_dimension(
+                        gb, ideal.ring.nvars)
+    assert compared == 452
+
+
+# Recorded when decide_edge moved to the presolved equations; only the
+# s_pairs in it moved (the printed-order oracle above checks every status
+# and dimension), as when it moved to the reversed variable order.
 CHAR_P_SHA256 = (
-    "97ca59aa49f70b216eaec6aedd0dd620785dc896aab313fd63fb209b80738ec0")
+    "29557ff9cf4b2b290f5cc4ab78840d72596dcb38f179c38121f4a17a02edef63")
 
 
 def test_prime_characteristic_records_are_pinned():
@@ -277,16 +307,17 @@ def test_prime_characteristic_records_are_pinned():
 
 
 def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
-    # Fields of 2 bits hold degrees up to 3.  The edge equations of this
-    # pair have degree 2, and after the first S-pair the lcm of two leads
-    # has degree 4.
-    M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
+    # Fields of 2 bits hold degrees up to 3.  The presolved edge equations
+    # of this pair have degree 2, and after the first S-pair the lcm of two
+    # leads has degree 5.
+    M = parse_ideal("<x^3, x^2*y^2, y^3>")
+    N = parse_ideal("<x^3, x^2*y, x*y^3, y^4>")
     g = Grading(1, 1)
-    gens = edge_ideal(oriented_pair(M, N, g)).nonzero_generators()
+    _, gens = _solver_generators(edge_ideal(oriented_pair(M, N, g)))
     assert decide_edge(M, N, g).status is EdgeStatus.EDGE
     monkeypatch.setattr(groebner, "FIELD_BITS", 2)
     assert max(total_degree(p) for p in gens) <= 3
-    with pytest.raises(BudgetExceeded, match="degree 4 exceeds"):
+    with pytest.raises(BudgetExceeded, match="degree 5 exceeds"):
         buchberger(gens)
     assert decide_edge(M, N, g).status is EdgeStatus.UNKNOWN
 
@@ -295,7 +326,8 @@ def test_unknown_records_the_s_pairs_it_reduced(monkeypatch):
     # Over 1-bit fields the degree-2 inputs overflow as they are packed,
     # before any S-pair; over 2-bit fields the guard fires after the first.
     # A run stopped by the S-pair budget has reduced exactly the budget.
-    M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, y^2>")
+    M = parse_ideal("<x^3, x^2*y^2, y^3>")
+    N = parse_ideal("<x^3, x^2*y, x*y^3, y^4>")
     g = Grading(1, 1)
     assert decide_edge(M, N, g).s_pairs == 2
     for budget in (0, 1):
@@ -341,9 +373,8 @@ def test_recorded_leads_match_the_oracle_on_the_exact_graphs(char):
         for rec in build_tgraph(d, PipelineDepth.FULL).records:
             oriented = oriented_pair(*rec.pair, rec.grading)
             if oriented is not None:
-                ideal = edge_ideal(oriented)
-                assert_leads_are_recorded(
-                    buchberger(_solver_generators(ideal), char=char))
+                _, gens = _solver_generators(edge_ideal(oriented))
+                assert_leads_are_recorded(buchberger(gens, char=char))
                 runs += 1
     assert runs == 217
 
@@ -516,3 +547,129 @@ def test_one_sided_prime_field_point_check():
                 if (x * x - y) % p == 0 and (y * y - x) % p == 0:
                     found.append((p, x, y))
     assert found, "expected points over small prime fields"
+
+
+def test_presolve_cascades():
+    # b = 0 turns a + a*b + c^2 into a + c^2, whose pivot a = -c^2 the next
+    # round substitutes; c*d - a*d has no pivot of its own
+    r = ring(4)
+    a, b, c, d = (r.var(v) for v in r.vars)
+    left, gens = presolve([a + a * b + c * c, b, c * d - a * d], r)
+    assert left.vars == (V[2], V[3])
+    x, y = (left.var(v) for v in left.vars)
+    assert gens == [x * y + x * x * y]
+
+
+def test_presolve_substitutes_into_powers():
+    r = ring(4)
+    a, b, c, d = (r.var(v) for v in r.vars)
+    left, gens = presolve([a - b * c, a * a - b * d], r)
+    assert left.vars == (V[1], V[2], V[3])
+    x, y, z = (left.var(v) for v in left.vars)
+    assert gens == [x * x * y * y - x * z]
+
+
+def test_presolve_keeps_equations_without_a_unit_pivot():
+    # x + x*y has x in another term; 2*x + 1 has x with a coefficient that
+    # is not a unit mod 2, where it reads 1 = 0
+    r = ring(2)
+    x, y = (r.var(v) for v in r.vars)
+    for gens in ([x + x * y], [x.scale(2) + r.one()], [x * x - y * y]):
+        assert presolve(gens, r) == (r, gens)
+    assert buchberger([x.scale(2) + r.one()], char=2).is_trivial()
+    assert not buchberger([x.scale(2) + r.one()]).is_trivial()
+
+
+def test_presolve_reorders_onto_the_given_ring():
+    r = ring(3)
+    x, y, z = (r.var(v) for v in r.vars)
+    back = Ring(reversed(r.vars))
+    left, gens = presolve([x * z * z - y.scale(3), x * y + z * z], back)
+    assert left is back
+    bx, by, bz = (back.var(v) for v in r.vars)
+    assert gens == [bx * bz * bz - by.scale(3), bx * by + bz * bz]
+    assert [str(g) for g in gens] == ["c3^1**2*c1^1 - 3*c2^1",
+                                      "c3^1**2 + c2^1*c1^1"]
+    for other in (Ring(r.vars[:2]), Ring((*r.vars, ArrowVar(2, 2, 1)))):
+        with pytest.raises(ValueError):
+            presolve([x * z * z - y.scale(3)], other)
+
+
+def test_presolve_to_nothing_is_an_edge_of_the_remaining_dimension(
+        monkeypatch):
+    # a = b*c and then b = -c*d leave no equation on c, d: the whole plane
+    r = ring(4)
+    a, b, c, d = (r.var(v) for v in r.vars)
+    left, gens = presolve([a - b * c, b + c * d], r)
+    assert gens == [] and left.nvars == 2
+    M, N = parse_ideal("<x^3, x*y, y^2>"), parse_ideal("<x^2, x*y, y^3>")
+    real = edges.edge_ideal
+
+    def planted(pair):
+        ideal = real(pair)
+        return EdgeIdeal(ideal.M, ideal.N, ideal.grading, r,
+                         ((None, None, a - b * c), (None, None, b + c * d)))
+
+    monkeypatch.setattr(edges, "edge_ideal", planted)
+    record = decide_edge(M, N, Grading(1, 1), with_dimension=True)
+    assert record.status is EdgeStatus.EDGE and record.dimension == 2
+    assert record.s_pairs == 0 and record.generator_count == 2
+
+
+def test_presolve_to_a_constant_is_no_edge():
+    r = ring(2)
+    x, y = (r.var(v) for v in r.vars)
+    left, gens = presolve([x - r.one(), x * y - y - r.one()], r)
+    assert left.vars == (V[1],) and gens == [left.constant(-1)]
+    assert buchberger(gens).is_trivial()
+    # the edge equations ct1, -c1 and 1 - c1*ct1 of this pair
+    M, N = parse_ideal("<x^5, x*y, y^3>"), parse_ideal("<x^3, x*y, y^5>")
+    g = Grading(1, 1)
+    _, gens = _solver_generators(edge_ideal(oriented_pair(M, N, g)))
+    assert [str(p) for p in gens] == ["1"]
+    assert decide_edge(M, N, g).status is EdgeStatus.NO_EDGE
+
+
+def test_presolved_edge_equations_have_int_coefficients():
+    seen = 0
+    for d in range(2, 8):
+        for rec in build_tgraph(d, PipelineDepth.FULL).records:
+            oriented = oriented_pair(*rec.pair, rec.grading)
+            if oriented is not None:
+                _, gens = _solver_generators(edge_ideal(oriented))
+                coeffs = [c for g in gens for c in g.terms.values()]
+                assert all(type(c) is int for c in coeffs)
+                seen += len(coeffs)
+    assert seen > 300
+
+
+TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                        st.sampled_from((-2, -1, 1, 2, 3)), max_size=3)
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TERMS, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1)), TERMS),
+                min_size=1, max_size=3),
+       st.sampled_from((0, 7)))
+def test_presolve_keeps_triviality_and_dimension(free, planted, char):
+    # each planted equation is c*x plus terms free of x
+    r = ring(3)
+    gens = [r.poly(t) for t in free]
+    for i, c, rest in planted:
+        pivot = tuple(int(k == i) for k in range(3))
+        gens.append(r.poly({**{e: a for e, a in rest.items() if not e[i]},
+                            pivot: c}))
+    left, solved = presolve(gens, Ring(reversed(r.vars)))
+    assert left.nvars < 3
+    assert all(type(c) is int for g in solved for c in g.terms.values())
+    try:
+        want = buchberger(gens, budget=500, char=char)
+        got = buchberger(solved, budget=500, char=char)
+    except BudgetExceeded:
+        return
+    assert got.is_trivial() == want.is_trivial()
+    if not want.is_trivial():
+        assert (quotient_dimension(got, left.nvars)
+                == quotient_dimension(want, r.nvars))

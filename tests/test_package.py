@@ -269,6 +269,14 @@ def test_only_the_solver_holds_a_characteristic():
                   or (isinstance(getattr(n, "ctx", None), ast.Load)
                       and id(n) not in passed)]
     assert found == []
+    # the presolve in front of buchberger works over the integers, so it
+    # holds for every characteristic and neither takes nor reads one
+    solver = pathlib.Path(tgraph.__file__).parent / "groebner.py"
+    presolve = [node for node in ast.parse(solver.read_text()).body
+                if getattr(node, "name", None)
+                in ("presolve", "_pivot", "_substitute")]
+    assert len(presolve) == 3
+    assert [n.lineno for scope in presolve for n in named(scope)] == []
 
 
 def test_solver_orders_monomials_only_in_packed_form():
@@ -420,3 +428,19 @@ def test_fixture_replay_without_asserts():
     lines = done.stdout.splitlines()
     assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_the_fixture_replay_solves_the_unpresolved_equations():
+    # the fixtures' check is a route independent of decide_edge: it hands
+    # the edge ideal's nonzero generators, in the printed variable order,
+    # straight to buchberger, and presolves nothing
+    path = pathlib.Path(tgraph.__file__).parent / "fixtures" / "__init__.py"
+    (check,) = [node for node in ast.parse(path.read_text()).body
+                if getattr(node, "name", None) == "_check_edge_ideal"]
+    calls = [node for node in ast.walk(check) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "buchberger"]
+    assert [ast.unparse(call) for call in calls] == [
+        "buchberger(ideal.nonzero_generators())"]
+    assert not [node for node in ast.walk(check)
+                if "presolve" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None))]

@@ -25,18 +25,6 @@ def test_add_negate_cancels():
     assert p - p == r.zero()
 
 
-def test_onto_reorders_the_variables():
-    r = ring()
-    p = r.var(A) * r.var(C) * r.var(C) - r.var(B).scale(3)
-    back = Ring((C, B, A))
-    q = p.onto(back)
-    assert q == back.var(A) * back.var(C) * back.var(C) - back.var(B).scale(3)
-    assert q.onto(r) == p
-    for other in (Ring((A, B)), Ring((A, B, ArrowVar(1, 2, 1)))):
-        with pytest.raises(ValueError):
-            p.onto(other)
-
-
 def test_difference_of_squares():
     r = ring()
     a, b = r.var(A), r.var(B)
