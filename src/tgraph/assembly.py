@@ -10,7 +10,8 @@ the chain of necessary conditions in ``filters_passed`` (dominance order,
 arrow map, arrow map on the box quotients), which orients each pair once and
 hands that oriented pair to both arrow-map tests.  At full depth it comes from
 ``_exact_records``, the one place the exact equation solver runs, with the
-edge cache and an optional process pool; the solver sees every job and
+edge cache; with ``threads`` above 1 the calling process and forked children
+share the jobs through one task pipe.  The solver sees every job and
 returns NO_EDGE at once for a pair the order does not compare, so its
 verdicts stay independent of the combinatorial filters and can be checked
 against them.  The count table walks each colength's jobs once for the
@@ -23,9 +24,11 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import select
+import signal
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -84,57 +87,170 @@ def _decide(job):
 
 
 def _full_job(job):
-    """Process-pool entry point; the serial path calls ``_decide`` itself."""
+    """Entry point for the jobs a forked child decides; the calling process
+    calls ``_decide`` itself.  Children look it up by name at call time, so
+    a replacement installed on the module reaches them."""
     return _decide(job)
 
 
-def _spread_worker(slots):
-    """Pool initializer: start the k-th worker on the k-th allowed CPU.
+# A claim in the task pipe, and the length prefix of a record sent back.
+_U32 = struct.Struct("=I")
 
-    Forked workers otherwise start on their parent's CPU, and some kernels
-    leave the whole pool there for seconds while the other CPUs idle, so one
-    build runs in parallel and the next serially.  The worker is moved to
-    its own CPU and then given back its full CPU set, so the scheduler stays
-    free to move it later.
+
+def _spread(rank):
+    """Start the process of the given rank on the rank-th allowed CPU.
+
+    Forked processes otherwise start on their parent's CPU, and some kernels
+    leave them all there for seconds while the other CPUs idle, so one build
+    runs in parallel and the next serially.  The process is moved to its own
+    CPU and then given back its full CPU set, so the scheduler stays free to
+    move it later.
     """
     if not hasattr(os, "sched_setaffinity"):
         return
     allowed = sorted(os.sched_getaffinity(0))
-    k = slots.get()
-    os.sched_setaffinity(0, {allowed[k % len(allowed)]})
+    os.sched_setaffinity(0, {allowed[rank % len(allowed)]})
     os.sched_setaffinity(0, allowed)
 
 
+def _claims(tasks, todo, run):
+    """(index, job) for each job this process claims, until the pipe is
+    empty.  A claim is the index of the first job of a run; each ``os.read``
+    of one claim is atomic, so every claim goes to exactly one process."""
+    while data := os.read(tasks, _U32.size):
+        start, = _U32.unpack(data)
+        for k in range(start, min(start + run, len(todo))):
+            yield k, todo[k]
+
+
+def _child(rank, tasks, out, todo, run, inherited):
+    """A forked child: decide claimed jobs, send each (index, record) to the
+    caller as a length-prefixed pickle, and leave through ``os._exit``,
+    status 0 once the task pipe is empty and 1 on any exception."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        _spread(rank)
+        for k, job in _claims(tasks, todo, run):
+            blob = pickle.dumps((k, _full_job(job)), pickle.HIGHEST_PROTOCOL)
+            view = memoryview(_U32.pack(len(blob)) + blob)
+            while view:
+                view = view[os.write(out, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(inboxes, timeout):
+    """The (index, record) pairs that have arrived from the children.
+
+    ``inboxes`` maps each open result pipe to the bytes read from it but not
+    yet decoded; a pipe at EOF is closed and dropped.  ``timeout`` 0 only
+    polls, None waits until some pipe is ready.
+    """
+    ready, _, _ = select.select(list(inboxes), [], [], timeout)
+    for fd in ready:
+        data = os.read(fd, 1 << 16)
+        if not data:
+            os.close(fd)
+            del inboxes[fd]
+            continue
+        buf = inboxes[fd]
+        buf += data
+        while len(buf) >= _U32.size:
+            end = _U32.size + _U32.unpack_from(buf)[0]
+            if len(buf) < end:
+                break
+            yield pickle.loads(buf[_U32.size:end])
+            del buf[:end]
+
+
 def _solve(todo, threads):
-    """Exact records for the jobs, in order, yielded as they are decided."""
-    if threads > 1 and todo:
-        slots = multiprocessing.SimpleQueue()
-        for k in range(threads):
-            slots.put(k)
-        with ProcessPoolExecutor(max_workers=threads,
-                                 initializer=_spread_worker,
-                                 initargs=(slots,)) as pool:
-            yield from pool.map(_full_job, todo, chunksize=8)
-    else:
-        yield from map(_decide, todo)
+    """(index, record) for every job, yielded as each is decided.
+
+    With ``threads`` above 1 the calling process and ``threads - 1`` forked
+    children share the jobs.  Before the first fork every claim, one job or,
+    past ``select.PIPE_BUF // 4`` jobs, a fixed run of consecutive ones, is
+    written to one task pipe in a single atomic write, and each process
+    claims from it until it is empty; the caller collects the children's
+    records between its own jobs.  If a child fails, the other jobs are
+    still decided and then ``ChildProcessError`` says how many were left
+    undecided.  A child still running when the call ends, early or on an
+    exception, is killed and reaped.  Without ``os.fork`` the jobs run
+    serially.
+    """
+    if threads < 2 or len(todo) < 2 or not hasattr(os, "fork"):
+        yield from enumerate(map(_decide, todo))
+        return
+    run = -(-len(todo) // (select.PIPE_BUF // _U32.size))
+    starts = range(0, len(todo), run)
+    tasks, feed = os.pipe()
+    children, inboxes = [], {}
+    try:
+        try:
+            os.write(feed, b"".join(map(_U32.pack, starts)))
+        finally:
+            os.close(feed)
+        for rank in range(1, min(threads, len(starts))):
+            inbox, out = os.pipe()
+            inboxes[inbox] = bytearray()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(rank, tasks, out, todo, run, list(inboxes))
+                children.append(pid)
+            finally:
+                os.close(out)
+        _spread(0)
+        done = 0
+        for k, job in _claims(tasks, todo, run):
+            yield k, _decide(job)
+            done += 1
+            for item in _receive(inboxes, 0):
+                yield item
+                done += 1
+        while inboxes:
+            for item in _receive(inboxes, None):
+                yield item
+                done += 1
+        failed = []
+        while children:
+            _, status = os.waitpid(children[-1], 0)
+            children.pop()
+            if code := os.waitstatus_to_exitcode(status):
+                failed.append(str(code))
+        if failed or done < len(todo):
+            raise ChildProcessError(
+                "a worker process died during the threaded build (exit "
+                f"status {', '.join(failed) or 0}); {len(todo) - done} of "
+                f"{len(todo)} jobs left undecided")
+    finally:
+        os.close(tasks)
+        for fd in inboxes:
+            os.close(fd)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _exact_records(jobs, budget, with_dimension, cache, threads):
     """Exact records for a list of (M, N, grading) jobs, in the same order.
 
-    Cached records are read back; the rest go to the solver, on ``threads``
-    worker processes when that is more than one, and each new record is
-    written to the cache as it arrives.
+    Cached records are read back and the rest go to ``_solve``, which splits
+    them between the calling process and ``threads - 1`` forked children.
+    Each new record is written to the cache as it arrives and stored at its
+    job's index, so the order of the records does not depend on the split.
     """
     records = [None if cache is None
                else cache.get(M, N, g, budget, with_dimension)
                for M, N, g in jobs]
     misses = [k for k, rec in enumerate(records) if rec is None]
     todo = [(*jobs[k], budget, with_dimension) for k in misses]
-    for k, record in zip(misses, _solve(todo, threads), strict=True):
+    for k, record in _solve(todo, threads):
         if cache is not None:
             cache.put(record, budget, with_dimension)
-        records[k] = record
+        records[misses[k]] = record
     return records
 
 

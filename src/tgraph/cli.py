@@ -3,8 +3,8 @@
 Exit codes: 0 for success or a confirmed positive verdict, 1 for a negative
 verdict (no map, no edge, a failed fixture), 2 for an undecided verdict
 (budget exhausted), also when a full graph or table build leaves a pair
-undecided, 3 and up for usage, input or file-system errors, and for a pool
-worker that dies during a threaded build.
+undecided, 3 and up for usage, input or file-system errors, and for a worker
+process that dies during a threaded build.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .arrows import (SCHEMA_VERSION, dual_condition, enumerate_arrow_maps,
@@ -306,7 +305,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, BrokenProcessPool) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"tgraph: {exc}\n")
         return EXIT_ERROR
 

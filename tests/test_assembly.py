@@ -1,6 +1,7 @@
 import hashlib
 import json
-import multiprocessing
+import os
+import select
 from collections import Counter
 
 import pytest
@@ -409,7 +410,7 @@ def test_old_per_record_files_are_ignored_and_kept(tmp_path, decided):
     assert {p: p.read_bytes() for p in tmp_path.glob("*.json")} == old
 
 
-def test_pool_workers_start_on_distinct_cpus_and_keep_their_cpu_set(
+def test_split_processes_start_on_distinct_cpus_and_keep_their_cpu_set(
         monkeypatch):
     calls = []
     monkeypatch.setattr(assembly.os, "sched_getaffinity",
@@ -417,19 +418,100 @@ def test_pool_workers_start_on_distinct_cpus_and_keep_their_cpu_set(
     monkeypatch.setattr(assembly.os, "sched_setaffinity",
                         lambda pid, cpus: calls.append(set(cpus)),
                         raising=False)
-    slots = multiprocessing.SimpleQueue()
-    for k in range(4):
-        slots.put(k)
-    for _ in range(4):
-        assembly._spread_worker(slots)
+    for rank in range(4):
+        assembly._spread(rank)
     assert calls == [{1}, {1, 4, 7}, {4}, {1, 4, 7},
                      {7}, {1, 4, 7}, {1}, {1, 4, 7}]
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _full_jobs(d):
+    vertices = enumerate_ideals(d)
+    return [(vertices[i - 1], vertices[j - 1], g, DEFAULT_BUDGET, False)
+            for (i, j), g in pair_grading_jobs(vertices)]
+
+
+@pytest.fixture
+def children_block(monkeypatch):
+    """Every job a forked child claims blocks until the child is killed."""
+    never, held = os.pipe()
+    monkeypatch.setattr(assembly, "_full_job", lambda job: os.read(never, 1))
+    yield
+    os.close(never)
+    os.close(held)
+
+
+def test_closing_the_split_early_leaves_no_child(children_block):
+    solve = assembly._solve(_full_jobs(7), 3)
+    next(solve)
+    solve.close()
+    _no_child_left()
+
+
+def test_an_exception_in_the_callers_job_leaves_no_child(children_block,
+                                                         monkeypatch):
+    def fails(job):
+        raise RuntimeError("the caller's job failed")
+
+    monkeypatch.setattr(assembly, "_decide", fails)
+    with pytest.raises(RuntimeError, match="the caller's job failed"):
+        list(assembly._solve(_full_jobs(7), 3))
+    _no_child_left()
+
+
+def test_jobs_past_the_pipe_buffer_are_claimed_in_runs(monkeypatch):
+    # 4-byte claims in one atomic write: past PIPE_BUF // 4 jobs a claim is
+    # a run of consecutive jobs, and every job is decided exactly once
+    per = select.PIPE_BUF // 4
+    todo = [("job", k) for k in range(3 * per + 5)]
+    run = -(-len(todo) // per)
+    assert run == 4
+    decide = lambda job: (os.getpid(), job)  # noqa: E731
+    writes, write = [], os.write
+
+    def spy(fd, data):
+        writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(assembly, "_decide", decide)
+    monkeypatch.setattr(assembly, "_full_job", decide)
+    monkeypatch.setattr(assembly.os, "write", spy)
+    out = list(assembly._solve(todo, 3))
+    monkeypatch.undo()
+    # the caller's first write is the whole feed, one claim per run
+    assert writes[0] == 4 * -(-len(todo) // run) <= select.PIPE_BUF
+    assert sorted(k for k, _ in out) == list(range(len(todo)))
+    decided = dict(out)
+    assert all(job == todo[k] for k, (_, job) in decided.items())
+    for start in range(0, len(todo), run):
+        assert len({decided[k][0] for k in range(start, min(
+            start + run, len(todo)))}) == 1
+    _no_child_left()
+
+
+def test_without_fork_the_split_runs_serially(monkeypatch):
+    monkeypatch.setattr(assembly, "_decide", lambda job: (os.getpid(), job))
+    monkeypatch.delattr(assembly.os, "fork")
+    todo = list(range(10))
+    assert list(assembly._solve(todo, 3)) == [
+        (k, (os.getpid(), k)) for k in todo]
+
+
 def test_threaded_build_matches_sequential():
-    seq = build_tgraph(4, PipelineDepth.FULL, with_dimension=True)
-    par = build_tgraph(4, PipelineDepth.FULL, with_dimension=True, threads=2)
-    assert seq.simple_edges == par.simple_edges
-    assert [r.status for r in seq.records] == [r.status for r in par.records]
-    assert [r.dimension for r in seq.records] == [
-        r.dimension for r in par.records]
+    def fields(graph):
+        return [(r.status, r.dimension, r.s_pairs, r.generator_count)
+                for r in graph.records]
+
+    for d in (4, 6, 7):
+        seq = build_tgraph(d, PipelineDepth.FULL, with_dimension=True)
+        for threads in (2, 3):
+            par = build_tgraph(d, PipelineDepth.FULL, with_dimension=True,
+                               threads=threads)
+            assert seq.simple_edges == par.simple_edges
+            assert fields(par) == fields(seq)
+            assert graph_to_json(par) == graph_to_json(seq)
+    _no_child_left()

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import select
 
 import pytest
 
@@ -332,12 +333,10 @@ def test_char_flag_above_the_exact_primality_bound(capsys):
 
 
 def test_threads_flag_validation(monkeypatch):
-    import tgraph.assembly
+    def no_fork():
+        raise AssertionError("a process was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(tgraph.assembly, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(assembly.os, "fork", no_fork)
     with pytest.raises(SystemExit) as info:
         main(["tgraph", "4", "--threads", "0"])
     assert info.value.code == 3
@@ -383,36 +382,42 @@ def test_cache_dir_that_is_a_file_exits_three(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == "not a directory"
 
 
-def _last_job(d):
-    vertices = enumerate_ideals(d)
-    (i, j), g = assembly.pair_grading_jobs(vertices)[-1]
-    return vertices[i - 1], vertices[j - 1], g
-
-
-_FATAL_JOB = _last_job(7)
-
-
-def _worker_dies_on_one_job(job):
-    # Module level, so the pool can pickle it by name.
-    if job[:3] == _FATAL_JOB:
-        os._exit(1)
-    return assembly._decide(job)
-
-
-def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
-                                                        monkeypatch):
+def test_dead_worker_process_exits_three_and_keeps_records(tmp_path, capsys,
+                                                           monkeypatch):
+    # The caller holds its first job until the child has claimed one, so a
+    # child does claim a job, and that child dies on it.
     cache = tmp_path / "cache"
-    monkeypatch.setattr(assembly, "_full_job", _worker_dies_on_one_job)
-    code, out, err = run(capsys, "tgraph", "7", "--cache-dir", str(cache),
-                         "--threads", "2", "--depth", "full",
-                         "--format", "csv")
-    monkeypatch.undo()
+    claimed, tell = os.pipe()
+    decide, waited = assembly._decide, []
+
+    def caller_waits_for_a_child_claim(job):
+        if not waited:
+            waited.append(job)
+            assert select.select([claimed], [], [], 60)[0], "no child claim"
+        return decide(job)
+
+    def child_dies(job):
+        os.write(tell, b".")
+        os._exit(1)
+
+    monkeypatch.setattr(assembly, "_decide", caller_waits_for_a_child_claim)
+    monkeypatch.setattr(assembly, "_full_job", child_dies)
+    try:
+        code, out, err = run(capsys, "tgraph", "7", "--cache-dir", str(cache),
+                             "--threads", "2", "--depth", "full",
+                             "--format", "csv")
+    finally:
+        monkeypatch.undo()
+        os.close(claimed)
+        os.close(tell)
+    jobs = len(assembly.pair_grading_jobs(enumerate_ideals(7)))
     assert code == 3
     assert out == "" and err.startswith("tgraph: ")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.endswith(f"; 1 of {jobs} jobs left undecided\n")
     assert [p.suffix for p in cache.iterdir()] == [".jsonl"]
     written = journal_lines(cache)
-    assert written
+    assert len(written) == jobs - 1
     for line in written:
         assert line.endswith(b"\n")
         EdgeRecord.from_json(journal_record(line))
@@ -423,6 +428,8 @@ def test_dead_pool_worker_exits_three_and_keeps_records(tmp_path, capsys,
                            "--threads", "1", "--format", "csv")
     assert code == 0
     assert resumed == clean
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_tgraph_formats(tmp_path, capsys):

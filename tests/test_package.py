@@ -28,6 +28,9 @@ def test_public_surface_in_a_fresh_interpreter():
         "-c",
         "import sys, tgraph\n"
         "assert 'tgraph.strolls' not in sys.modules, 'strolls imported'\n"
+        "pools = [m for m in ('concurrent.futures', 'multiprocessing')\n"
+        "         if m in sys.modules]\n"
+        "assert not pools, pools\n"
         "missing = [n for n in tgraph.__all__ if not hasattr(tgraph, n)]\n"
         "assert not missing, missing\n"
         "print(len(tgraph.__all__))\n")
@@ -311,6 +314,21 @@ def _scopes(tree):
                 yield f"{node.name}.{getattr(item, 'name', '')}", item
         else:
             yield getattr(node, "name", ""), node
+
+
+def test_only_the_split_forks():
+    # os.fork and os._exit belong to assembly's split of a threaded build:
+    # _solve forks, and a forked child leaves through _child alone
+    found = sorted(f"{path.name}:{name}:{node.attr}"
+                   for path in pathlib.Path(tgraph.__file__).parent.rglob(
+                       "*.py")
+                   for name, scope in _scopes(ast.parse(path.read_text()))
+                   for node in ast.walk(scope)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("fork", "_exit")
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "os")
+    assert found == ["assembly.py:_child:_exit", "assembly.py:_solve:fork"]
 
 
 def test_one_sparse_row_update():
