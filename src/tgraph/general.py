@@ -17,11 +17,12 @@ degree, in the same order, so one build serves every window inside it; a
 verdict is re-checked one degree higher from the same build, and solved a
 second time only when that degree adds equations.
 
-A direction's chains on a window are built once per direction to orient
-the pairs, and again inside each edge-scheme computation on its own window;
-each ideal is described by its positions on those chains, and dominance is
-read off two such position lists.  An ideal stores each membership answer it
-gives, so the same question costs one dict lookup the next time.
+A ``ChainWindow`` holds one direction's chains on the built window, their
+index and the chain positions of the ideals placed on it; it is built once
+per direction, and orientation and every edge scheme along that direction
+read it.  Dominance is read off two position lists.  An ideal stores each
+membership answer it gives, so the same question costs one dict lookup the
+next time.
 
 Every solve, the window check's too, runs on the equations presolved by
 ``groebner.presolve`` in the printed variable order, and a dimension counts
@@ -45,20 +46,12 @@ from .poly import ArrowVar, Ring, add_into
 
 def _monomials_of_degree(nvars, weights, t):
     """All exponent tuples of weighted degree t, lexicographic order."""
-    out = []
-
-    def rec(prefix, rest):
-        i = len(prefix)
-        if i == nvars - 1:
-            q, r = divmod(rest, weights[i])
-            if r == 0:
-                out.append(tuple(prefix) + (q,))
-            return
-        for e in range(rest // weights[i] + 1):
-            rec(prefix + [e], rest - e * weights[i])
-
-    rec([], t)
-    return out
+    parts = [((), t)]
+    for w in weights[:nvars - 1]:
+        parts = [(p + (e,), rest - e * w) for p, rest in parts
+                 for e in range(rest // w + 1)]
+    last = weights[nvars - 1]
+    return [p + (rest // last,) for p, rest in parts if rest % last == 0]
 
 
 def _divides(u, v):
@@ -66,13 +59,8 @@ def _divides(u, v):
 
 
 def _format_monomial(m):
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(f"x{i}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(m) if e) or "1"
 
 
 @dataclass(frozen=True)
@@ -122,13 +110,10 @@ class NMonomialIdeal:
     def degree(self, m):
         return sum(w * e for w, e in zip(self.weights, m))
 
-    def hilbert_values(self, degrees):
-        """Quotient dimensions on the window, by monomial counting."""
-        out = {}
-        for t in degrees:
-            mons = _monomials_of_degree(self.nvars, self.weights, t)
-            out[t] = sum(1 for m in mons if not self.contains(m))
-        return out
+    def hilbert_values(self, window):
+        """Quotient dimensions on a window that maps degree -> monomials."""
+        return {t: sum(1 for m in mons if not self.contains(m))
+                for t, mons in window.items()}
 
     def __str__(self):
         return "<" + ", ".join(map(_format_monomial, self.gens)) + ">"
@@ -169,19 +154,13 @@ def degree_classes(nvars, weights, c, degrees):
 def candidate_refinements(nvars, weights, degrees):
     """Primitive direction vectors from same-degree exponent differences."""
     seen = set()
-    out = []
     for t in degrees:
-        mons = _monomials_of_degree(nvars, weights, t)
-        for u, v in combinations(mons, 2):
-            c = tuple(a - b for a, b in zip(u, v))
+        for u, v in combinations(_monomials_of_degree(nvars, weights, t), 2):
+            c = tuple(map(sub, u, v))
             g = gcd(*c)
             c = tuple(x // g for x in c)
-            canon = max(c, tuple(-x for x in c))
-            if canon not in seen:
-                seen.add(canon)
-                out.append(canon)
-    out.sort()
-    return out
+            seen.add(max(c, tuple(-x for x in c)))
+    return sorted(seen)
 
 
 def chain_positions(ideal, chains):
@@ -202,19 +181,38 @@ def class_dominates(pos_m, pos_n):
     return True
 
 
-def _tails(ideal, chains, var_side, opposite):
+class ChainWindow:
+    """One direction's chains on a degree window, built once.
+
+    Holds the chains as ``degree_classes`` gives them, their index
+    monomial -> (chain, position) and each given ideal's chain positions.
+    Raises ValueError unless the ideals share variables and weights, or as
+    ``degree_classes`` does.
+    """
+
+    def __init__(self, ideals, c, degrees):
+        nvars, weights = ideals[0].nvars, ideals[0].weights
+        if any((I.nvars, I.weights) != (nvars, weights) for I in ideals):
+            raise ValueError("the ideals must share variables and weights")
+        self.c, self.degrees = c, tuple(degrees)
+        self.chains = degree_classes(nvars, weights, c, self.degrees)
+        self.where = {m: (chain, k) for chain in self.chains
+                      for k, m in enumerate(chain)}
+        self.positions = {I: chain_positions(I, self.chains) for I in ideals}
+
+
+def _tails(ideal, window, var_side, opposite):
     """Where the generic coefficients of each generator sit.
 
     A generator m picks up one variable per standard monomial strictly after
     it on its chain (strictly before it when `opposite`).  Returns a list of
     (m, ((variable, monomial), ...)).
     """
-    where = {m: (chain, k) for chain in chains for k, m in enumerate(chain)}
     out = []
     for gi, gen in enumerate(ideal.gens):
-        if gen not in where:
+        if gen not in window.where:
             raise ValueError(f"generator {gen} falls outside the window")
-        chain, k = where[gen]
+        chain, k = window.where[gen]
         tail = chain[:k][::-1] if opposite else chain[k + 1:]
         out.append((gen, tuple((ArrowVar(var_side, gi, step), u)
                                for step, u in enumerate(tail, start=1)
@@ -244,37 +242,34 @@ def _reduce_against(poly_row, M, families_by_gen):
         gen = next(g for g in M.gens if _divides(g, m))
         shift = tuple(a - b for a, b in zip(m, gen))
         for u, cpoly in families_by_gen[gen].items():
-            if u == gen:
-                continue
-            add_into(work, tuple(a + b for a, b in zip(u, shift)),
-                     coeff * cpoly)
+            if u != gen:
+                add_into(work, tuple(map(add, u, shift)), coeff * cpoly)
     return work
 
 
-def edge_scheme_general(M, N, c, window_degrees):
+def edge_scheme_general(M, N, window):
     """Constraint ideal for "initial ideal M, opposite initial ideal N".
 
-    Returns (ring, equations), where equations is a list of (degree, poly):
-    the syzygy (lcm) degree of an S-pair row, or the generator's degree for
-    a row of the N-side family.  `window_degrees` must cover the generators
-    of both ideals, and every syzygy degree up to its largest one is
-    imposed.  Raises when the window misses a needed lcm degree, rather than
-    guessing.  The polys tagged at most t are, in order, the equations of
-    the window cut off above t (when that still covers the generators), so
-    one build serves every window inside it.
+    `window` is a ``ChainWindow`` with both ideals placed on it.  Returns
+    (ring, equations), where equations is a list of (degree, poly): the
+    syzygy (lcm) degree of an S-pair row, or the generator's degree for a
+    row of the N-side family.  The window's degrees must cover the
+    generators of both ideals, and every syzygy degree up to its largest one
+    is imposed.  Raises when the window misses a needed lcm degree, rather
+    than guessing.  The polys tagged at most t are, in order, the equations
+    of the window cut off above t (when that still covers the generators),
+    so one build serves every window inside it.
     """
     if M == N:
         raise ValueError("the two ideals must differ")
-    if (M.nvars, M.weights) != (N.nvars, N.weights):
-        raise ValueError("the two ideals must share variables and weights")
+    if not (M in window.positions and N in window.positions):
+        raise ValueError("both ideals must be placed on the window")
     # Equal counts on every chain also mean equal Hilbert values on the window.
-    chains = degree_classes(M.nvars, M.weights, c, window_degrees)
-    if not class_dominates(chain_positions(M, chains),
-                           chain_positions(N, chains)):
+    if not class_dominates(window.positions[M], window.positions[N]):
         raise ValueError("first ideal must dominate the second on the window")
 
-    tails_m = _tails(M, chains, 0, False)
-    tails_n = _tails(N, chains, 1, True)
+    tails_m = _tails(M, window, 0, False)
+    tails_n = _tails(N, window, 1, True)
     # Sorted, the M-side variables (side 0) come before the N-side ones.
     ring = Ring(sorted(v for tails in (tails_m, tails_n)
                        for _, tail in tails for v, _ in tail))
@@ -290,13 +285,13 @@ def edge_scheme_general(M, N, c, window_degrees):
                 raise RuntimeError("reduction left an in-ideal monomial")
             equations.append((t, poly))
 
-    max_window = max(window_degrees)
+    max_window = max(window.degrees)
     for (g1, r1), (g2, r2) in combinations(zip(M.gens, fam_m), 2):
         lcm = tuple(max(a, b) for a, b in zip(g1, g2))
         t = M.degree(lcm)
         if t > max_window:
             continue
-        if t not in window_degrees:
+        if t not in window.degrees:
             raise ValueError(
                 f"syzygy degree {t} falls outside the declared window")
         s1 = tuple(a - b for a, b in zip(lcm, g1))
@@ -323,12 +318,12 @@ def fixed_points_two_points_p2():
     Ideals are generated by four quadrics; the label pairs each with the
     generators of its saturation (a linear form and one more monomial).
     """
-    deg2 = _monomials_of_degree(3, (1, 1, 1), 2)
+    window = {t: _monomials_of_degree(3, (1, 1, 1), t)
+              for t in TWO_POINTS_WINDOW}
     out = []
-    for quad in combinations(deg2, 4):
+    for quad in combinations(window[2], 4):
         M = NMonomialIdeal(3, quad, (1, 1, 1))
-        values = M.hilbert_values(TWO_POINTS_WINDOW)
-        if values == {0: 1, 1: 3, 2: 2, 3: 2}:
+        if M.hilbert_values(window) == {0: 1, 1: 3, 2: 2, 3: 2}:
             out.append(M)
     return out
 
@@ -350,11 +345,13 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     the list of directions carrying a nonempty edge scheme and dims holds the
     corresponding quotient dimensions.  One Groebner basis per scheme and
     window, of its presolved equations, gives both the verdict and the
-    dimension.  Each pair is oriented per direction, both ways, from the
-    vertices' chain positions.  Each oriented scheme is built once, one
-    degree higher when `verify_window`, and the window's equations are read
-    off the degree tags.  The check solves a second time only when the
-    higher degree adds equations; with none added the verdict cannot change.
+    dimension.  Each direction's ``ChainWindow`` is built once, one degree
+    above the window when `verify_window`, and serves both the orientation
+    (both ways, on the chains of degree at most 3, a prefix of its list) and
+    every oriented scheme along that direction, each built once; the
+    window's equations are read off the degree tags.  The check solves a
+    second time only when the higher degree adds equations; with none added
+    the verdict cannot change.
     Raises BudgetExceeded when the budget runs out, RuntimeError when
     `verify_window` finds a verdict that changes one degree higher, and
     ValueError when the window misses a syzygy degree of an oriented pair.
@@ -364,12 +361,13 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     top = max(degrees)
     built = degrees + (top + 1,) if verify_window else degrees
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
-    positions = {}
+    windows, positions = {}, {}
     for c in directions:
-        chains = degree_classes(3, (1, 1, 1), c, degrees)
-        positions[c] = [chain_positions(v, chains) for v in vertices]
-    edges = {}
-    dims = {}
+        window = windows[c] = ChainWindow(vertices, c, built)
+        # chains come in degree order, so the window's are a prefix
+        cut = sum(vertices[0].degree(ch[0]) <= top for ch in window.chains)
+        positions[c] = [window.positions[v][:cut] for v in vertices]
+    edges, dims = {}, {}
     for i, j in combinations(range(len(vertices)), 2):
         M, N = vertices[i], vertices[j]
         for c in directions:
@@ -380,7 +378,7 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
                 big, small = N, M
             else:
                 continue
-            ring, eqs = edge_scheme_general(big, small, c, built)
+            ring, eqs = edge_scheme_general(big, small, windows[c])
             narrow = [p for t, p in eqs if t <= top]
             left, gens = presolve(narrow, ring)
             gb = buchberger(gens, budget=budget)

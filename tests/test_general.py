@@ -3,13 +3,14 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from operator import mul
 
 import pytest
 
 import tgraph
 from tgraph import general
-from tgraph.general import (NMonomialIdeal, TWO_POINTS_WINDOW,
+from tgraph.general import (ChainWindow, NMonomialIdeal, TWO_POINTS_WINDOW,
                             candidate_refinements, chain_positions,
                             class_dominates, degree_classes,
                             edge_scheme_general, fixed_points_two_points_p2,
@@ -45,9 +46,10 @@ def test_saturation_recovery_rule():
             square[k] = 2
             rebuilt.add(from_saturation(linear, tuple(square)))
     assert rebuilt == vertices
+    window = {t: [m for m in product(range(t + 1), repeat=3) if sum(m) == t]
+              for t in TWO_POINTS_WINDOW}
     for v in vertices:
-        window = v.hilbert_values(TWO_POINTS_WINDOW)
-        assert window == {0: 1, 1: 3, 2: 2, 3: 2}
+        assert v.hilbert_values(window) == {0: 1, 1: 3, 2: 2, 3: 2}
 
 
 def test_symmetry_permutes_the_vertex_set():
@@ -91,6 +93,27 @@ def test_degree_classes_match_the_sorted_oracle(weights, top):
     assert longest > 2
 
 
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1), (1, 2), (2, 3)])
+def test_degree_classes_extend_by_a_higher_degree(weights):
+    # adding a degree above the window appends that degree's chains after
+    # the window's own, so the window's chains are a prefix of the list;
+    # two_points_graph orients its pairs on that prefix
+    nvars = len(weights)
+    span = (1, 2) if nvars == 3 else range(1, 7)
+    directions = candidate_refinements(nvars, weights, span)
+    assert directions
+    for c in directions:
+        for d in (c, tuple(-x for x in c)):
+            for top in range(6):
+                window = tuple(range(top + 1))
+                base = degree_classes(nvars, weights, d, window)
+                for t in (top + 1, top + 3):
+                    wider = degree_classes(nvars, weights, d, window + (t,))
+                    assert wider[:len(base)] == base, (d, window, t)
+                    assert all(sum(map(mul, weights, chain[0])) == t
+                               for chain in wider[len(base):]), (d, t)
+
+
 def test_degree_classes_rejects_a_zero_direction():
     # it looped forever once, so it runs in a child with a time limit
     src = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
@@ -126,13 +149,12 @@ def test_triangle_edge_has_two_parameters():
     # same linear form, the two squares of the other variables
     M = from_saturation(0, (0, 0, 2))
     N = from_saturation(0, (0, 2, 0))
-    c = (0, 1, -1)
-    chains = degree_classes(3, (1, 1, 1), c, TWO_POINTS_WINDOW)
-    if class_dominates(chain_positions(M, chains), chain_positions(N, chains)):
+    window = ChainWindow((M, N), (0, 1, -1), TWO_POINTS_WINDOW)
+    if class_dominates(window.positions[M], window.positions[N]):
         big, small = M, N
     else:
         big, small = N, M
-    ring, eqs = edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
+    ring, eqs = edge_scheme_general(big, small, window)
     assert [v.label() for v in ring.vars] == ["c0^1", "c0^2", "ct0^1", "ct0^2"]
     # both come from the N-side family, whose generators are quadrics
     assert [(t, str(e)) for t, e in eqs] == [(2, "c0^1*ct0^2 + ct0^1"),
@@ -153,12 +175,14 @@ def test_two_points_graph_equations_are_pinned():
             for big, small in ((vertices[i], vertices[j]),
                                (vertices[j], vertices[i])):
                 try:
-                    edge_scheme_general(big, small, c, TWO_POINTS_WINDOW)
+                    edge_scheme_general(big, small, ChainWindow(
+                        (big, small), c, TWO_POINTS_WINDOW))
                 except ValueError:
                     continue
-                for window in (TWO_POINTS_WINDOW, TWO_POINTS_WINDOW + (4,)):
-                    ring, eqs = edge_scheme_general(big, small, c, window)
-                    lines.append(repr((i, j, c, window,
+                for degrees in (TWO_POINTS_WINDOW, TWO_POINTS_WINDOW + (4,)):
+                    ring, eqs = edge_scheme_general(big, small, ChainWindow(
+                        (big, small), c, degrees))
+                    lines.append(repr((i, j, c, degrees,
                                        [v.label() for v in ring.vars],
                                        [str(e) for _, e in eqs])))
                 break
@@ -176,18 +200,28 @@ def test_two_points_graph_output_is_pinned():
 
 
 def test_two_points_graph_builds_each_chain_partition_once(monkeypatch):
-    # one partition per direction, then one per oriented scheme, built once
-    # one degree above the window
-    calls = []
-    real = general.degree_classes
+    # one window per direction, built one degree above the window: its
+    # partition, and each vertex's chain positions on it, serve the
+    # orientation and every scheme along that direction; the fixed points
+    # list each window degree's monomials once
+    calls = {}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name):
+        real = getattr(general, name)
 
-    monkeypatch.setattr(general, "degree_classes", counted)
+        def wrapped(*args):
+            calls.setdefault(name, []).append(args)
+            return real(*args)
+        return wrapped
+
+    for name in ("degree_classes", "chain_positions", "_monomials_of_degree"):
+        monkeypatch.setattr(general, name, counted(name))
     two_points_graph(verify_window=True)
-    assert len(calls) == 6 + 18
+    assert {name: len(args) for name, args in calls.items()} == {
+        "degree_classes": 6, "chain_positions": 54,
+        "_monomials_of_degree": 4 + 2 + 6 * 5}
+    assert all(args[-1] == TWO_POINTS_WINDOW + (4,)
+               for args in calls["degree_classes"])
 
 
 def test_one_build_serves_both_windows(monkeypatch):
@@ -204,11 +238,11 @@ def test_one_build_serves_both_windows(monkeypatch):
         rows.append(len(out))
         return out
 
-    def built(M, N, c, window):
+    def built(M, N, window):
         rows.clear()
-        ring, eqs = real_build(M, N, c, window)
+        ring, eqs = real_build(M, N, window)
         # the N-side family is reduced last, one row per generator of N
-        builds.append((M, N, c, window, ring, eqs, rows[-len(N.gens):]))
+        builds.append((M, N, window, ring, eqs, rows[-len(N.gens):]))
         return ring, eqs
 
     monkeypatch.setattr(general, "_reduce_against", reduced)
@@ -216,14 +250,18 @@ def test_one_build_serves_both_windows(monkeypatch):
     two_points_graph(verify_window=True)
     monkeypatch.undo()
     assert len(builds) == 18
+    # the builds along one direction share its window
+    shared = {window.c: window for _, _, window, *_ in builds}
+    assert all(window is shared[window.c] for _, _, window, *_ in builds)
     wide = TWO_POINTS_WINDOW + (4,)
-    for M, N, c, window, ring, eqs, n_rows in builds:
-        assert window == wide
+    for M, N, window, ring, eqs, n_rows in builds:
+        assert window.degrees == wide
         assert all(t in wide for t, _ in eqs)
         n_tags = [t for t, _ in eqs[len(eqs) - sum(n_rows):]]
         assert n_tags == [N.degree(g) for g, k in zip(N.gens, n_rows)
                           for _ in range(k)]
-        narrow_ring, narrow = edge_scheme_general(M, N, c, TWO_POINTS_WINDOW)
+        narrow_ring, narrow = edge_scheme_general(
+            M, N, ChainWindow((M, N), window.c, TWO_POINTS_WINDOW))
         assert ([v.label() for v in narrow_ring.vars]
                 == [v.label() for v in ring.vars])
         assert ([(t, str(e)) for t, e in narrow]
@@ -247,7 +285,8 @@ def test_reduction_that_leaves_an_in_ideal_monomial_raises(monkeypatch):
     monkeypatch.setattr(general, "_reduce_against",
                         _leave_a_generator(general._reduce_against))
     with pytest.raises(RuntimeError, match="in-ideal monomial"):
-        edge_scheme_general(M, N, (0, 1, -1), TWO_POINTS_WINDOW)
+        edge_scheme_general(M, N, ChainWindow((M, N), (0, 1, -1),
+                                              TWO_POINTS_WINDOW))
     src = os.path.dirname(os.path.dirname(os.path.abspath(tgraph.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     done = subprocess.run(
@@ -257,10 +296,12 @@ def test_reduction_that_leaves_an_in_ideal_monomial_raises(monkeypatch):
          "from tgraph import general\n"
          "general._reduce_against = _leave_a_generator(\n"
          "    general._reduce_against)\n"
+         "M = from_saturation(0, (0, 0, 2))\n"
+         "N = from_saturation(0, (0, 2, 0))\n"
+         "window = general.ChainWindow((M, N), (0, 1, -1),\n"
+         "                             general.TWO_POINTS_WINDOW)\n"
          "try:\n"
-         "    general.edge_scheme_general(\n"
-         "        from_saturation(0, (0, 0, 2)), from_saturation(0, (0, 2, 0)),\n"
-         "        (0, 1, -1), general.TWO_POINTS_WINDOW)\n"
+         "    general.edge_scheme_general(M, N, window)\n"
          "except RuntimeError as exc:\n"
          "    print('raised', exc)\n"
          "else:\n"
@@ -290,30 +331,70 @@ def test_window_that_skips_a_syzygy_degree_is_rejected():
     chains = degree_classes(3, (1, 1, 1), (0, 1, -1), TWO_POINTS_WINDOW)
     assert class_dominates(chain_positions(M, chains),
                            chain_positions(N, chains))
+    window = ChainWindow((M, N), (0, 1, -1), (0, 1, 2, 4))
     with pytest.raises(ValueError, match="syzygy degree 3 falls outside "
                                          "the declared window"):
-        edge_scheme_general(M, N, (0, 1, -1), (0, 1, 2, 4))
+        edge_scheme_general(M, N, window)
 
 
 def test_rejects_equal_ideals_and_bad_directions():
     M = from_saturation(0, (0, 0, 2))
     with pytest.raises(ValueError):
-        edge_scheme_general(M, M, (0, 1, -1), TWO_POINTS_WINDOW)
+        edge_scheme_general(M, M, ChainWindow((M,), (0, 1, -1),
+                                              TWO_POINTS_WINDOW))
     N = from_saturation(0, (0, 2, 0))
     for c in ((0, 1, 1), (0, 0, 0), (0, 1, -1, 0), (1, -1)):
         with pytest.raises(ValueError, match="entries"):
-            edge_scheme_general(M, N, c, TWO_POINTS_WINDOW)
+            edge_scheme_general(M, N, ChainWindow((M, N), c,
+                                                  TWO_POINTS_WINDOW))
     # different Hilbert values on the window fail the chain counts
     line = NMonomialIdeal(3, ((1, 0, 0),), (1, 1, 1))
     with pytest.raises(ValueError, match="dominate"):
-        edge_scheme_general(M, line, (0, 1, -1), TWO_POINTS_WINDOW)
+        edge_scheme_general(M, line, ChainWindow((M, line), (0, 1, -1),
+                                                 TWO_POINTS_WINDOW))
     with pytest.raises(ValueError, match="outside the window"):
-        edge_scheme_general(M, N, (0, 1, -1), (0, 1))
+        edge_scheme_general(M, N, ChainWindow((M, N), (0, 1, -1), (0, 1)))
+    # an ideal the window does not place has no chain positions to compare
+    with pytest.raises(ValueError, match="placed on the window"):
+        edge_scheme_general(M, N, ChainWindow((M,), (0, 1, -1),
+                                              TWO_POINTS_WINDOW))
     # the same generators in two gradings are not a pair of one scheme
     gens = ((2, 0), (0, 1))
+    A = NMonomialIdeal(2, gens, (1, 1))
+    B = NMonomialIdeal(2, gens, (1, 2))
     with pytest.raises(ValueError, match="weights"):
-        edge_scheme_general(NMonomialIdeal(2, gens, (1, 1)),
-                            NMonomialIdeal(2, gens, (1, 2)), (1, -1), (0, 1, 2))
+        edge_scheme_general(A, B, ChainWindow((A, B), (1, -1), (0, 1, 2)))
+
+
+def test_verifying_the_window_leaves_the_graph_unchanged(monkeypatch):
+    # the check builds one degree higher, but the orientation reads only
+    # the window's chains, a prefix of the built ones: both runs compare
+    # the same positions and give the same graph
+    real_dominates = general.class_dominates
+    real_build = general.edge_scheme_general
+    oriented = []
+    building = []
+
+    def dominates(pos_m, pos_n):
+        if not building:
+            oriented[-1].append((pos_m, pos_n))
+        return real_dominates(pos_m, pos_n)
+
+    def built(*args):
+        building.append(args)
+        try:
+            return real_build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(general, "class_dominates", dominates)
+    monkeypatch.setattr(general, "edge_scheme_general", built)
+    oriented.append([])
+    plain = two_points_graph()
+    oriented.append([])
+    verified = two_points_graph(verify_window=True)
+    assert plain == verified
+    assert oriented[0] == oriented[1] and len(oriented[0]) > 36 * 6
 
 
 def test_two_points_graph_matches_published_shape():
@@ -368,7 +449,8 @@ def test_cross_engine_agreement_on_the_plane():
                                                zip(p, q)))
                                     for p, q in combinations(M2.gens, 2)})
                 c = (g.beta, -g.alpha)
-                ring, eqs = edge_scheme_general(M2, N2, c, degrees)
+                ring, eqs = edge_scheme_general(
+                    M2, N2, ChainWindow((M2, N2), c, degrees))
                 assert all(t in degrees for t, _ in eqs)
                 assert buchberger([e for _, e in eqs]).is_trivial() == (
                     verdict), (big, small, gi)
