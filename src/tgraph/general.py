@@ -20,9 +20,9 @@ second time only when that degree adds equations.
 A ``ChainWindow`` holds one direction's chains on the built window, their
 index and the chain positions of the ideals placed on it; it is built once
 per direction, and orientation and every edge scheme along that direction
-read it.  Dominance is read off two position lists.  An ideal stores each
-membership answer it gives, so the same question costs one dict lookup the
-next time.
+read it.  Dominance is read off two position lists, once their per-chain
+counts agree.  An ideal stores each membership answer it gives, so the same
+question costs one dict lookup the next time.
 
 Every solve, the window check's too, runs on the equations presolved by
 ``groebner.presolve`` in the printed variable order, and a dimension counts
@@ -35,6 +35,7 @@ route, which the test suite uses as a cross-engine oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import add, le, sub
@@ -229,21 +230,26 @@ def _family(tails, ring):
 def _reduce_against(poly_row, M, families_by_gen):
     """Eliminate every in-M monomial of a row using the generic family.
 
-    Reduction strictly descends each chain, so it terminates; the remainder
-    is supported on standard monomials.
+    Smallest first, off a heap of the row's in-M monomials (a sorted list
+    to start); one popped after it has left the row is skipped.  Reduction
+    strictly descends each chain, so it terminates; the remainder is
+    supported on standard monomials.
     """
     work = dict(poly_row)
-    while True:
-        inside = [m for m in work if M.contains(m)]
-        if not inside:
-            break
-        m = min(inside)
+    inside = sorted(m for m in work if M.contains(m))
+    while inside:
+        m = heappop(inside)
+        if m not in work:
+            continue
         coeff = work.pop(m)
         gen = next(g for g in M.gens if _divides(g, m))
         shift = tuple(a - b for a, b in zip(m, gen))
         for u, cpoly in families_by_gen[gen].items():
             if u != gen:
-                add_into(work, tuple(map(add, u, shift)), coeff * cpoly)
+                v = tuple(map(add, u, shift))
+                if v not in work and M.contains(v):
+                    heappush(inside, v)
+                add_into(work, v, coeff * cpoly)
     return work
 
 
@@ -273,8 +279,7 @@ def edge_scheme_general(M, N, window):
     # Sorted, the M-side variables (side 0) come before the N-side ones.
     ring = Ring(sorted(v for tails in (tails_m, tails_n)
                        for _, tail in tails for v, _ in tail))
-    fam_m = _family(tails_m, ring)
-    fam_n = _family(tails_n, ring)
+    fam_m, fam_n = _family(tails_m, ring), _family(tails_n, ring)
     by_gen = {gen: row for gen, row in zip(M.gens, fam_m)}
 
     equations = []
@@ -320,19 +325,16 @@ def fixed_points_two_points_p2():
     """
     window = {t: _monomials_of_degree(3, (1, 1, 1), t)
               for t in TWO_POINTS_WINDOW}
-    out = []
-    for quad in combinations(window[2], 4):
-        M = NMonomialIdeal(3, quad, (1, 1, 1))
-        if M.hilbert_values(window) == {0: 1, 1: 3, 2: 2, 3: 2}:
-            out.append(M)
-    return out
+    ideals = (NMonomialIdeal(3, quad, (1, 1, 1))
+              for quad in combinations(window[2], 4))
+    return [M for M in ideals
+            if M.hilbert_values(window) == {0: 1, 1: 3, 2: 2, 3: 2}]
 
 
 def saturation_label(M):
     """Generators of the saturation: the linear variable plus one monomial."""
     for i in range(3):
-        covered = [g for g in M.gens if g[i] >= 1]
-        if len(covered) == 3:
+        if sum(g[i] >= 1 for g in M.gens) == 3:
             extra = next(g for g in M.gens if g[i] == 0)
             return f"<x{i}, {_format_monomial(extra)}>"
     raise ValueError("not a two-points fixed ideal")
@@ -347,7 +349,8 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     window, of its presolved equations, gives both the verdict and the
     dimension.  Each direction's ``ChainWindow`` is built once, one degree
     above the window when `verify_window`, and serves both the orientation
-    (both ways, on the chains of degree at most 3, a prefix of its list) and
+    (on the chains of degree at most 3, a prefix of its list, comparing
+    positions both ways only where the two per-chain counts agree) and
     every oriented scheme along that direction, each built once; the
     window's equations are read off the degree tags.  The check solves a
     second time only when the higher degree adds equations; with none added
@@ -361,16 +364,19 @@ def two_points_graph(budget=DEFAULT_BUDGET, verify_window=False):
     top = max(degrees)
     built = degrees + (top + 1,) if verify_window else degrees
     directions = candidate_refinements(3, (1, 1, 1), (1, 2))
-    windows, positions = {}, {}
+    windows, positions, counts = {}, {}, {}
     for c in directions:
         window = windows[c] = ChainWindow(vertices, c, built)
         # chains come in degree order, so the window's are a prefix
         cut = sum(vertices[0].degree(ch[0]) <= top for ch in window.chains)
         positions[c] = [window.positions[v][:cut] for v in vertices]
+        counts[c] = [tuple(map(len, pos)) for pos in positions[c]]
     edges, dims = {}, {}
     for i, j in combinations(range(len(vertices)), 2):
         M, N = vertices[i], vertices[j]
         for c in directions:
+            if counts[c][i] != counts[c][j]:  # so neither dominates
+                continue
             pos_i, pos_j = positions[c][i], positions[c][j]
             if class_dominates(pos_i, pos_j):
                 big, small = M, N

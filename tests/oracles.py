@@ -14,7 +14,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 from tgraph.monomial import Grading, MonomialIdeal2
@@ -857,6 +857,31 @@ def permute(ideal, perm):
                  for g in ideal.gens)
     weights = tuple(ideal.weights[perm[i]] for i in range(ideal.nvars))
     return NMonomialIdeal(ideal.nvars, gens, weights)
+
+
+def both_ways_orientation(vertices, directions, degrees):
+    """Every vertex pair along every direction, positions compared both ways.
+
+    The two-points graph's orientation as first written, with no count
+    filter: pairs in ``combinations`` order, then directions, each asking
+    ``general.class_dominates`` one way and then the other, on the chain
+    positions a ``general.ChainWindow`` on `degrees` gives.  Returns the
+    oriented cases as (i, j, c, big), big the dominating vertex's index.
+    """
+    from tgraph.general import ChainWindow, class_dominates
+
+    positions = {c: ChainWindow(vertices, c, degrees).positions
+                 for c in directions}
+    out = []
+    for i, j in combinations(range(len(vertices)), 2):
+        for c in directions:
+            pos_i = positions[c][vertices[i]]
+            pos_j = positions[c][vertices[j]]
+            if class_dominates(pos_i, pos_j):
+                out.append((i, j, c, i))
+            elif class_dominates(pos_j, pos_i):
+                out.append((i, j, c, j))
+    return out
 
 
 def journal_lines(directory):

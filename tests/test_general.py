@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 from operator import mul
 
@@ -17,8 +18,8 @@ from tgraph.general import (ChainWindow, NMonomialIdeal, TWO_POINTS_WINDOW,
                             saturation_label, two_points_graph)
 from tgraph.groebner import buchberger, quotient_dimension
 
-from oracles import (from_saturation, permute, sorted_degree_classes,
-                     top_first)
+from oracles import (both_ways_orientation, from_saturation, permute,
+                     sorted_degree_classes, top_first)
 
 
 def test_nine_fixed_points():
@@ -369,7 +370,9 @@ def test_rejects_equal_ideals_and_bad_directions():
 def test_verifying_the_window_leaves_the_graph_unchanged(monkeypatch):
     # the check builds one degree higher, but the orientation reads only
     # the window's chains, a prefix of the built ones: both runs compare
-    # the same positions and give the same graph
+    # the same positions and give the same graph.  Positions are compared
+    # only where two vertices' per-chain counts agree: 18 of the 36 pairs
+    # times 6 directions, each oriented by its first comparison
     real_dominates = general.class_dominates
     real_build = general.edge_scheme_general
     oriented = []
@@ -394,7 +397,32 @@ def test_verifying_the_window_leaves_the_graph_unchanged(monkeypatch):
     oriented.append([])
     verified = two_points_graph(verify_window=True)
     assert plain == verified
-    assert oriented[0] == oriented[1] and len(oriented[0]) > 36 * 6
+    assert oriented[0] == oriented[1] and len(oriented[0]) == 18
+    assert all(real_dominates(*pair) for pair in oriented[0])
+
+
+@pytest.mark.parametrize("verify_window", [False, True])
+def test_counts_first_orient_as_the_both_ways_loop(monkeypatch,
+                                                   verify_window):
+    # a pair whose per-chain counts differ is ordered neither way, so the
+    # filter leaves the orientation of the all-pairs, both-ways loop, in
+    # the same order: 6 schemes on each of three directions
+    vertices = fixed_points_two_points_p2()
+    real_build = general.edge_scheme_general
+    oriented = []
+
+    def built(M, N, window):
+        i, j = vertices.index(M), vertices.index(N)
+        oriented.append((min(i, j), max(i, j), window.c, i))
+        return real_build(M, N, window)
+
+    monkeypatch.setattr(general, "edge_scheme_general", built)
+    two_points_graph(verify_window=verify_window)
+    directions = candidate_refinements(3, (1, 1, 1), (1, 2))
+    assert oriented == both_ways_orientation(vertices, directions,
+                                             TWO_POINTS_WINDOW)
+    assert Counter(c for _, _, c, _ in oriented) == {
+        (0, 1, -1): 6, (1, -1, 0): 6, (1, 0, -1): 6}
 
 
 def test_two_points_graph_matches_published_shape():
@@ -476,8 +504,12 @@ def test_chain_dominance_matches_the_plane_engine():
                 pos_b = chain_positions(NMonomialIdeal(2, B.gens, gi), chains)
                 for X, Y, pos_x, pos_y in ((A, B, pos_a, pos_b),
                                            (B, A, pos_b, pos_a)):
-                    assert (class_dominates(pos_x, pos_y)
-                            == (top_first(X, Y, g) is not None))
+                    dominates = class_dominates(pos_x, pos_y)
+                    assert dominates == (top_first(X, Y, g) is not None)
+                    # the orientation's count filter skips no such pair
+                    if dominates:
+                        assert (list(map(len, pos_x))
+                                == list(map(len, pos_y)))
                 compared += 2
     assert compared == 120
 
