@@ -11,12 +11,13 @@ arrow map, arrow map on the box quotients), which orients each pair once and
 hands that oriented pair to both arrow-map tests.  At full depth it comes from
 ``_exact_records``, the one place the exact equation solver runs, with the
 edge cache; with ``threads`` above 1 the calling process and forked children
-share the jobs through one task pipe.  The solver sees every job and
-returns NO_EDGE at once for a pair the order does not compare, so its
-verdicts stay independent of the combinatorial filters and can be checked
-against them.  The count table walks each colength's jobs once for the
-filter columns and reads its edge column off ``build_tgraph``, so a table
-and a graph of the same colength share one set of cached records.
+share the jobs through one task pipe, and the children send their records
+back through one result pipe.  The solver sees every job and returns NO_EDGE
+at once for a pair the order does not compare, so its verdicts stay
+independent of the combinatorial filters and can be checked against them.
+The count table walks each colength's jobs once for the filter columns and
+reads its edge column off ``build_tgraph``, so a table and a graph of the
+same colength share one set of cached records.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ def _full_job(job):
     return _decide(job)
 
 
-# A claim in the task pipe, and the length prefix of a record sent back.
+# A claim in the task pipe, and the length prefix of a result message.
 _U32 = struct.Struct("=I")
 
 
@@ -123,62 +124,56 @@ def _claims(tasks, todo, run):
             yield k, todo[k]
 
 
-def _child(rank, tasks, out, todo, run, inherited):
-    """A forked child: decide claimed jobs, send each (index, record) to the
-    caller as a length-prefixed pickle, and leave through ``os._exit``,
+def _child(rank, tasks, results, out, todo, run):
+    """A forked child: decide claimed jobs and send each (index, record) to
+    the result pipe ``out`` as one length-prefixed pickle in a single
+    ``os.write``: at most ``select.PIPE_BUF`` bytes, so it is written whole
+    and never interleaves with another child's; a longer one raises.  The
+    child first closes the read end ``results``, so a write fails rather
+    than blocks once the caller is gone.  It leaves through ``os._exit``,
     status 0 once the task pipe is empty and 1 on any exception."""
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        os.close(results)
         _spread(rank)
         for k, job in _claims(tasks, todo, run):
             blob = pickle.dumps((k, _full_job(job)), pickle.HIGHEST_PROTOCOL)
-            view = memoryview(_U32.pack(len(blob)) + blob)
-            while view:
-                view = view[os.write(out, view):]
+            message = _U32.pack(len(blob)) + blob
+            if len(message) > select.PIPE_BUF:
+                raise OverflowError(f"a result message of {len(message)} "
+                                    "bytes would not be written whole")
+            os.write(out, message)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(inboxes, timeout):
-    """The (index, record) pairs that have arrived from the children.
-
-    ``inboxes`` maps each open result pipe to the bytes read from it but not
-    yet decoded; a pipe at EOF is closed and dropped.  ``timeout`` 0 only
-    polls, None waits until some pipe is ready.
-    """
-    ready, _, _ = select.select(list(inboxes), [], [], timeout)
-    for fd in ready:
-        data = os.read(fd, 1 << 16)
-        if not data:
-            os.close(fd)
-            del inboxes[fd]
-            continue
-        buf = inboxes[fd]
-        buf += data
-        while len(buf) >= _U32.size:
-            end = _U32.size + _U32.unpack_from(buf)[0]
-            if len(buf) < end:
-                break
-            yield pickle.loads(buf[_U32.size:end])
-            del buf[:end]
+def _receive(results, timeout):
+    """The (index, record) messages read from the result pipe: those
+    already in it with ``timeout`` 0, every one until EOF with None.  Each
+    message was written whole, so its length prefix is followed by all of
+    its bytes."""
+    while select.select([results], [], [], timeout)[0]:
+        head = os.read(results, _U32.size)
+        if not head:
+            return
+        yield pickle.loads(os.read(results, _U32.unpack(head)[0]))
 
 
 def _solve(todo, threads):
     """(index, record) for every job, yielded as each is decided.
 
     With ``threads`` above 1 the calling process and ``threads - 1`` forked
-    children share the jobs.  Before the first fork every claim, one job or,
-    past ``select.PIPE_BUF // 4`` jobs, a fixed run of consecutive ones, is
-    written to one task pipe in a single atomic write, and each process
-    claims from it until it is empty; the caller collects the children's
-    records between its own jobs.  If a child fails, the other jobs are
-    still decided and then ``ChildProcessError`` says how many were left
-    undecided.  A child still running when the call ends, early or on an
-    exception, is killed and reaped.  Without ``os.fork`` the jobs run
-    serially.
+    children share the jobs through two pipes, both opened before the first
+    fork.  Every claim, one job or, past ``select.PIPE_BUF // 4`` jobs, a
+    fixed run of consecutive ones, is written to the task pipe in a single
+    atomic write, and each process claims from it until it is empty.  The
+    children send their records back through one result pipe, which the
+    caller drains between its own jobs and then reads until the last child
+    has closed it.  If a child fails, the other jobs are still decided and
+    then ``ChildProcessError`` says how many were left undecided.  A child
+    still running when the call ends, early or on an exception, is killed
+    and reaped.  Without ``os.fork`` the jobs run serially.
     """
     if threads < 2 or len(todo) < 2 or not hasattr(os, "fork"):
         yield from enumerate(map(_decide, todo))
@@ -186,34 +181,32 @@ def _solve(todo, threads):
     run = -(-len(todo) // (select.PIPE_BUF // _U32.size))
     starts = range(0, len(todo), run)
     tasks, feed = os.pipe()
-    children, inboxes = [], {}
+    results, out = os.pipe()
+    children = []
     try:
         try:
             os.write(feed, b"".join(map(_U32.pack, starts)))
         finally:
             os.close(feed)
-        for rank in range(1, min(threads, len(starts))):
-            inbox, out = os.pipe()
-            inboxes[inbox] = bytearray()
-            try:
+        try:
+            for rank in range(1, min(threads, len(starts))):
                 pid = os.fork()
                 if pid == 0:
-                    _child(rank, tasks, out, todo, run, list(inboxes))
+                    _child(rank, tasks, results, out, todo, run)
                 children.append(pid)
-            finally:
-                os.close(out)
+        finally:
+            os.close(out)
         _spread(0)
         done = 0
         for k, job in _claims(tasks, todo, run):
             yield k, _decide(job)
             done += 1
-            for item in _receive(inboxes, 0):
+            for item in _receive(results, 0):
                 yield item
                 done += 1
-        while inboxes:
-            for item in _receive(inboxes, None):
-                yield item
-                done += 1
+        for item in _receive(results, None):
+            yield item
+            done += 1
         failed = []
         while children:
             _, status = os.waitpid(children[-1], 0)
@@ -227,8 +220,7 @@ def _solve(todo, threads):
                 f"{len(todo)} jobs left undecided")
     finally:
         os.close(tasks)
-        for fd in inboxes:
-            os.close(fd)
+        os.close(results)
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

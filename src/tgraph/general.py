@@ -202,20 +202,20 @@ class ChainWindow:
         self.positions = {I: chain_positions(I, self.chains) for I in ideals}
 
 
-def _tails(ideal, window, var_side, opposite):
+def _tails(ideal, window, side):
     """Where the generic coefficients of each generator sit.
 
     A generator m picks up one variable per standard monomial strictly after
-    it on its chain (strictly before it when `opposite`).  Returns a list of
-    (m, ((variable, monomial), ...)).
+    it on its chain for side 0, the M side, and strictly before it for side
+    1, the N side.  Returns a list of (m, ((variable, monomial), ...)).
     """
     out = []
     for gi, gen in enumerate(ideal.gens):
         if gen not in window.where:
             raise ValueError(f"generator {gen} falls outside the window")
         chain, k = window.where[gen]
-        tail = chain[:k][::-1] if opposite else chain[k + 1:]
-        out.append((gen, tuple((ArrowVar(var_side, gi, step), u)
+        tail = chain[:k][::-1] if side else chain[k + 1:]
+        out.append((gen, tuple((ArrowVar(side, gi, step), u)
                                for step, u in enumerate(tail, start=1)
                                if not ideal.contains(u))))
     return out
@@ -274,8 +274,8 @@ def edge_scheme_general(M, N, window):
     if not class_dominates(window.positions[M], window.positions[N]):
         raise ValueError("first ideal must dominate the second on the window")
 
-    tails_m = _tails(M, window, 0, False)
-    tails_n = _tails(N, window, 1, True)
+    tails_m = _tails(M, window, 0)
+    tails_n = _tails(N, window, 1)
     # Sorted, the M-side variables (side 0) come before the N-side ones.
     ring = Ring(sorted(v for tails in (tails_m, tails_n)
                        for _, tail in tails for v, _ in tail))

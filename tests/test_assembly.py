@@ -1,8 +1,12 @@
 import hashlib
 import json
 import os
+import pickle
 import select
+import signal
+import time
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -490,6 +494,99 @@ def test_jobs_past_the_pipe_buffer_are_claimed_in_runs(monkeypatch):
     for start in range(0, len(todo), run):
         assert len({decided[k][0] for k in range(start, min(
             start + run, len(todo)))}) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_children_share_one_result_pipe(monkeypatch, threads):
+    # two pipes whatever the threads; messages of nearly PIPE_BUF bytes from
+    # every child pass through the shared pipe whole and exactly once
+    size = select.PIPE_BUF - 196
+    payload = lambda k: Random(k).randbytes(size)  # noqa: E731
+    todo = list(range(600))
+    assert 4 + len(pickle.dumps((599, (0, payload(599))),
+                                pickle.HIGHEST_PROTOCOL)) <= select.PIPE_BUF
+    opened, pipe = [], os.pipe
+
+    def spy():
+        opened.append(pipe())
+        return opened[-1]
+
+    def slow(k):
+        time.sleep(0.002)  # the children fill the pipe while the caller waits
+        return os.getpid(), payload(k)
+
+    monkeypatch.setattr(assembly, "_decide", slow)
+    monkeypatch.setattr(assembly, "_full_job", lambda k: (os.getpid(),
+                                                          payload(k)))
+    monkeypatch.setattr(assembly.os, "pipe", spy)
+    out = list(assembly._solve(todo, threads))
+    monkeypatch.undo()
+    assert len(opened) == 2
+    assert sorted(k for k, _ in out) == todo
+    assert all(data == payload(k) for k, (_, data) in out)
+    assert len({pid for _, (pid, _) in out}) > 1
+    _no_child_left()
+
+
+def test_a_message_past_pipe_buf_fails_the_build(monkeypatch):
+    # each of the two children dies on its first job, whose message would
+    # not be written whole; nothing of it reaches the caller
+    todo = list(range(7))
+    claimed, claim = os.pipe()
+    waited = []
+
+    def oversized(k):
+        os.write(claim, b"c")
+        return b"x" * select.PIPE_BUF
+
+    def after_both_claims(k):
+        if not waited:
+            waited.append(os.read(claimed, 1) + os.read(claimed, 1))
+        return "caller", k
+
+    monkeypatch.setattr(assembly, "_decide", after_both_claims)
+    monkeypatch.setattr(assembly, "_full_job", oversized)
+    out = []
+    try:
+        with pytest.raises(ChildProcessError,
+                           match=r"status 1, 1\); 2 of 7 jobs left"):
+            for item in assembly._solve(todo, 3):
+                out.append(item)
+    finally:
+        os.close(claimed)
+        os.close(claim)
+    assert len(out) == 5
+    assert all(record == ("caller", k) for k, record in out)
+    _no_child_left()
+
+
+def test_children_leave_once_the_caller_is_killed(monkeypatch):
+    # the caller is killed before it reads a record; a child holding the
+    # result pipe's read end would fill the pipe and block in a write
+    # forever, so every holder of `held` has exited once `alive` reads EOF.
+    # The caller leads a process group, which takes any such child down.
+    alive, held = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.setpgid(0, 0)
+            os.close(alive)
+            monkeypatch.setattr(assembly, "_decide", lambda job: os.kill(
+                os.getpid(), signal.SIGKILL))
+            monkeypatch.setattr(assembly, "_full_job", lambda job: bytes(200))
+            list(assembly._solve(list(range(4000)), 2))
+        finally:
+            os._exit(1)
+    os.close(held)
+    try:
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == \
+            -signal.SIGKILL
+        assert select.select([alive], [], [], 30)[0]
+        assert os.read(alive, 1) == b""
+    finally:
+        os.close(alive)
+        os.killpg(pid, signal.SIGKILL)
     _no_child_left()
 
 

@@ -571,7 +571,15 @@ def test_two_points_solver_work_is_pinned(monkeypatch):
         stats.append(gb.stats)
         return gb
 
+    updates = []
+    real_add = general.add_into
+
+    def counted(*args):
+        updates.append(args[1])
+        return real_add(*args)
+
     monkeypatch.setattr(general, "buchberger", recorded)
+    monkeypatch.setattr(general, "add_into", counted)
     two_points_graph(verify_window=True)
     # one solve per oriented scheme: degree 4 adds no equation to any of
     # them, so the check has nothing new to solve; the presolve took the
@@ -581,6 +589,12 @@ def test_two_points_solver_work_is_pinned(monkeypatch):
               for key in ("s_pairs", "reduction_steps", "basis_size")}
     assert totals == {"s_pairs": 51, "reduction_steps": 22,
                       "basis_size": 36}
+    # the row updates of building the schemes, _reduce_against's included;
+    # the same under every hash seed
+    assert len(updates) == 365
+    updates.clear()
+    two_points_graph()
+    assert len(updates) == 266
 
 
 def _one_above(real):

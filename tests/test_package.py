@@ -317,18 +317,25 @@ def _scopes(tree):
 
 
 def test_only_the_split_forks():
-    # os.fork and os._exit belong to assembly's split of a threaded build:
-    # _solve forks, and a forked child leaves through _child alone
-    found = sorted(f"{path.name}:{name}:{node.attr}"
+    # os.fork, os._exit, os.pipe and select.select belong to assembly's
+    # split of a threaded build: _solve opens the pipes and forks, a forked
+    # child leaves through _child alone, and _receive alone waits on the
+    # result pipe
+    calls = {("os", "fork"), ("os", "_exit"), ("os", "pipe"),
+             ("select", "select")}
+    found = sorted(f"{path.name}:{name}:{node.value.id}.{node.attr}"
                    for path in pathlib.Path(tgraph.__file__).parent.rglob(
                        "*.py")
                    for name, scope in _scopes(ast.parse(path.read_text()))
                    for node in ast.walk(scope)
                    if isinstance(node, ast.Attribute)
-                   and node.attr in ("fork", "_exit")
                    and isinstance(node.value, ast.Name)
-                   and node.value.id == "os")
-    assert found == ["assembly.py:_child:_exit", "assembly.py:_solve:fork"]
+                   and (node.value.id, node.attr) in calls)
+    assert found == ["assembly.py:_child:os._exit",
+                     "assembly.py:_receive:select.select",
+                     "assembly.py:_solve:os.fork",
+                     "assembly.py:_solve:os.pipe",
+                     "assembly.py:_solve:os.pipe"]
 
 
 def test_one_sparse_row_update():
