@@ -5,8 +5,9 @@ ideal under the x-smaller order is M form an affine cell.  One coordinate is
 attached to each positive significant arrow of M; the cell's universal ideal
 has one generator per minimal generator of M, computed here by the standard
 recursion and then tail-reduced to the unique reduced basis.  Both steps are
-``Poly`` arithmetic on rows that map monomials to coefficient polynomials,
-updated through ``poly.add_into``.
+``Poly`` arithmetic on rows that map monomials to coefficient polynomials:
+the recursion updates them through ``poly.add_into``, and the reduction, like
+every normal form here, is ``poly.reduce_row``.
 
 Every function here works on the x-smaller side; the y-smaller side of an
 ideal is the x-smaller side of its swap under the swapped grading, with x and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .monomial import Grading, MonomialIdeal2, format_monomial
-from .poly import Ring, add_into, arrow_ring
+from .poly import Ring, add_into, arrow_ring, reduce_row
 
 
 @dataclass(frozen=True)
@@ -125,31 +126,14 @@ def cell_generators_f(M, g, ring=None, var_side=0):
     return CellBasis(M, ring, tuple(elements))
 
 
-def _tail_reduce(elem, lead, basis):
-    """Rewrite every non-lead monomial of the ideal via the cell basis."""
-    M = basis.ideal
-    work = dict(elem)
-    while True:
-        candidates = [m for m in work if m != lead and M.contains(m)]
-        if not candidates:
-            return work
-        u = max(candidates, key=lambda m: m[1])
-        coeff = work.pop(u)
-        j = M.j_index(u)
-        gj = M.gens[j]
-        da, db = u[0] - gj[0], u[1] - gj[1]
-        for m, poly in basis.elements[j].items():
-            if m != gj:
-                add_into(work, (m[0] + da, m[1] + db), -(coeff * poly))
-
-
 def cell_generators_g(M, g, ring=None):
     """Reduced x-smaller cell basis: tails are standard monomials of M."""
     basis = cell_generators_f(M, g, ring=ring)
     reduced = []
     for i, elem in enumerate(basis.elements):
         lead = M.gens[i]
-        red = _tail_reduce(elem, lead, basis)
+        tail = {m: poly for m, poly in elem.items() if m != lead}
+        red = {lead: elem[lead], **reduce_row(tail, M, basis.elements)}
         if any(m != lead and M.contains(m) for m in red):
             raise RuntimeError(f"a tail of {format_monomial(lead)} is in {M}")
         reduced.append(red)
@@ -165,7 +149,7 @@ def reduce_monomial(m, gbasis):
     M = gbasis.ideal
     if not M.contains(m):
         raise ValueError(f"{format_monomial(m)} is not in {M}")
-    nf = _tail_reduce({m: gbasis.ring.one()}, None, gbasis)
+    nf = reduce_row({m: gbasis.ring.one()}, M, gbasis.elements)
     if any(M.contains(s) for s in nf):
         raise RuntimeError(f"normal form of {format_monomial(m)} meets {M}")
     return nf
@@ -220,8 +204,8 @@ def edge_ideal(pair):
     for (b, a), elem in zip(n_swap.gens, n_basis.elements):
         n = (a, b)
         w = g.weight(n)
-        nf = _tail_reduce({(v, u): poly for (u, v), poly in elem.items()},
-                          None, gb)
+        nf = reduce_row({(v, u): poly for (u, v), poly in elem.items()},
+                        M, gb.elements)
         targets = sorted(std_by_weight.get(w, ()), key=lambda s: s[1],
                          reverse=True)
         if not set(nf) <= set(targets):

@@ -87,11 +87,10 @@ class EdgeRecord:
 ENGINE = "groebner/presolved-reversed-variables"
 
 
-def _solver_generators(ideal):
-    """(ring, equations) that ``buchberger`` decides for the edge ideal: its
-    nonzero generators presolved, on its variable list reversed."""
-    ring = Ring(reversed(ideal.ring.vars))
-    return presolve(ideal.nonzero_generators(), ring)
+def _solver_generators(ring, equations):
+    """An edge ideal's nonzero `equations`, presolved on its `ring`'s
+    variable list reversed: the (ring, equations) ``buchberger`` decides."""
+    return presolve(equations, Ring(reversed(ring.vars)))
 
 
 def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
@@ -112,8 +111,9 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
         _check_char(char)
         return EdgeRecord((M, N), g, EdgeStatus.NO_EDGE, characteristic=char)
     ideal = edge_ideal(pair)
+    equations = ideal.nonzero_generators()
     start = time.perf_counter()
-    ring, gens = _solver_generators(ideal)
+    ring, gens = _solver_generators(ideal.ring, equations)
     try:
         gb = buchberger(gens, budget=budget, char=char)
     except BudgetExceeded as exc:
@@ -131,6 +131,6 @@ def decide_edge(M, N, g, budget=DEFAULT_BUDGET, with_dimension=False, char=0):
         if with_dimension:
             dim = quotient_dimension(gb, nvars=ring.nvars)
     return EdgeRecord((M, N), g, status, dimension=dim,
-                      generator_count=len(ideal.nonzero_generators()),
+                      generator_count=len(equations),
                       s_pairs=s_pairs,
                       time_ms=elapsed, characteristic=char)

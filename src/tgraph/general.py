@@ -7,8 +7,9 @@ coefficients on the standard monomials of its degree class that sit strictly
 below m, and the requirements "initial ideal is M, opposite initial ideal is
 N" become polynomial constraints: every syzygy-degree S-pair must reduce to
 zero against the family, and each generator of the N-side family must reduce
-to zero as well.  Everything happens inside a finite degree window, declared
-by the caller.
+to zero as well.  Both reductions are ``poly.reduce_row``, the package's one
+row division.  Everything happens inside a finite degree window, declared by
+the caller.
 
 Each equation carries its degree: the syzygy degree of its S-pair, or the
 degree of its N-side generator.  Cutting the window off above a degree that
@@ -35,14 +36,13 @@ route, which the test suite uses as a cross-engine oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import add, le, sub
 
 from .groebner import (DEFAULT_BUDGET, buchberger, presolve,
                        quotient_dimension)
-from .poly import ArrowVar, Ring, add_into
+from .poly import ArrowVar, Ring, add_into, reduce_row
 
 
 def _monomials_of_degree(nvars, weights, t):
@@ -104,6 +104,13 @@ class NMonomialIdeal:
         except KeyError:
             found = self._member[m] = self._generated(m)
             return found
+
+    def j_index(self, m):
+        """Index of the least generator dividing m."""
+        for j, g in enumerate(self.gens):
+            if _divides(g, m):
+                return j
+        raise ValueError(f"{_format_monomial(m)} is not in the ideal")
 
     def _generated(self, m):
         return any(_divides(g, m) for g in self.gens)
@@ -227,32 +234,6 @@ def _family(tails, ring):
             for gen, tail in tails]
 
 
-def _reduce_against(poly_row, M, families_by_gen):
-    """Eliminate every in-M monomial of a row using the generic family.
-
-    Smallest first, off a heap of the row's in-M monomials (a sorted list
-    to start); one popped after it has left the row is skipped.  Reduction
-    strictly descends each chain, so it terminates; the remainder is
-    supported on standard monomials.
-    """
-    work = dict(poly_row)
-    inside = sorted(m for m in work if M.contains(m))
-    while inside:
-        m = heappop(inside)
-        if m not in work:
-            continue
-        coeff = work.pop(m)
-        gen = next(g for g in M.gens if _divides(g, m))
-        shift = tuple(a - b for a, b in zip(m, gen))
-        for u, cpoly in families_by_gen[gen].items():
-            if u != gen:
-                v = tuple(map(add, u, shift))
-                if v not in work and M.contains(v):
-                    heappush(inside, v)
-                add_into(work, v, coeff * cpoly)
-    return work
-
-
 def edge_scheme_general(M, N, window):
     """Constraint ideal for "initial ideal M, opposite initial ideal N".
 
@@ -280,7 +261,10 @@ def edge_scheme_general(M, N, window):
     ring = Ring(sorted(v for tails in (tails_m, tails_n)
                        for _, tail in tails for v, _ in tail))
     fam_m, fam_n = _family(tails_m, ring), _family(tails_n, ring)
-    by_gen = {gen: row for gen, row in zip(M.gens, fam_m)}
+    # divide by gen - tail: its S-pair rows are minus these, so the equations
+    # cut out the same scheme with M's variables negated
+    divisors = [{u: p if u == gen else -p for u, p in row.items()}
+                for gen, row in zip(M.gens, fam_m)]
 
     equations = []
 
@@ -306,10 +290,10 @@ def edge_scheme_general(M, N, window):
             add_into(row, tuple(a + b for a, b in zip(u, s1)), poly)
         for u, poly in r2.items():
             add_into(row, tuple(a + b for a, b in zip(u, s2)), -poly)
-        emit(t, _reduce_against(row, M, by_gen))
+        emit(t, reduce_row(row, M, divisors))
 
     for gen, row in zip(N.gens, fam_n):
-        emit(N.degree(gen), _reduce_against(dict(row), M, by_gen))
+        emit(N.degree(gen), reduce_row(row, M, divisors))
 
     return ring, equations
 

@@ -16,13 +16,15 @@ packed form, inside the solver.
 ``add_into`` is the package's one sparse-row update: a row is a dict from
 monomials or columns to polynomials or field values, and adding into an entry
 drops the entry when it cancels.  ``Poly``'s own sum, difference and product
-build their terms through it as well.  A ``Poly`` compares equal only to a
-``Poly`` of the same ring, and is not hashable.
+build their terms through it, as does ``reduce_row``, the one row division,
+which gives both edge engines their equations.  A ``Poly`` compares
+equal only to a ``Poly`` of the same ring, and is not hashable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, neg
+from heapq import heappop, heappush
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True, order=True)
@@ -243,6 +245,35 @@ def add_into(row, key, value):
         row[key] = merged
     else:
         row.pop(key, None)
+
+
+def reduce_row(row, ideal, elements):
+    """The remainder of a row on division by a family with leads ideal.gens.
+
+    In-ideal monomials go least first, off a heap (a sorted list to start)
+    that skips one which has left the row.  Dividing out c*m adds -c times
+    x^(m - lead) times the other terms, all larger, of element
+    ``ideal.j_index(m)``, whose lead has coefficient one.  Neither the row
+    nor the elements change.
+    """
+    work = dict(row)
+    contains = ideal.contains
+    inside = sorted(m for m in work if contains(m))
+    while inside:
+        m = heappop(inside)
+        if m not in work:
+            continue
+        c = -work.pop(m)
+        j = ideal.j_index(m)
+        lead = ideal.gens[j]
+        shift = tuple(map(sub, m, lead))
+        for u, p in elements[j].items():
+            if u != lead:
+                v = tuple(map(add, u, shift))
+                if v not in work and contains(v):
+                    heappush(inside, v)
+                add_into(work, v, c * p)
+    return work
 
 
 def arrow_ring(m_arrows, n_arrows=()):

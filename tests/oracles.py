@@ -4,8 +4,9 @@ Nothing here calls the code paths it checks: arrow-map conditions are tested
 literally over a padded box, tangent weights come from arm/leg statistics of
 the partition, ideal membership is certified by explicit cofactors, and small
 fields are implemented from scratch for the slice computations.  The helpers
-at the end are the exception: they build test inputs from the package, or
-reach the solver's private kernel, and say so.
+at the end are the exception: they build test inputs from the package,
+reach the solver's private kernel, or update rows through ``poly.add_into``,
+and say so.
 """
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 from math import gcd
+from operator import add, le
 
 from tgraph.monomial import Grading, MonomialIdeal2
+from tgraph.poly import add_into
 
 
 def box_monomials(amax, bmax):
@@ -882,6 +886,64 @@ def both_ways_orientation(vertices, directions, degrees):
             elif class_dominates(pos_j, pos_i):
                 out.append((i, j, c, j))
     return out
+
+
+def _tail_reduce(elem, lead, basis):
+    """Rewrite every non-lead monomial of the ideal via the cell basis.
+
+    The two-variable row division as the cell layer first wrote it: rescan
+    the row after every step and divide the in-ideal monomial with the
+    largest y.  A reference for ``poly.reduce_row``, through
+    ``poly.add_into``.
+    """
+    M = basis.ideal
+    work = dict(elem)
+    while True:
+        candidates = [m for m in work if m != lead and M.contains(m)]
+        if not candidates:
+            return work
+        u = max(candidates, key=lambda m: m[1])
+        coeff = work.pop(u)
+        j = M.j_index(u)
+        gj = M.gens[j]
+        da, db = u[0] - gj[0], u[1] - gj[1]
+        for m, poly in basis.elements[j].items():
+            if m != gj:
+                add_into(work, (m[0] + da, m[1] + db), -(coeff * poly))
+
+
+def _divides(u, v):
+    return all(map(le, u, v))
+
+
+def _reduce_against(poly_row, M, families_by_gen):
+    """Eliminate every in-M monomial of a row using the generic family.
+
+    Smallest first, off a heap of the row's in-M monomials (a sorted list
+    to start); one popped after it has left the row is skipped.  Reduction
+    strictly descends each chain, so it terminates; the remainder is
+    supported on standard monomials.
+
+    The row division of the general engine as first written, dividing by
+    the least generator and adding +coefficient * tail.  A reference for
+    ``poly.reduce_row``, through ``poly.add_into``.
+    """
+    work = dict(poly_row)
+    inside = sorted(m for m in work if M.contains(m))
+    while inside:
+        m = heappop(inside)
+        if m not in work:
+            continue
+        coeff = work.pop(m)
+        gen = next(g for g in M.gens if _divides(g, m))
+        shift = tuple(a - b for a, b in zip(m, gen))
+        for u, cpoly in families_by_gen[gen].items():
+            if u != gen:
+                v = tuple(map(add, u, shift))
+                if v not in work and M.contains(v):
+                    heappush(inside, v)
+                add_into(work, v, coeff * cpoly)
+    return work
 
 
 def journal_lines(directory):

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 import tgraph
-from tgraph import general
+from tgraph import general, poly
 from tgraph.general import (ChainWindow, NMonomialIdeal, TWO_POINTS_WINDOW,
                             candidate_refinements, chain_positions,
                             class_dominates, degree_classes,
@@ -232,7 +232,7 @@ def test_one_build_serves_both_windows(monkeypatch):
     builds = []
     rows = []
     real_build = general.edge_scheme_general
-    real_reduce = general._reduce_against
+    real_reduce = general.reduce_row
 
     def reduced(*args):
         out = real_reduce(*args)
@@ -246,7 +246,7 @@ def test_one_build_serves_both_windows(monkeypatch):
         builds.append((M, N, window, ring, eqs, rows[-len(N.gens):]))
         return ring, eqs
 
-    monkeypatch.setattr(general, "_reduce_against", reduced)
+    monkeypatch.setattr(general, "reduce_row", reduced)
     monkeypatch.setattr(general, "edge_scheme_general", built)
     two_points_graph(verify_window=True)
     monkeypatch.undo()
@@ -270,10 +270,10 @@ def test_one_build_serves_both_windows(monkeypatch):
 
 
 def _leave_a_generator(real):
-    def stray(row, M, families_by_gen):
-        out = real(row, M, families_by_gen)
+    def stray(row, M, elements):
+        out = real(row, M, elements)
         gen = M.gens[0]
-        out[gen] = families_by_gen[gen][gen]
+        out[gen] = elements[0][gen]
         return out
     return stray
 
@@ -283,8 +283,8 @@ def test_reduction_that_leaves_an_in_ideal_monomial_raises(monkeypatch):
     # process and under -O, which strips asserts
     M = from_saturation(0, (0, 0, 2))
     N = from_saturation(0, (0, 2, 0))
-    monkeypatch.setattr(general, "_reduce_against",
-                        _leave_a_generator(general._reduce_against))
+    monkeypatch.setattr(general, "reduce_row",
+                        _leave_a_generator(general.reduce_row))
     with pytest.raises(RuntimeError, match="in-ideal monomial"):
         edge_scheme_general(M, N, ChainWindow((M, N), (0, 1, -1),
                                               TWO_POINTS_WINDOW))
@@ -295,8 +295,7 @@ def test_reduction_that_leaves_an_in_ideal_monomial_raises(monkeypatch):
          "from oracles import from_saturation\n"
          "from test_general import _leave_a_generator\n"
          "from tgraph import general\n"
-         "general._reduce_against = _leave_a_generator(\n"
-         "    general._reduce_against)\n"
+         "general.reduce_row = _leave_a_generator(general.reduce_row)\n"
          "M = from_saturation(0, (0, 0, 2))\n"
          "N = from_saturation(0, (0, 2, 0))\n"
          "window = general.ChainWindow((M, N), (0, 1, -1),\n"
@@ -533,6 +532,18 @@ def test_malformed_ideals_are_rejected(args, message):
         NMonomialIdeal(*args)
 
 
+def test_j_index_is_the_least_dividing_generator():
+    # the divisor choice of poly.reduce_row on a window ideal, as
+    # MonomialIdeal2.j_index's largest index is the lexicographically least
+    M = from_saturation(0, (0, 0, 2))  # <x0^2, x0*x1, x0*x2, x2^2>
+    assert M.gens == ((0, 0, 2), (1, 0, 1), (1, 1, 0), (2, 0, 0))
+    assert [M.j_index(m) for m in ((2, 1, 1), (1, 1, 2), (0, 3, 2))] == [
+        1, 0, 0]
+    assert M.j_index((3, 0, 0)) == 3
+    with pytest.raises(ValueError, match="not in the ideal"):
+        M.j_index((0, 2, 1))
+
+
 def test_each_membership_question_is_decided_once(monkeypatch):
     decided = []
     ideals = []
@@ -573,13 +584,21 @@ def test_two_points_solver_work_is_pinned(monkeypatch):
 
     updates = []
     real_add = general.add_into
+    division = poly.reduce_row.__code__
 
     def counted(*args):
         updates.append(args[1])
         return real_add(*args)
 
+    def counted_in_division(*args):
+        # poly's own arithmetic updates rows too; count only the division's
+        if sys._getframe(1).f_code is division:
+            updates.append(args[1])
+        return real_add(*args)
+
     monkeypatch.setattr(general, "buchberger", recorded)
     monkeypatch.setattr(general, "add_into", counted)
+    monkeypatch.setattr(poly, "add_into", counted_in_division)
     two_points_graph(verify_window=True)
     # one solve per oriented scheme: degree 4 adds no equation to any of
     # them, so the check has nothing new to solve; the presolve took the
@@ -589,7 +608,7 @@ def test_two_points_solver_work_is_pinned(monkeypatch):
               for key in ("s_pairs", "reduction_steps", "basis_size")}
     assert totals == {"s_pairs": 51, "reduction_steps": 22,
                       "basis_size": 36}
-    # the row updates of building the schemes, _reduce_against's included;
+    # the row updates of building the schemes, poly.reduce_row's included;
     # the same under every hash seed
     assert len(updates) == 365
     updates.clear()

@@ -23,6 +23,12 @@ from oracles import (brute_normal_form, kernel_normal_form, lead_term,
 V = [ArrowVar(0, i, 1) for i in range(1, 5)]
 
 
+def _solver_inputs(pair):
+    """What decide_edge hands buchberger for an oriented pair."""
+    ideal = edge_ideal(pair)
+    return _solver_generators(ideal.ring, ideal.nonzero_generators())
+
+
 def ring(n=4):
     return Ring(tuple(V[:n]))
 
@@ -139,8 +145,7 @@ def test_solver_work_on_the_full_graph_is_pinned(d, s_pairs, basis_size,
     for rec in graph.records:
         oriented = oriented_pair(*rec.pair, rec.grading)
         if oriented is not None:
-            ideal = edge_ideal(oriented)
-            _, gens = _solver_generators(ideal)
+            _, gens = _solver_inputs(oriented)
             gb = buchberger(gens)
             stats.append(gb.stats)
             for g in gb.generators:
@@ -313,7 +318,7 @@ def test_degree_past_the_field_cap_gives_unknown(monkeypatch):
     M = parse_ideal("<x^3, x^2*y^2, y^3>")
     N = parse_ideal("<x^3, x^2*y, x*y^3, y^4>")
     g = Grading(1, 1)
-    _, gens = _solver_generators(edge_ideal(oriented_pair(M, N, g)))
+    _, gens = _solver_inputs(oriented_pair(M, N, g))
     assert decide_edge(M, N, g).status is EdgeStatus.EDGE
     monkeypatch.setattr(groebner, "FIELD_BITS", 2)
     assert max(total_degree(p) for p in gens) <= 3
@@ -373,7 +378,7 @@ def test_recorded_leads_match_the_oracle_on_the_exact_graphs(char):
         for rec in build_tgraph(d, PipelineDepth.FULL).records:
             oriented = oriented_pair(*rec.pair, rec.grading)
             if oriented is not None:
-                _, gens = _solver_generators(edge_ideal(oriented))
+                _, gens = _solver_inputs(oriented)
                 assert_leads_are_recorded(buchberger(gens, char=char))
                 runs += 1
     assert runs == 217
@@ -625,7 +630,7 @@ def test_presolve_to_a_constant_is_no_edge():
     # the edge equations ct1, -c1 and 1 - c1*ct1 of this pair
     M, N = parse_ideal("<x^5, x*y, y^3>"), parse_ideal("<x^3, x*y, y^5>")
     g = Grading(1, 1)
-    _, gens = _solver_generators(edge_ideal(oriented_pair(M, N, g)))
+    _, gens = _solver_inputs(oriented_pair(M, N, g))
     assert [str(p) for p in gens] == ["1"]
     assert decide_edge(M, N, g).status is EdgeStatus.NO_EDGE
 
@@ -636,7 +641,7 @@ def test_presolved_edge_equations_have_int_coefficients():
         for rec in build_tgraph(d, PipelineDepth.FULL).records:
             oriented = oriented_pair(*rec.pair, rec.grading)
             if oriented is not None:
-                _, gens = _solver_generators(edge_ideal(oriented))
+                _, gens = _solver_inputs(oriented)
                 coeffs = [c for g in gens for c in g.terms.values()]
                 assert all(type(c) is int for c in coeffs)
                 seen += len(coeffs)

@@ -124,12 +124,12 @@ def test_result_checks_survive_optimization():
         "g = Grading(1, 1)\n"
         "pair = oriented_pair(parse_ideal('<x^2, y>'),\n"
         "                     parse_ideal('<x, y^2>'), g)\n"
-        "real = cells._tail_reduce\n"
-        "def stray(elem, lead, basis):\n"
-        "    out = real(elem, lead, basis)\n"
-        "    out[(0, 0)] = basis.ring.one()\n"
+        "real = cells.reduce_row\n"
+        "def stray(row, ideal, elements):\n"
+        "    out = real(row, ideal, elements)\n"
+        "    out[(0, 0)] = elements[0][ideal.gens[0]]\n"
         "    return out\n"
-        "cells._tail_reduce = stray\n"
+        "cells.reduce_row = stray\n"
         "try:\n"
         "    cells.edge_ideal(pair)\n"
         "except RuntimeError as exc:\n"
@@ -353,6 +353,27 @@ def test_one_sparse_row_update():
              and isinstance(node.args[1], ast.Constant)
              and node.args[1].value is None}
     assert sorted(found) == ["groebner.py:buchberger", "poly.py:add_into"]
+
+
+def test_one_row_division():
+    # poly.reduce_row is the one division of a row by a monic family, for
+    # both edge engines; besides it only the solver pops a heap
+    found = {}
+    for path in pathlib.Path(tgraph.__file__).parent.rglob("*.py"):
+        for name, scope in _scopes(ast.parse(path.read_text())):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(
+                        f, "attr", None)
+                    if called in ("reduce_row", "heappop"):
+                        found.setdefault(called, set()).add(
+                            f"{path.stem}.{name}")
+    assert sorted(found["reduce_row"]) == [
+        "cells.cell_generators_g", "cells.edge_ideal",
+        "cells.reduce_monomial", "general.edge_scheme_general"]
+    assert sorted(found["heappop"]) == [
+        "groebner._reduce", "groebner.buchberger", "poly.reduce_row"]
 
 
 def test_one_output_branch_in_the_cli():

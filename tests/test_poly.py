@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from tgraph import groebner
+from tgraph import cells, general, groebner
+from tgraph.arrows import oriented_pair
+from tgraph.assembly import coprime_gradings, pair_grading_jobs
+from tgraph.cells import CellBasis
 from tgraph.groebner import buchberger
-from tgraph.poly import ArrowVar, Packing, Poly, Ring, arrow_ring
+from tgraph.monomial import enumerate_ideals
+from tgraph.poly import ArrowVar, Packing, Poly, Ring, arrow_ring, reduce_row
 
-from oracles import grevlex_key, trial_division_is_prime
+from oracles import (_reduce_against, _tail_reduce, grevlex_key,
+                     trial_division_is_prime)
 
 A = ArrowVar(0, 1, 1)
 B = ArrowVar(0, 2, 1)
@@ -153,3 +158,57 @@ def test_packing_matches_the_grevlex_key(width):
                 assert not divides or pu <= pv
                 # the lcm's degree may pass the cap, up to twice it
                 assert packing.lcm(pu, pv) == pack(tuple(map(max, u, v)))
+
+
+def test_reduce_row_matches_both_former_divisions(monkeypatch):
+    # the one row division gives the remainder of the cell layer's rescan
+    # and of the general engine's heap, entry for entry and in the same
+    # order, on every row either engine divides, and changes neither the
+    # row nor the family
+    def divided(reference):
+        def call(row, ideal, elements):
+            before = list(row.items()), [list(e.items()) for e in elements]
+            out = reduce_row(row, ideal, elements)
+            assert (list(row.items()),
+                    [list(e.items()) for e in elements]) == before
+            assert list(out.items()) == list(
+                reference(row, ideal, elements).items())
+            rows.append(ideal)
+            return out
+        return call
+
+    def rescan(row, ideal, elements):
+        return _tail_reduce(row, None, CellBasis(ideal, None, elements))
+
+    def heap(row, ideal, elements):
+        # general divides by gen - tail, the reference adds +coeff * tail
+        by_gen = {gen: {u: p if u == gen else -p for u, p in e.items()}
+                  for gen, e in zip(ideal.gens, elements)}
+        return _reduce_against(row, ideal, by_gen)
+
+    rows = []
+    monkeypatch.setattr(cells, "reduce_row", divided(rescan))
+    monkeypatch.setattr(general, "reduce_row", divided(heap))
+    # each f-element tail and the normal forms of x*m and y*m for each
+    # minimal generator m
+    for d in range(2, 9):
+        for M in enumerate_ideals(d):
+            for g in coprime_gradings(d):
+                gb = cells.cell_generators_g(M, g)
+                for a, b in M.gens:
+                    cells.reduce_monomial((a + 1, b), gb)
+                    cells.reduce_monomial((a, b + 1), gb)
+    assert len(rows) == 17100
+    # the swapped N elements of every oriented job, after M's tails
+    rows.clear()
+    for d in range(2, 9):
+        vertices = enumerate_ideals(d)
+        for (i, j), g in pair_grading_jobs(vertices):
+            pair = oriented_pair(vertices[i - 1], vertices[j - 1], g)
+            if pair is not None:
+                cells.edge_ideal(pair)
+    assert len(rows) == 1272
+    # every S-pair and N-side row of the 18 schemes, one degree above
+    rows.clear()
+    general.two_points_graph(verify_window=True)
+    assert len(rows) == 180
